@@ -58,6 +58,7 @@ from .decoding import (
     DecoderModel,
     ScoreVector,
     Trial,
+    TrialStatistics,
     classify,
     correlation_score,
     fit_cca,

@@ -230,7 +230,9 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner", n_folds=5):
     Parameters
     ----------
     fit: callable
-        Model-fitting procedure mapping a list of trials to a DecoderModel.
+        Model-fitting procedure mapping the indices of an inner fold's
+        training trials (into `trials`) to a DecoderModel, e.g. the bound
+        :meth:`TrialStatistics.fit` of statistics built once over `trials`.
     trials: list of Trial
         Labeled training trials.
     grid: sequence of int
@@ -267,8 +269,7 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner", n_folds=5):
             continue
         mask = np.ones(len(trials), dtype=bool)
         mask[fold] = False
-        train = [trials[i] for i in np.flatnonzero(mask)]
-        model = fit(train)
+        model = fit(np.flatnonzero(mask))
         hits = np.zeros(grid.size)
         for idx in fold:
             trace = score_trace(model, trials[idx], grid, similarity)

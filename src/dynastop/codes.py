@@ -290,15 +290,22 @@ def structure_matrix(stream, fs, rate_hz, n_samples, response_samples):
         raise ValueError("response_samples must be in [1, n_samples]")
 
     matrix = np.zeros((2 * response_samples, n_samples))
+    kinds = []
     for ev in stream.events:
         if ev.kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {ev.kind!r}")
-        onset = int(math.floor(ev.onset * fs / rate_hz + 0.5))
-        if onset >= n_samples:
-            continue
-        span = min(response_samples, n_samples - onset)
-        rows = EVENT_KINDS.index(ev.kind) * response_samples + np.arange(span)
-        matrix[rows, onset + np.arange(span)] = 1.0
+        kinds.append(EVENT_KINDS.index(ev.kind))
+    if not kinds:
+        return matrix
+    # Same float64 arithmetic as math.floor(onset * fs / rate_hz + 0.5) per event.
+    onset_bits = np.array([ev.onset for ev in stream.events], dtype=np.float64)
+    onsets = np.floor(onset_bits * fs / rate_hz + 0.5).astype(np.int64)
+    blocks = np.array(kinds) * response_samples
+    offsets = np.arange(response_samples)
+    columns = onsets[:, None] + offsets
+    rows = np.broadcast_to(blocks[:, None] + offsets, columns.shape)
+    inside = columns < n_samples
+    matrix[rows[inside], columns[inside]] = 1.0
     return matrix
 
 

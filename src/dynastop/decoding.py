@@ -93,65 +93,103 @@ def _templates_from_response(response, structures):
     return np.vstack(templates)
 
 
-def fit_cca(trials, structures, ridge=1e-6):
-    """Fit the reconvolution CCA decoder on labeled trials.
+class TrialStatistics:
+    """Per-trial sufficient statistics of the reconvolution CCA fit.
 
-    Concatenates the trials channel-wise and their label's structure matrices
-    column-wise, then finds the spatial filter and event response whose
-    projections correlate maximally. Solved by whitening both autocovariances
-    (with a relative ridge term for rank safety) and taking the leading
-    singular pair of the whitened cross-covariance.
-
-    The solution is normalized so the spatial filter has unit norm and its
-    first nonzero element is positive; the templates follow that convention.
+    The fit needs three covariances of the trials concatenated channel-wise
+    against their labels' structure matrices concatenated column-wise. Each
+    follows from per-trial moments: the trial's centred channel Gram, its
+    centred cross-products with its class's structure matrix, and its channel
+    means, plus one centred design Gram and mean per class. A fit on any
+    subset of the trials adds its members' moments and corrects for the
+    spread of their means (the pairwise update of Chan, Golub and LeVeque),
+    so cross-validation folds share one pass over the data and no fit builds
+    the concatenated design matrix.
 
     Parameters
     ----------
     trials: list of Trial
-        At least two labeled trials with two distinct labels, equal shapes.
+        At least two labeled trials with two distinct labels, equal shapes
+        and equal sampling rates.
     structures: list of np.ndarray
-        One structure matrix per class, all (n_rows, n_samples).
-    ridge: float (default: 1e-6)
-        Ridge factor, scaled by the mean diagonal of each autocovariance.
-
-    Returns
-    -------
-    model: DecoderModel
+        One structure matrix per class, all (n_rows, n_samples) and at least
+        as long as the trials.
     """
-    if len(trials) < 2:
-        raise ValueError("need at least two training trials")
-    labels = [t.label for t in trials]
-    if any(label is None for label in labels):
-        raise ValueError("all training trials must be labeled")
-    if len(set(labels)) < 2:
-        raise ValueError("need at least two distinct labels")
-    shapes = {t.data.shape for t in trials}
-    if len(shapes) != 1:
-        raise ValueError(f"trial shapes differ: {sorted(shapes)}")
-    rates = {float(t.fs) for t in trials}
-    if len(rates) != 1:
-        raise ValueError(f"trial sampling rates differ: {sorted(rates)}")
-    n_samples = trials[0].data.shape[1]
-    for i, matrix in enumerate(structures):
-        if matrix.shape[1] < n_samples:
-            raise ValueError(f"structure {i} shorter than the trials")
 
-    data = np.concatenate([np.asarray(t.data, dtype=float) for t in trials], axis=1)
-    design = np.concatenate(
-        [np.asarray(structures[t.label], dtype=float)[:, :n_samples] for t in trials],
-        axis=1,
-    )
-    if not np.all(np.isfinite(data)):
-        raise ValueError("trial data contains non-finite values")
+    def __init__(self, trials, structures):
+        if len(trials) < 2:
+            raise ValueError("need at least two training trials")
+        labels = [t.label for t in trials]
+        if any(label is None for label in labels):
+            raise ValueError("all training trials must be labeled")
+        if len(set(labels)) < 2:
+            raise ValueError("need at least two distinct labels")
+        shapes = {t.data.shape for t in trials}
+        if len(shapes) != 1:
+            raise ValueError(f"trial shapes differ: {sorted(shapes)}")
+        rates = {float(t.fs) for t in trials}
+        if len(rates) != 1:
+            raise ValueError(f"trial sampling rates differ: {sorted(rates)}")
+        n_samples = trials[0].data.shape[1]
+        for i, matrix in enumerate(structures):
+            if matrix.shape[1] < n_samples:
+                raise ValueError(f"structure {i} shorter than the trials")
 
-    data_c = data - data.mean(axis=1, keepdims=True)
-    design_c = design - design.mean(axis=1, keepdims=True)
-    n = data.shape[1]
-    cov_xx = (data_c @ data_c.T) / (n - 1)
-    cov_dd = (design_c @ design_c.T) / (n - 1)
-    cov_xd = (data_c @ design_c.T) / (n - 1)
-    cov_xx += ridge * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
-    cov_dd += ridge * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
+        self.structures = structures
+        self.fs = trials[0].fs
+        self.n_samples = n_samples
+        classes, self.groups = np.unique(labels, return_inverse=True)
+
+        data = np.stack([np.asarray(t.data, dtype=float) for t in trials])
+        self.finite = np.isfinite(data).all(axis=(1, 2))
+        data[~self.finite] = 0.0  # never fitted: fit() rejects these trials
+        self.means = data.mean(axis=2)
+        data -= self.means[:, :, None]
+        self.channel_gram = data @ data.transpose(0, 2, 1)
+
+        design_means, design_grams = [], []
+        self.cross = np.empty(data.shape[:2] + structures[classes[0]].shape[:1])
+        for group, label in enumerate(classes):
+            design = np.asarray(structures[label], dtype=float)[:, :n_samples]
+            design_means.append(design.mean(axis=1))
+            design = design - design_means[-1][:, None]
+            design_grams.append(design @ design.T)
+            members = self.groups == group
+            self.cross[members] = data[members] @ design.T
+        self.design_means = np.stack(design_means)
+        self.design_gram = np.stack(design_grams)
+
+    def fit(self, indices=None, ridge=1e-6):
+        """Fit the decoder on the trials at `indices` (default: all of them),
+        as :func:`fit_cca` describes."""
+        if indices is None:
+            indices = np.arange(self.groups.size)
+        indices = np.asarray(indices, dtype=int)
+        if indices.size < 2:
+            raise ValueError("need at least two training trials")
+        groups = self.groups[indices]
+        if np.unique(groups).size < 2:
+            raise ValueError("need at least two distinct labels")
+        if not self.finite[indices].all():
+            raise ValueError("trial data contains non-finite values")
+
+        n_samples = self.n_samples
+        n = indices.size * n_samples
+        mean_x = self.means[indices]
+        mean_x = mean_x - mean_x.mean(axis=0)
+        mean_d = self.design_means[groups]
+        mean_d = mean_d - mean_d.mean(axis=0)
+        counts = np.bincount(groups, minlength=self.design_gram.shape[0]).astype(float)
+        m2_xx = self.channel_gram[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_x)
+        m2_dd = np.tensordot(counts, self.design_gram, axes=1) + n_samples * (mean_d.T @ mean_d)
+        m2_xd = self.cross[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_d)
+        return _solve_cca(m2_xx / (n - 1), m2_dd / (n - 1), m2_xd / (n - 1), ridge,
+                          self.structures, self.fs)
+
+
+def _solve_cca(cov_xx, cov_dd, cov_xd, ridge, structures, fs):
+    cov_xx = cov_xx + ridge * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
+    cov_dd = cov_dd + ridge * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
 
     isq_x = _inverse_sqrt(cov_xx, "channel")
     isq_d = _inverse_sqrt(cov_dd, "design")
@@ -173,9 +211,39 @@ def fit_cca(trials, structures, ridge=1e-6):
         spatial_filter=spatial,
         response=response,
         templates=templates,
-        fs=trials[0].fs,
+        fs=fs,
         canonical_correlation=float(singulars[0]),
     )
+
+
+def fit_cca(trials, structures, ridge=1e-6):
+    """Fit the reconvolution CCA decoder on labeled trials.
+
+    Treats the trials as one recording, concatenated channel-wise, against
+    their label's structure matrices concatenated column-wise, and finds the
+    spatial filter and event response whose projections correlate maximally.
+    Solved by whitening both autocovariances (with a relative ridge term for
+    rank safety) and taking the leading singular pair of the whitened
+    cross-covariance. The covariances come from :class:`TrialStatistics`, so
+    this is the fit of that class on all the given trials.
+
+    The solution is normalized so the spatial filter has unit norm and its
+    first nonzero element is positive; the templates follow that convention.
+
+    Parameters
+    ----------
+    trials: list of Trial
+        At least two labeled trials with two distinct labels, equal shapes.
+    structures: list of np.ndarray
+        One structure matrix per class, all (n_rows, n_samples).
+    ridge: float (default: 1e-6)
+        Ridge factor, scaled by the mean diagonal of each autocovariance.
+
+    Returns
+    -------
+    model: DecoderModel
+    """
+    return TrialStatistics(trials, structures).fit(ridge=ridge)
 
 
 def score(model, trial, window_samples):
@@ -229,6 +297,14 @@ def classify(scores):
 def score_trace(model, trial, grid, similarity="inner"):
     """Scores of one trial at every decision window.
 
+    All windows come from one pass over the longest one. Inner products are
+    running sums of the filtered trial times each template, read at the
+    window ends. Pearson scores come from running sums of x, x^2, t, t^2 and
+    xt, taken after subtracting each signal's mean over the longest window so
+    that an offset does not cancel away the variances. A window whose
+    filtered prefix or template prefix is constant scores 0, as in
+    :func:`correlation_score`.
+
     Parameters
     ----------
     grid: sequence of int
@@ -241,10 +317,41 @@ def score_trace(model, trial, grid, similarity="inner"):
     trace: np.ndarray
         Matrix of shape (len(grid), n_classes).
     """
-    if similarity == "inner":
-        scorer = score
-    elif similarity == "correlation":
-        scorer = correlation_score
-    else:
+    if similarity not in ("inner", "correlation"):
         raise ValueError(f"unknown similarity {similarity!r}")
-    return np.vstack([scorer(model, trial, w).scores for w in grid])
+    grid = np.asarray(grid).astype(int)
+    if grid.size == 0:
+        raise ValueError("grid must not be empty")
+    if grid.min() <= 0:
+        raise ValueError("window_samples must be positive")
+    longest = int(grid.max())
+    if longest > trial.data.shape[1] or longest > model.templates.shape[1]:
+        raise ValueError(f"window of {longest} samples exceeds the available data")
+    ends = grid - 1
+    filtered = model.spatial_filter @ trial.data[:, :longest]
+    templates = model.templates[:, :longest]
+    if similarity == "inner":
+        return np.cumsum(templates * filtered, axis=1)[:, ends].T
+
+    x = filtered - filtered.mean()
+    t = templates - templates.mean(axis=1, keepdims=True)
+    length = grid.astype(float)
+    sum_x = np.cumsum(x)[ends]
+    sum_t = np.cumsum(t, axis=1)[:, ends]
+    var_x = np.cumsum(x * x)[ends] - sum_x * sum_x / length
+    var_t = np.cumsum(t * t, axis=1)[:, ends] - sum_t * sum_t / length
+    cov = np.cumsum(t * x, axis=1)[:, ends] - sum_t * sum_x / length
+    degenerate = (
+        (grid <= _constant_run(filtered[None, :])[:, None])
+        | (grid <= _constant_run(templates)[:, None])
+        | (var_x <= 0.0)
+        | (var_t <= 0.0)
+    )
+    denom = np.sqrt(np.where(degenerate, 1.0, var_x * var_t))
+    return np.where(degenerate, 0.0, cov / denom).T
+
+
+def _constant_run(rows):
+    """Length of the constant leading run of each row of a 2-D array."""
+    changed = rows != rows[:, :1]
+    return np.where(changed.any(axis=1), changed.argmax(axis=1), rows.shape[1])

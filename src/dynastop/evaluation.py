@@ -20,7 +20,7 @@ from .baselines import (
     stratified_folds,
 )
 from .bayes_stop import calibrate
-from .decoding import fit_cca, score_trace
+from .decoding import TrialStatistics, score_trace
 
 METHODS = (
     "fixed",
@@ -74,18 +74,19 @@ def _nearest_window(grid, fs, seconds):
 class _FoldPolicies:
     """Per-fold policy factory that shares the expensive calibration products
     (decoder, training traces, decoding curve, stopping calibration) across
-    the hyperparameter sweep."""
+    the hyperparameter sweep. Every decoder it needs, outer and inner-CV, is
+    fitted from the statistics of the whole evaluation set."""
 
-    def __init__(self, method, similarity, train_trials, structures, grid, config):
+    def __init__(self, method, similarity, stats, trials, train_idx, grid):
         self.method = method
         self.similarity = similarity
-        self.train = train_trials
-        self.structures = structures
+        self.stats = stats
+        self.train_idx = train_idx
+        self.train = [trials[i] for i in train_idx]
         self.grid = grid
-        self.config = config
-        self.model = fit_cca(train_trials, structures)
-        self.fs = train_trials[0].fs
-        self.n_classes = len(structures)
+        self.model = stats.fit(train_idx)
+        self.fs = self.train[0].fs
+        self.n_classes = len(stats.structures)
         self._curve = None
         self._train_traces = None
         self._base_stopping = None
@@ -94,7 +95,7 @@ class _FoldPolicies:
     def curve(self):
         if self._curve is None:
             self._curve = decoding_curve(
-                lambda tr: fit_cca(tr, self.structures),
+                lambda inner: self.stats.fit(self.train_idx[inner]),
                 self.train,
                 self.grid,
                 self.n_classes,
@@ -180,14 +181,14 @@ def evaluate_store(trials, structures, config, subject="s01"):
     stop_seconds = {h: [] for h in hyperparams}
     counts = {h: metrics.DecisionCounts() for h in hyperparams}
 
+    stats = TrialStatistics(trials, structures)
     for fold in folds:
         if fold.size == 0:
             continue
         mask = np.ones(len(trials), dtype=bool)
         mask[fold] = False
-        train = [trials[i] for i in np.flatnonzero(mask)]
         policies = _FoldPolicies(
-            config.method, config.similarity, train, structures, grid, config
+            config.method, config.similarity, stats, trials, np.flatnonzero(mask), grid
         )
         policy_by_h = {h: policies.make(h) for h in hyperparams}
         for idx in fold:

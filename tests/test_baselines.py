@@ -21,7 +21,7 @@ from dynastop.baselines import (
     stratified_folds,
 )
 from dynastop.bayes_stop import calibrate, run_trial
-from dynastop.decoding import fit_cca, score_trace
+from dynastop.decoding import TrialStatistics, fit_cca, score_trace
 from dynastop.evaluation import window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
 
@@ -307,7 +307,7 @@ class TestDecodingCurve:
         trials = make_dataset(cfg, 5, resolved=sim)
         grid = window_grid(100, 1.05, cfg.fs)
         curve = decoding_curve(
-            lambda tr: fit_cca(tr, sim.structures), trials, grid, cfg.n_classes
+            TrialStatistics(trials, sim.structures).fit, trials, grid, cfg.n_classes
         )
         assert np.all((0.0 <= curve.accuracy) & (curve.accuracy <= 1.0))
         assert curve.accuracy[-1] == 1.0
@@ -319,7 +319,7 @@ class TestDecodingCurve:
         trials = make_dataset(cfg, 3, resolved=sim)
         grid = window_grid(200, 1.05, cfg.fs)
         curve = decoding_curve(
-            lambda tr: fit_cca(tr, sim.structures), trials, grid, cfg.n_classes
+            TrialStatistics(trials, sim.structures).fit, trials, grid, cfg.n_classes
         )
         # 108 trials x 6 windows of chance-level decisions.
         p = curve.accuracy.mean()
@@ -331,7 +331,7 @@ class TestDecodingCurve:
         few = trials[:3]
         with pytest.warns(RuntimeWarning, match="reducing"):
             curve = decoding_curve(
-                lambda tr: fit_cca(tr, sim.structures),
+                TrialStatistics(few, sim.structures).fit,
                 few,
                 [12, 126],
                 cfg.n_classes,

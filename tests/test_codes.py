@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynastop.codes import (
+    EVENT_KINDS,
     Codebook,
     Event,
     EventStream,
@@ -177,6 +182,21 @@ class TestDecomposeEvents:
         assert all(b > a for a, b in zip(onsets, onsets[1:]))
 
 
+def structure_matrix_loop(stream, fs, rate_hz, n_samples, response_samples):
+    """Reference structure matrix: one event at a time."""
+    matrix = np.zeros((2 * response_samples, n_samples))
+    for ev in stream.events:
+        if ev.kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {ev.kind!r}")
+        onset = int(math.floor(ev.onset * fs / rate_hz + 0.5))
+        if onset >= n_samples:
+            continue
+        span = min(response_samples, n_samples - onset)
+        rows = EVENT_KINDS.index(ev.kind) * response_samples + np.arange(span)
+        matrix[rows, onset + np.arange(span)] = 1.0
+    return matrix
+
+
 class TestStructureMatrix:
     def test_single_short_event(self):
         stream = EventStream((Event("short", 0),), 4)
@@ -231,6 +251,53 @@ class TestStructureMatrix:
             structure_matrix(stream, 1, 1, 0, 1)
         with pytest.raises(ValueError):
             structure_matrix(stream, 1, 1, 4, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_bits=st.integers(1, 40),
+        reps=st.integers(1, 4),
+        rates=st.sampled_from([(1, 1), (5, 2), (120.0, 60.0), (120.0, 40.0), (250.0, 60.0)]),
+        n_samples=st.integers(1, 300),
+        response_samples=st.integers(1, 40),
+    )
+    def test_matches_event_loop(self, seed, n_bits, reps, rates, n_samples, response_samples):
+        # Random modulated codes, tiled cyclically, at integer and fractional
+        # samples per bit; events run past the matrix edge or start beyond it.
+        fs, rate_hz = rates
+        response_samples = min(response_samples, n_samples)
+        bits = np.random.default_rng(seed).integers(0, 2, n_bits).astype(np.uint8)
+        stream = tile_events(decompose_events(modulate(bits)), reps)
+        got = structure_matrix(stream, fs, rate_hz, n_samples, response_samples)
+        want = structure_matrix_loop(stream, fs, rate_hz, n_samples, response_samples)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_edge_truncation_matches_event_loop(self):
+        stream = EventStream(
+            (Event("short", 0), Event("long", 3), Event("short", 6), Event("long", 7),
+             Event("short", 9)),
+            10,
+        )
+        for n_samples in range(4, 12):
+            got = structure_matrix(stream, 5, 2, n_samples, 4)
+            want = structure_matrix_loop(stream, 5, 2, n_samples, 4)
+            np.testing.assert_array_equal(got, want)
+
+    def test_unknown_kind_rejected(self):
+        stream = EventStream((Event("short", 0), Event("flicker", 2)), 4)
+        with pytest.raises(ValueError, match="unknown event kind 'flicker'"):
+            structure_matrix(stream, 1, 1, 4, 2)
+
+    def test_structure_matrices_match_event_loop(self, modulated_gold):
+        for n_samples, fs, rate_hz in ((126, 120.0, 120.0), (504, 120.0, 60.0), (300, 250.0, 60.0)):
+            mats = structure_matrices(modulated_gold[:6], fs, rate_hz, n_samples, 36)
+            bits_needed = math.ceil(n_samples * rate_hz / fs)
+            for code, got in zip(modulated_gold[:6], mats):
+                stream = decompose_events(code)
+                stream = tile_events(stream, max(1, math.ceil(bits_needed / stream.source_length)))
+                want = structure_matrix_loop(stream, fs, rate_hz, n_samples, 36)
+                assert got.tobytes() == want.tobytes()
 
     def test_structure_matrices_tiles_to_cover(self, modulated_gold):
         mats = structure_matrices(modulated_gold[:2], fs=120, rate_hz=120,

@@ -1,10 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynastop.baselines import stratified_folds
 from dynastop.codes import modulate, structure_matrices
 from dynastop.decoding import (
     DecoderModel,
     Trial,
+    TrialStatistics,
+    _inverse_sqrt,
+    _templates_from_response,
     classify,
     correlation_score,
     fit_cca,
@@ -13,6 +21,96 @@ from dynastop.decoding import (
     score_trace,
 )
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
+
+
+def dense_fit_cca(trials, structures, ridge=1e-6):
+    """Reference fit: the straightforward dense-design reconvolution CCA.
+
+    Concatenates the trials and their label's structure matrices into one
+    data and one design matrix and takes their centred covariances directly.
+    """
+    if len(trials) < 2:
+        raise ValueError("need at least two training trials")
+    labels = [t.label for t in trials]
+    if any(label is None for label in labels):
+        raise ValueError("all training trials must be labeled")
+    if len(set(labels)) < 2:
+        raise ValueError("need at least two distinct labels")
+    shapes = {t.data.shape for t in trials}
+    if len(shapes) != 1:
+        raise ValueError(f"trial shapes differ: {sorted(shapes)}")
+    rates = {float(t.fs) for t in trials}
+    if len(rates) != 1:
+        raise ValueError(f"trial sampling rates differ: {sorted(rates)}")
+    n_samples = trials[0].data.shape[1]
+    for i, matrix in enumerate(structures):
+        if matrix.shape[1] < n_samples:
+            raise ValueError(f"structure {i} shorter than the trials")
+
+    data = np.concatenate([np.asarray(t.data, dtype=float) for t in trials], axis=1)
+    design = np.concatenate(
+        [np.asarray(structures[t.label], dtype=float)[:, :n_samples] for t in trials],
+        axis=1,
+    )
+    if not np.all(np.isfinite(data)):
+        raise ValueError("trial data contains non-finite values")
+
+    data_c = data - data.mean(axis=1, keepdims=True)
+    design_c = design - design.mean(axis=1, keepdims=True)
+    n = data.shape[1]
+    cov_xx = (data_c @ data_c.T) / (n - 1)
+    cov_dd = (design_c @ design_c.T) / (n - 1)
+    cov_xd = (data_c @ design_c.T) / (n - 1)
+    cov_xx += ridge * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
+    cov_dd += ridge * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
+
+    isq_x = _inverse_sqrt(cov_xx, "channel")
+    isq_d = _inverse_sqrt(cov_dd, "design")
+    left, singulars, right_t = np.linalg.svd(isq_x @ cov_xd @ isq_d)
+    spatial = isq_x @ left[:, 0]
+    response = isq_d @ right_t[0]
+    spatial = spatial / np.linalg.norm(spatial)
+    lead = np.flatnonzero(np.abs(spatial) > 1e-12 * np.abs(spatial).max())
+    if lead.size and spatial[lead[0]] < 0:
+        spatial = -spatial
+        response = -response
+    return DecoderModel(
+        spatial_filter=spatial,
+        response=response,
+        templates=_templates_from_response(response, structures),
+        fs=trials[0].fs,
+        canonical_correlation=float(singulars[0]),
+    )
+
+
+def window_trace(model, trial, grid, similarity):
+    """Reference trace: every decision window scored on its own."""
+    scorer = score if similarity == "inner" else correlation_score
+    return np.vstack([scorer(model, trial, w).scores for w in grid])
+
+
+def assert_same_model(model, reference, rtol=1e-10):
+    """Every fitted quantity within rtol of the reference, relative to the
+    largest magnitude of that quantity."""
+    for name in ("spatial_filter", "response", "templates"):
+        got = getattr(model, name)
+        want = getattr(reference, name)
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max(), name
+    assert model.canonical_correlation == pytest.approx(
+        reference.canonical_correlation, rel=rtol
+    )
+
+
+def assert_same_inner_trace(trace, model, trial, grid):
+    """Inner traces within 1e-12 of the per-window loop, relative to the
+    Cauchy-Schwarz bound of each entry."""
+    reference = window_trace(model, trial, grid, "inner")
+    filtered = model.spatial_filter @ trial.data
+    scale = np.array(
+        [np.linalg.norm(model.templates[:, :w], axis=1) * np.linalg.norm(filtered[:w])
+         for w in grid]
+    )
+    assert np.all(np.abs(trace - reference) <= 1e-12 * scale)
 
 
 def two_class_structures(rng, n_samples=60, response_samples=8):
@@ -239,3 +337,200 @@ class TestScores:
         np.testing.assert_allclose(trace[2], score(self.model, trial, 4).scores)
         with pytest.raises(ValueError, match="similarity"):
             score_trace(self.model, trial, [1], "cosine")
+
+
+@pytest.fixture(scope="module")
+def paper_sim():
+    """Paper-length trials (4.2 s, 504 samples) of the full 36-class set."""
+    cfg = SimConfig(n_classes=36, n_channels=8, trial_seconds=4.2, sigma=3.0, seed=11)
+    sim = resolve_config(cfg)
+    return cfg, sim, make_dataset(cfg, 3, resolved=sim)
+
+
+def with_offset(trials, offset):
+    return [Trial(t.data + offset, t.label, t.fs) for t in trials]
+
+
+class TestTrialStatistics:
+    def test_full_fit_matches_dense_oracle(self, small_sim, paper_sim):
+        for _, sim, trials in (small_sim, paper_sim):
+            reference = dense_fit_cca(trials, sim.structures)
+            assert_same_model(fit_cca(trials, sim.structures), reference)
+            assert_same_model(TrialStatistics(trials, sim.structures).fit(), reference)
+
+    def test_fold_fits_match_dense_oracle(self, paper_sim):
+        _, sim, trials = paper_sim
+        stats = TrialStatistics(trials, sim.structures)
+        labels = np.array([t.label for t in trials])
+        for fold in stratified_folds(labels, 5):
+            train = np.setdiff1d(np.arange(len(trials)), fold)
+            reference = dense_fit_cca([trials[i] for i in train], sim.structures)
+            assert_same_model(stats.fit(train), reference)
+
+    def test_inner_fold_fits_match_dense_oracle(self, small_sim):
+        # The nested split of the CV harness: inner folds of an outer split.
+        _, sim, trials = small_sim
+        stats = TrialStatistics(trials, sim.structures)
+        labels = np.array([t.label for t in trials])
+        outer = np.setdiff1d(np.arange(len(trials)), stratified_folds(labels, 5)[0])
+        for fold in stratified_folds(labels[outer], 5):
+            inner = np.setdiff1d(np.arange(outer.size), fold)
+            reference = dense_fit_cca([trials[i] for i in outer[inner]], sim.structures)
+            assert_same_model(stats.fit(outer[inner]), reference)
+
+    def test_dc_offset_matches_dense_oracle(self, paper_sim):
+        _, sim, trials = paper_sim
+        shifted = with_offset(trials, 1e3)
+        reference = dense_fit_cca(shifted, sim.structures)
+        assert_same_model(fit_cca(shifted, sim.structures), reference)
+        train = np.arange(0, len(trials), 2)
+        assert_same_model(
+            TrialStatistics(shifted, sim.structures).fit(train),
+            dense_fit_cca([shifted[i] for i in train], sim.structures),
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, -3.0, 1e3]),
+        size=st.integers(2, 30),
+    )
+    def test_random_subsets_match_dense_oracle(self, small_sim, seed, offset, size):
+        _, sim, trials = small_sim
+        rng = np.random.default_rng(seed)
+        trials = with_offset(trials, offset)
+        subset = rng.choice(len(trials), size=size, replace=False)
+        chosen = [trials[i] for i in subset]
+        stats = TrialStatistics(trials, sim.structures)
+        if len({t.label for t in chosen}) < 2:
+            with pytest.raises(ValueError, match="need at least two distinct labels"):
+                stats.fit(subset)
+            return
+        assert_same_model(stats.fit(subset), dense_fit_cca(chosen, sim.structures))
+
+    def test_subset_errors_match_dense_oracle(self, small_sim):
+        _, sim, trials = small_sim
+        bad = list(trials)
+        bad[3] = Trial(np.where(np.arange(bad[3].data.shape[1]) == 7, np.nan, bad[3].data),
+                       bad[3].label, bad[3].fs)
+        stats = TrialStatistics(bad, sim.structures)
+        labels = np.array([t.label for t in bad])
+        same_label = np.flatnonzero(labels == labels[0])
+        mixed = np.flatnonzero(labels != labels[3])[:4]
+        cases = (
+            ([0], "need at least two training trials"),
+            (same_label, "need at least two distinct labels"),
+            (np.append(mixed, 3), "trial data contains non-finite values"),
+        )
+        for subset, message in cases:
+            with pytest.raises(ValueError, match=message) as oracle:
+                dense_fit_cca([bad[i] for i in subset], sim.structures)
+            with pytest.raises(ValueError) as fast:
+                stats.fit(subset)
+            assert str(fast.value) == str(oracle.value)
+        # Folds without the broken trial still fit.
+        assert_same_model(stats.fit(mixed), dense_fit_cca([bad[i] for i in mixed], sim.structures))
+
+    def test_fit_cca_errors_match_dense_oracle(self, rng):
+        structures = two_class_structures(rng)
+        t0 = Trial(rng.standard_normal((2, 60)), 0, 100.0)
+        t1 = Trial(rng.standard_normal((2, 60)), 1, 100.0)
+        nan = t1.data.copy()
+        nan[1, 5] = np.inf
+        cases = [
+            ([t0], structures),
+            ([t0, Trial(t1.data, None, 100.0)], structures),
+            ([t0, Trial(t1.data, 0, 100.0)], structures),
+            ([t0, Trial(rng.standard_normal((3, 60)), 1, 100.0)], structures),
+            ([t0, Trial(t1.data, 1, 50.0)], structures),
+            ([t0, t1], [structures[0], structures[1][:, :40]]),
+            ([t0, Trial(nan, 1, 100.0)], structures),
+            ([Trial(np.zeros((2, 60)), label, 100.0) for label in (0, 1)], structures),
+        ]
+        messages = set()
+        for case_trials, case_structures in cases:
+            with pytest.raises(ValueError) as oracle:
+                dense_fit_cca(case_trials, case_structures)
+            with pytest.raises(ValueError) as fast:
+                fit_cca(case_trials, case_structures)
+            assert str(fast.value) == str(oracle.value)
+            messages.add(str(oracle.value))
+        assert len(messages) == len(cases)  # each case trips a different check
+
+
+class TestScoreTraceOracle:
+    def test_inner_matches_window_loop(self, paper_sim):
+        _, sim, trials = paper_sim
+        model = fit_cca(trials, sim.structures)
+        grid = np.arange(12, 505, 12)
+        for trial in trials[:10] + with_offset(trials[10:15], 1e3):
+            trace = score_trace(model, trial, grid, "inner")
+            assert trace.shape == (grid.size, len(sim.structures))
+            assert_same_inner_trace(trace, model, trial, grid)
+
+    def test_correlation_matches_window_loop(self, paper_sim):
+        _, sim, trials = paper_sim
+        model = fit_cca(trials, sim.structures)
+        grid = np.arange(12, 505, 12)
+        for trial in trials[:10] + with_offset(trials[10:15], 1e3):
+            trace = score_trace(model, trial, grid, "correlation")
+            np.testing.assert_allclose(
+                trace, window_trace(model, trial, grid, "correlation"), rtol=0, atol=1e-12
+            )
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_samples=st.integers(2, 80),
+        offset=st.sampled_from([0.0, 0.5, -40.0, 1e3]),
+        similarity=st.sampled_from(["inner", "correlation"]),
+    )
+    def test_random_traces_match_window_loop(self, seed, n_samples, offset, similarity):
+        rng = np.random.default_rng(seed)
+        templates = rng.standard_normal((5, n_samples)) + rng.normal(0.0, 3.0, (5, 1))
+        model = toy_model(templates)
+        model.spatial_filter = rng.standard_normal(3)
+        trial = Trial(rng.standard_normal((3, n_samples)) + offset, None, 100.0)
+        grid = np.unique(rng.integers(1, n_samples + 1, size=rng.integers(1, 8)))
+        trace = score_trace(model, trial, grid, similarity)
+        if similarity == "inner":
+            assert_same_inner_trace(trace, model, trial, grid)
+        else:
+            np.testing.assert_allclose(
+                trace, window_trace(model, trial, grid, similarity), rtol=0, atol=1e-12
+            )
+
+    def test_zero_variance_prefixes_score_zero(self):
+        templates = np.array(
+            [
+                [0.0, 0.0, 0.0, 1.0, -2.0, 0.5, 1.5, -1.0],
+                [1.0, -1.0, 2.0, 0.0, 0.5, 1.0, -0.5, 0.0],
+                [2.0, 2.0, 2.0, 2.0, 2.0, 1.0, -1.0, 3.0],
+            ]
+        )
+        model = toy_model(templates)
+        grid = np.arange(1, 9)
+        # Non-dyadic tails make the running sums of a constant prefix round
+        # to a small nonzero variance; the scores must still be exactly 0.
+        tails = ([1.0, -2.0, 0.25, 3.0], [0.1, -2.3, 0.7, 3.1], [1 / 3, 0.2, -0.9, 2.6])
+        for prefix, tail in itertools.product((0.0, 2.0, -4.0), tails):
+            data = np.array([[prefix] * 4 + tail])
+            trial = Trial(data, None, 100.0)
+            trace = score_trace(model, trial, grid, "correlation")
+            reference = window_trace(model, trial, grid, "correlation")
+            np.testing.assert_array_equal(trace[:4], 0.0)  # constant trial prefix
+            np.testing.assert_array_equal(trace[:5, 2], 0.0)  # constant template prefix
+            np.testing.assert_array_equal(trace[:3, 0], 0.0)
+            np.testing.assert_array_equal(reference[trace == 0.0], 0.0)
+            np.testing.assert_allclose(trace, reference, rtol=0, atol=1e-12)
+
+    def test_window_validation(self):
+        model = toy_model(np.ones((2, 4)))
+        trial = Trial(np.zeros((1, 4)), None, 100.0)
+        for similarity in ("inner", "correlation"):
+            with pytest.raises(ValueError, match="positive"):
+                score_trace(model, trial, [0, 2], similarity)
+            with pytest.raises(ValueError, match="exceeds"):
+                score_trace(model, trial, [2, 5], similarity)
+            with pytest.raises(ValueError, match="empty"):
+                score_trace(model, trial, [], similarity)

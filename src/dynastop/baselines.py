@@ -12,22 +12,20 @@ import numpy as np
 
 from . import metrics
 from .bayes_stop import StopOutcome, StoppingModel
-from .decoding import score_trace
+from .decoding import score_traces
 
 
 class StoppingPolicy:
-    """Stop/continue rule evaluated window by window on a score trace.
+    """Stopping rule over a whole (n_windows, n_classes) score trace.
 
-    decide returns the label to emit, or None to wait for more data. Policies
-    never have to handle the forced case themselves: apply_policy emits
-    timeout_label at the last window when no rule fired.
+    first_stop returns the first window at which the rule fires, or None when
+    it never does. Policies never handle the forced case or choose the label
+    themselves: apply_policy emits the best-scoring class at the stop, and
+    stops at the last window when no rule fired.
     """
 
-    def decide(self, scores, window_index):
+    def first_stop(self, trace):
         raise NotImplementedError
-
-    def timeout_label(self, scores):
-        return int(np.argmax(scores))
 
 
 def apply_policy(policy, trace):
@@ -39,16 +37,16 @@ def apply_policy(policy, trace):
         forced is True when only the final window produced the emission.
     """
     trace = np.asarray(trace, dtype=float)
-    n_windows = trace.shape[0]
-    decisions = []
-    for w in range(n_windows):
-        label = policy.decide(trace[w], w)
-        if label is not None:
-            decisions.append(True)
-            return StopOutcome(w, int(label), False, decisions)
-        decisions.append(False)
-    decisions[-1] = True
-    return StopOutcome(n_windows - 1, policy.timeout_label(trace[-1]), True, decisions)
+    stop = policy.first_stop(trace)
+    forced = stop is None
+    if forced:
+        stop = trace.shape[0] - 1
+    return StopOutcome(stop, int(np.argmax(trace[stop])), forced, [False] * stop + [True])
+
+
+def _first(fired):
+    """Index of the first True flag, None when there is none."""
+    return int(np.argmax(fired)) if fired.any() else None
 
 
 class FixedLengthPolicy(StoppingPolicy):
@@ -57,25 +55,26 @@ class FixedLengthPolicy(StoppingPolicy):
     def __init__(self, stop_window):
         self.stop_window = int(stop_window)
 
-    def decide(self, scores, window_index):
-        if window_index >= self.stop_window:
-            return int(np.argmax(scores))
-        return None
+    def first_stop(self, trace):
+        return max(self.stop_window, 0) if self.stop_window < trace.shape[0] else None
 
 
 class BoundaryPolicy(StoppingPolicy):
-    """Stop when any score exceeds its window's boundary; emit the
-    highest-scoring accepted class. Drives a calibrated StoppingModel inside
-    the shared evaluation harness."""
+    """Stop when any score exceeds its window's boundary and emit the
+    highest-scoring class, which is then accepted too. Drives a calibrated
+    StoppingModel inside the shared evaluation harness."""
 
     def __init__(self, eta):
         self.eta = np.asarray(eta, dtype=float)
 
-    def decide(self, scores, window_index):
-        accepted = np.flatnonzero(scores > self.eta[window_index])
-        if accepted.size:
-            return int(accepted[np.argmax(scores[accepted])])
-        return None
+    def first_stop(self, trace):
+        return _first((trace > self.eta[: trace.shape[0], None]).any(axis=1))
+
+
+def _top_two_gap(traces):
+    """Best minus second-best score along the last axis."""
+    top_two = np.partition(traces, traces.shape[-1] - 2, axis=-1)[..., -2:]
+    return top_two[..., 1] - top_two[..., 0]
 
 
 class MarginPolicy(StoppingPolicy):
@@ -85,11 +84,8 @@ class MarginPolicy(StoppingPolicy):
     def __init__(self, thresholds):
         self.thresholds = np.asarray(thresholds, dtype=float)
 
-    def decide(self, scores, window_index):
-        top_two = np.partition(scores, scores.size - 2)[-2:]
-        if top_two[1] - top_two[0] >= self.thresholds[window_index]:
-            return int(np.argmax(scores))
-        return None
+    def first_stop(self, trace):
+        return _first(_top_two_gap(trace) >= self.thresholds[: trace.shape[0]])
 
 
 class BetaPolicy(StoppingPolicy):
@@ -99,7 +95,8 @@ class BetaPolicy(StoppingPolicy):
     distribution is fit by method of moments on all mapped scores except the
     maximum (ties at the maximum excluded), and the trial stops when the Beta
     CDF at the mapped maximum reaches the target accuracy. Only meaningful for
-    bounded (correlation) scores.
+    bounded (correlation) scores. Windows are tested one at a time, because
+    the rule usually fires at the first.
     """
 
     def __init__(self, target_accuracy, epsilon=1e-6):
@@ -108,7 +105,12 @@ class BetaPolicy(StoppingPolicy):
         self.target_accuracy = float(target_accuracy)
         self.epsilon = float(epsilon)
 
+    def first_stop(self, trace):
+        return next((w for w, s in enumerate(trace) if self.decide(s, w) is not None), None)
+
     def decide(self, scores, window_index):
+        """The best-scoring class when the rule fires on one window's
+        scores, else None."""
         mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, self.epsilon, 1.0 - self.epsilon)
         top = mapped.max()
         rest = mapped[mapped < top]
@@ -269,11 +271,9 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner", n_folds=5):
             continue
         mask = np.ones(len(trials), dtype=bool)
         mask[fold] = False
-        model = fit(np.flatnonzero(mask))
-        hits = np.zeros(grid.size)
-        for idx in fold:
-            trace = score_trace(model, trials[idx], grid, similarity)
-            hits += np.argmax(trace, axis=1) == trials[idx].label
+        traces = score_traces(fit(np.flatnonzero(mask)), [trials[i] for i in fold], grid,
+                              similarity)
+        hits = np.count_nonzero(np.argmax(traces, axis=2) == labels[fold, None], axis=0)
         fold_accuracy.append(hits / fold.size)
 
     accuracy = np.mean(fold_accuracy, axis=0)
@@ -341,19 +341,22 @@ def fit_margin(traces, labels, theta):
     if traces.ndim != 3 or traces.shape[0] == 0:
         raise ValueError("need a non-empty (n_trials, n_windows, n_classes) trace array")
     labels = np.asarray(labels, dtype=int)
-    n_trials, n_windows, n_classes = traces.shape
+    n_trials, n_windows, _ = traces.shape
 
-    top_two = np.partition(traces, n_classes - 2, axis=2)[:, :, -2:]
-    margins = top_two[:, :, 1] - top_two[:, :, 0]
+    # Per window, sort the trials by margin; the trials whose margin is at
+    # least the k-th smallest are the suffix from the first copy of that value.
+    margins = _top_two_gap(traces)
+    order = np.argsort(margins, axis=0, kind="stable")
+    margins = np.take_along_axis(margins, order, axis=0)
     correct = np.argmax(traces, axis=2) == labels[:, None]
-
-    thresholds = np.full(n_windows, np.inf)
-    for w in range(n_windows):
-        for candidate in np.unique(margins[:, w]):
-            chosen = margins[:, w] >= candidate
-            if correct[chosen, w].mean() >= theta:
-                thresholds[w] = candidate
-                break
+    correct = np.take_along_axis(correct, order, axis=0)
+    suffix_correct = np.cumsum(correct[::-1], axis=0)[::-1]
+    accuracy = suffix_correct / np.arange(n_trials, 0, -1)[:, None]
+    first = np.ones_like(correct)
+    first[1:] = margins[1:] != margins[:-1]
+    reached = first & (accuracy >= theta)
+    k = np.argmax(reached, axis=0)
+    thresholds = np.where(reached.any(axis=0), margins[k, np.arange(n_windows)], np.inf)
     return MarginTable(thresholds=thresholds, target_accuracy=float(theta))
 
 

@@ -188,7 +188,22 @@ def cmd_calibrate(args):
     return 0
 
 
-def _run_evaluation(args, hyperparams):
+def _run_evaluation(args, hyperparams, **shown):
+    _print_config(
+        args.command,
+        {
+            "store": args.store,
+            "method": args.method,
+            **shown,
+            "similarity": args.similarity,
+            "folds": args.folds,
+            "grid_ms": args.grid_ms,
+            "t_star_s": args.t_star_s,
+            "overhead_s": args.overhead_s,
+            "subject": args.subject,
+            "out_csv": args.out_csv,
+        },
+    )
     try:
         check_method(args.method, args.similarity, hyperparams)
         config = ExperimentConfig(
@@ -221,22 +236,7 @@ def _run_evaluation(args, hyperparams):
 
 def cmd_evaluate(args):
     hyperparams = [args.hyperparam] if args.hyperparam is not None else []
-    _print_config(
-        "evaluate",
-        {
-            "store": args.store,
-            "method": args.method,
-            "hyperparam": args.hyperparam,
-            "similarity": args.similarity,
-            "folds": args.folds,
-            "grid_ms": args.grid_ms,
-            "t_star_s": args.t_star_s,
-            "overhead_s": args.overhead_s,
-            "subject": args.subject,
-            "out_csv": args.out_csv,
-        },
-    )
-    return _run_evaluation(args, hyperparams)
+    return _run_evaluation(args, hyperparams, hyperparam=args.hyperparam)
 
 
 def cmd_sweep(args):
@@ -247,22 +247,7 @@ def cmd_sweep(args):
     if not values:
         raise UsageError("empty hyperparameter list")
     values = list(dict.fromkeys(values))
-    _print_config(
-        "sweep",
-        {
-            "store": args.store,
-            "method": args.method,
-            "hyperparam_list": values,
-            "similarity": args.similarity,
-            "folds": args.folds,
-            "grid_ms": args.grid_ms,
-            "t_star_s": args.t_star_s,
-            "overhead_s": args.overhead_s,
-            "subject": args.subject,
-            "out_csv": args.out_csv,
-        },
-    )
-    return _run_evaluation(args, values)
+    return _run_evaluation(args, values, hyperparam_list=values)
 
 
 def cmd_report(args):
@@ -317,6 +302,22 @@ def cmd_report(args):
     return 0
 
 
+def _add_evaluation_parser(sub, name, help_text, func, method_help, hyperparam_flag,
+                           **hyperparam_options):
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--store", required=True)
+    p.add_argument("--method", required=True, help=method_help)
+    p.add_argument(hyperparam_flag, **hyperparam_options)
+    p.add_argument("--similarity", choices=("inner", "correlation"), default="inner")
+    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--grid-ms", type=float, default=100.0)
+    p.add_argument("--t-star-s", type=float, default=None)
+    p.add_argument("--overhead-s", type=float, default=0.0)
+    p.add_argument("--subject", default=None)
+    p.add_argument("--out-csv", required=True)
+    p.set_defaults(func=func)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dynastop",
@@ -351,31 +352,14 @@ def build_parser():
     p.add_argument("--out-model", required=True)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("evaluate", help="cross-validated evaluation of one method")
-    p.add_argument("--store", required=True)
-    p.add_argument("--method", required=True, help=f"one of {', '.join(METHODS)}")
-    p.add_argument("--hyperparam", type=float, default=None)
-    p.add_argument("--similarity", choices=("inner", "correlation"), default="inner")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--grid-ms", type=float, default=100.0)
-    p.add_argument("--t-star-s", type=float, default=None)
-    p.add_argument("--overhead-s", type=float, default=0.0)
-    p.add_argument("--subject", default=None)
-    p.add_argument("--out-csv", required=True)
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="evaluate a list of hyperparameter values")
-    p.add_argument("--store", required=True)
-    p.add_argument("--method", required=True)
-    p.add_argument("--hyperparam-list", required=True, help="comma-separated values")
-    p.add_argument("--similarity", choices=("inner", "correlation"), default="inner")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--grid-ms", type=float, default=100.0)
-    p.add_argument("--t-star-s", type=float, default=None)
-    p.add_argument("--overhead-s", type=float, default=0.0)
-    p.add_argument("--subject", default=None)
-    p.add_argument("--out-csv", required=True)
-    p.set_defaults(func=cmd_sweep)
+    _add_evaluation_parser(
+        sub, "evaluate", "cross-validated evaluation of one method", cmd_evaluate,
+        f"one of {', '.join(METHODS)}", "--hyperparam", type=float, default=None,
+    )
+    _add_evaluation_parser(
+        sub, "sweep", "evaluate a list of hyperparameter values", cmd_sweep,
+        None, "--hyperparam-list", required=True, help="comma-separated values",
+    )
 
     p = sub.add_parser("report", help="plot one results column against another")
     p.add_argument("--csv", required=True)

@@ -295,18 +295,27 @@ def classify(scores):
 
 
 def score_trace(model, trial, grid, similarity="inner"):
-    """Scores of one trial at every decision window.
+    """Scores of one trial at every decision window: :func:`score_traces` on
+    that trial alone, a matrix of shape (len(grid), n_classes)."""
+    return score_traces(model, [trial], grid, similarity)[0]
 
-    All windows come from one pass over the longest one. Inner products are
-    running sums of the filtered trial times each template, read at the
-    window ends. Pearson scores come from running sums of x, x^2, t, t^2 and
-    xt, taken after subtracting each signal's mean over the longest window so
-    that an offset does not cancel away the variances. A window whose
-    filtered prefix or template prefix is constant scores 0, as in
-    :func:`correlation_score`.
+
+def score_traces(model, trials, grid, similarity="inner"):
+    """Scores of every trial at every decision window.
+
+    All windows of a trial come from one pass over the longest one. Inner
+    products are running sums of the filtered trial times each template, read
+    at the window ends. Pearson scores come from running sums of x, x^2, t,
+    t^2 and xt, taken after subtracting each signal's mean over the longest
+    window so that an offset does not cancel away the variances. The template
+    terms depend only on the model and the grid, so they are computed once;
+    each trial adds its own sums and one (n_classes, longest) product. A
+    window whose filtered prefix or template prefix is constant scores 0, as
+    in :func:`correlation_score`.
 
     Parameters
     ----------
+    trials: sequence of Trial
     grid: sequence of int
         Decision window lengths in samples, strictly increasing.
     similarity: str
@@ -314,8 +323,8 @@ def score_trace(model, trial, grid, similarity="inner"):
 
     Returns
     -------
-    trace: np.ndarray
-        Matrix of shape (len(grid), n_classes).
+    traces: np.ndarray
+        Array of shape (len(trials), len(grid), n_classes).
     """
     if similarity not in ("inner", "correlation"):
         raise ValueError(f"unknown similarity {similarity!r}")
@@ -325,30 +334,38 @@ def score_trace(model, trial, grid, similarity="inner"):
     if grid.min() <= 0:
         raise ValueError("window_samples must be positive")
     longest = int(grid.max())
-    if longest > trial.data.shape[1] or longest > model.templates.shape[1]:
+    if longest > model.templates.shape[1] or any(
+        longest > trial.data.shape[1] for trial in trials
+    ):
         raise ValueError(f"window of {longest} samples exceeds the available data")
     ends = grid - 1
-    filtered = model.spatial_filter @ trial.data[:, :longest]
     templates = model.templates[:, :longest]
+    traces = np.empty((len(trials), grid.size, templates.shape[0]))
     if similarity == "inner":
-        return np.cumsum(templates * filtered, axis=1)[:, ends].T
+        for i, trial in enumerate(trials):
+            filtered = model.spatial_filter @ trial.data[:, :longest]
+            traces[i] = np.cumsum(templates * filtered, axis=1)[:, ends].T
+        return traces
 
-    x = filtered - filtered.mean()
-    t = templates - templates.mean(axis=1, keepdims=True)
     length = grid.astype(float)
-    sum_x = np.cumsum(x)[ends]
+    t = templates - templates.mean(axis=1, keepdims=True)
     sum_t = np.cumsum(t, axis=1)[:, ends]
-    var_x = np.cumsum(x * x)[ends] - sum_x * sum_x / length
     var_t = np.cumsum(t * t, axis=1)[:, ends] - sum_t * sum_t / length
-    cov = np.cumsum(t * x, axis=1)[:, ends] - sum_t * sum_x / length
-    degenerate = (
-        (grid <= _constant_run(filtered[None, :])[:, None])
-        | (grid <= _constant_run(templates)[:, None])
-        | (var_x <= 0.0)
-        | (var_t <= 0.0)
-    )
-    denom = np.sqrt(np.where(degenerate, 1.0, var_x * var_t))
-    return np.where(degenerate, 0.0, cov / denom).T
+    t_degenerate = (grid <= _constant_run(templates)[:, None]) | (var_t <= 0.0)
+    for i, trial in enumerate(trials):
+        filtered = model.spatial_filter @ trial.data[:, :longest]
+        x = filtered - filtered.mean()
+        sum_x = np.cumsum(x)[ends]
+        var_x = np.cumsum(x * x)[ends] - sum_x * sum_x / length
+        cov = np.cumsum(t * x, axis=1)[:, ends] - sum_t * sum_x / length
+        degenerate = (
+            t_degenerate
+            | (grid <= _constant_run(filtered[None, :])[:, None])
+            | (var_x <= 0.0)
+        )
+        denom = np.sqrt(np.where(degenerate, 1.0, var_x * var_t))
+        traces[i] = np.where(degenerate, 0.0, cov / denom).T
+    return traces
 
 
 def _constant_run(rows):

@@ -20,7 +20,7 @@ from .baselines import (
     stratified_folds,
 )
 from .bayes_stop import calibrate
-from .decoding import TrialStatistics, score_trace
+from .decoding import TrialStatistics, score_traces
 
 METHODS = (
     "fixed",
@@ -106,9 +106,8 @@ class _FoldPolicies:
     @property
     def train_traces(self):
         if self._train_traces is None:
-            self._train_traces = np.stack(
-                [score_trace(self.model, t, self.grid, self.similarity) for t in self.train]
-            )
+            self._train_traces = score_traces(self.model, self.train, self.grid,
+                                              self.similarity)
         return self._train_traces
 
     @property
@@ -191,15 +190,15 @@ def evaluate_store(trials, structures, config, subject="s01"):
             config.method, config.similarity, stats, trials, np.flatnonzero(mask), grid
         )
         policy_by_h = {h: policies.make(h) for h in hyperparams}
-        for idx in fold:
-            trial = trials[idx]
-            trace = score_trace(policies.model, trial, grid, config.similarity)
-            argmax_correct = np.argmax(trace, axis=1) == trial.label
+        traces = score_traces(policies.model, [trials[i] for i in fold], grid,
+                              config.similarity)
+        argmax_correct = np.argmax(traces, axis=2) == labels[fold, None]
+        for trace, label, correct in zip(traces, labels[fold], argmax_correct):
             for h in hyperparams:
                 outcome = apply_policy(policy_by_h[h], trace)
-                hits[h].append(outcome.label == trial.label)
+                hits[h].append(outcome.label == label)
                 stop_seconds[h].append(grid[outcome.stopped_at] / fs)
-                counts[h] = counts[h] + metrics.count_decisions(outcome, argmax_correct)
+                counts[h] = counts[h] + metrics.count_decisions(outcome, correct)
 
     rows = []
     n_classes = len(structures)

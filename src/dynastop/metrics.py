@@ -6,6 +6,8 @@ and across-subject aggregation.
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 
 @dataclass
 class DecisionCounts:
@@ -48,19 +50,12 @@ def count_decisions(outcome, argmax_correct, include_forced=True):
     """
     if len(argmax_correct) < outcome.stopped_at + 1:
         raise ValueError("correctness flags must cover every window up to the stop")
-    counts = DecisionCounts()
     if outcome.forced and not include_forced:
-        return counts
-    for w in range(outcome.stopped_at):
-        if argmax_correct[w]:
-            counts.fn += 1
-        else:
-            counts.tn += 1
-    if argmax_correct[outcome.stopped_at]:
-        counts.tp += 1
-    else:
-        counts.fp += 1
-    return counts
+        return DecisionCounts()
+    stop = outcome.stopped_at
+    fn = int(np.count_nonzero(argmax_correct[:stop]))
+    tp = int(bool(argmax_correct[stop]))
+    return DecisionCounts(tp=tp, fp=1 - tp, tn=stop - fn, fn=fn)
 
 
 def _ratio(numerator, denominator):

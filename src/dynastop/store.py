@@ -197,7 +197,6 @@ class ExperimentConfig:
     folds: int = 5
     grid_ms: float = 100.0
     t_star_s: float | None = None
-    seed: int = 0
     overhead_s: float = 0.0
 
     def __post_init__(self):

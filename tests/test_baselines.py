@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynastop.baselines import (
     BetaPolicy,
@@ -20,7 +22,7 @@ from dynastop.baselines import (
     static_targeted_accuracy,
     stratified_folds,
 )
-from dynastop.bayes_stop import calibrate, run_trial
+from dynastop.bayes_stop import StopOutcome, calibrate, run_trial
 from dynastop.decoding import TrialStatistics, fit_cca, score_trace
 from dynastop.evaluation import window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
@@ -36,6 +38,117 @@ def simpson_beta_cdf(x, a, b, n=20001):
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return float(h / 3.0 * np.sum(weights * density))
+
+
+def window_decide(policy, scores, window_index):
+    """Reference per-window rule: the label a policy emits at one window, or
+    None to wait."""
+    if isinstance(policy, FixedLengthPolicy):
+        return int(np.argmax(scores)) if window_index >= policy.stop_window else None
+    if isinstance(policy, BoundaryPolicy):
+        accepted = np.flatnonzero(scores > policy.eta[window_index])
+        return int(accepted[np.argmax(scores[accepted])]) if accepted.size else None
+    if isinstance(policy, MarginPolicy):
+        top_two = np.partition(scores, scores.size - 2)[-2:]
+        if top_two[1] - top_two[0] >= policy.thresholds[window_index]:
+            return int(np.argmax(scores))
+        return None
+    return policy.decide(scores, window_index)
+
+
+def apply_policy_loop(policy, trace):
+    """Reference apply_policy: the per-window rule run window by window."""
+    trace = np.asarray(trace, dtype=float)
+    decisions = []
+    for w in range(trace.shape[0]):
+        label = window_decide(policy, trace[w], w)
+        if label is not None:
+            decisions.append(True)
+            return StopOutcome(w, int(label), False, decisions)
+        decisions.append(False)
+    decisions[-1] = True
+    return StopOutcome(trace.shape[0] - 1, int(np.argmax(trace[-1])), True, decisions)
+
+
+def fit_margin_loop(traces, labels, theta):
+    """Reference thresholds: every distinct margin of a window tried in
+    increasing order."""
+    traces = np.asarray(traces, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_classes = traces.shape[2]
+    top_two = np.partition(traces, n_classes - 2, axis=2)[:, :, -2:]
+    margins = top_two[:, :, 1] - top_two[:, :, 0]
+    correct = np.argmax(traces, axis=2) == labels[:, None]
+    thresholds = np.full(traces.shape[1], np.inf)
+    for w in range(traces.shape[1]):
+        for candidate in np.unique(margins[:, w]):
+            chosen = margins[:, w] >= candidate
+            if correct[chosen, w].mean() >= theta:
+                thresholds[w] = candidate
+                break
+    return thresholds
+
+
+# Small integers make ties between scores, margins and thresholds common.
+LEVELS = st.sampled_from([-np.inf, -1.0, 0.0, 1.0, 2.0, 3.0, np.inf])
+
+
+@st.composite
+def integer_traces(draw, max_trials=1, max_windows=6, max_classes=5):
+    n_trials = draw(st.integers(1, max_trials))
+    n_windows = draw(st.integers(1, max_windows))
+    n_classes = draw(st.integers(2, max_classes))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    traces = rng.integers(-3, 4, (n_trials, n_windows, n_classes)).astype(float)
+    return traces, rng.integers(0, n_classes, n_trials), rng
+
+
+class TestFirstCrossingOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=integer_traces(), kind=st.sampled_from(["fixed", "boundary", "margin"]),
+           data=st.data())
+    def test_matches_window_loop(self, case, kind, data):
+        traces, _, rng = case
+        trace = traces[0]
+        n_windows = trace.shape[0]
+        if kind == "fixed":
+            policy = FixedLengthPolicy(data.draw(st.integers(-2, n_windows + 2)))
+        else:
+            levels = data.draw(st.lists(LEVELS, min_size=n_windows, max_size=n_windows))
+            policy = (BoundaryPolicy if kind == "boundary" else MarginPolicy)(levels)
+        assert apply_policy(policy, trace) == apply_policy_loop(policy, trace)
+
+    def test_random_traces_match_window_loop(self, rng):
+        for _ in range(200):
+            trace = np.clip(rng.standard_normal((8, 6)).round(1) / 3.0, -1.0, 1.0)
+            levels = np.where(rng.random(8) < 0.2, rng.choice([-np.inf, np.inf], 8),
+                              rng.standard_normal(8).round(1) / 3.0)
+            for policy in (BoundaryPolicy(levels), MarginPolicy(np.abs(levels)),
+                           FixedLengthPolicy(rng.integers(-1, 10)),
+                           BetaPolicy(rng.choice([0.5, 0.9, 0.999]))):
+                assert apply_policy(policy, trace) == apply_policy_loop(policy, trace)
+
+
+class TestFitMarginOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=integer_traces(max_trials=30), theta_kind=st.sampled_from(["0", "1", "random"]))
+    def test_matches_candidate_loop(self, case, theta_kind):
+        traces, labels, rng = case
+        theta = {"0": 0.0, "1": 1.0}.get(theta_kind, float(rng.random()))
+        # Accuracies k/n land exactly on a theta of that form as well.
+        for value in (theta, 2 / 3, 0.5):
+            table = fit_margin(traces, labels, value)
+            np.testing.assert_array_equal(table.thresholds,
+                                          fit_margin_loop(traces, labels, value))
+
+    def test_continuous_traces_match_candidate_loop(self, rng):
+        traces = rng.standard_normal((144, 42, 36))
+        labels = rng.integers(0, 36, 144)
+        traces[np.arange(144), :, labels] += np.linspace(0.0, 3.0, 42)
+        for theta in (0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
+            np.testing.assert_array_equal(fit_margin(traces, labels, theta).thresholds,
+                                          fit_margin_loop(traces, labels, theta))
 
 
 class TestApplyPolicy:

@@ -19,6 +19,7 @@ from dynastop.decoding import (
     predict_templates,
     score,
     score_trace,
+    score_traces,
 )
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
 
@@ -87,6 +88,39 @@ def window_trace(model, trial, grid, similarity):
     """Reference trace: every decision window scored on its own."""
     scorer = score if similarity == "inner" else correlation_score
     return np.vstack([scorer(model, trial, w).scores for w in grid])
+
+
+def per_trial_score_trace(model, trial, grid, similarity):
+    """Reference trace: one trial scored from its own running sums, with the
+    template sums recomputed for every trial."""
+    grid = np.asarray(grid).astype(int)
+    longest = int(grid.max())
+    ends = grid - 1
+    filtered = model.spatial_filter @ trial.data[:, :longest]
+    templates = model.templates[:, :longest]
+    if similarity == "inner":
+        return np.cumsum(templates * filtered, axis=1)[:, ends].T
+    x = filtered - filtered.mean()
+    t = templates - templates.mean(axis=1, keepdims=True)
+    length = grid.astype(float)
+    sum_x = np.cumsum(x)[ends]
+    sum_t = np.cumsum(t, axis=1)[:, ends]
+    var_x = np.cumsum(x * x)[ends] - sum_x * sum_x / length
+    var_t = np.cumsum(t * t, axis=1)[:, ends] - sum_t * sum_t / length
+    cov = np.cumsum(t * x, axis=1)[:, ends] - sum_t * sum_x / length
+
+    def constant_run(rows):
+        changed = rows != rows[:, :1]
+        return np.where(changed.any(axis=1), changed.argmax(axis=1), rows.shape[1])
+
+    degenerate = (
+        (grid <= constant_run(filtered[None, :])[:, None])
+        | (grid <= constant_run(templates)[:, None])
+        | (var_x <= 0.0)
+        | (var_t <= 0.0)
+    )
+    denom = np.sqrt(np.where(degenerate, 1.0, var_x * var_t))
+    return np.where(degenerate, 0.0, cov / denom).T
 
 
 def assert_same_model(model, reference, rtol=1e-10):
@@ -534,3 +568,61 @@ class TestScoreTraceOracle:
                 score_trace(model, trial, [2, 5], similarity)
             with pytest.raises(ValueError, match="empty"):
                 score_trace(model, trial, [], similarity)
+
+
+class TestScoreTracesBatch:
+    @staticmethod
+    def assert_matches_per_trial(model, trials, grid, similarity):
+        traces = score_traces(model, trials, grid, similarity)
+        assert traces.shape == (len(trials), len(grid), model.templates.shape[0])
+        for trace, trial in zip(traces, trials):
+            reference = per_trial_score_trace(model, trial, grid, similarity)
+            scale = np.abs(reference).max() if similarity == "inner" else 1.0
+            np.testing.assert_allclose(trace, reference, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_array_equal(trace == 0.0, reference == 0.0)
+
+    @pytest.mark.parametrize("similarity", ["inner", "correlation"])
+    def test_paper_length_matches_per_trial(self, paper_sim, similarity):
+        _, sim, trials = paper_sim
+        model = fit_cca(trials, sim.structures)
+        grid = np.arange(12, 505, 12)
+        batch = trials[:20] + with_offset(trials[20:30], 1e3)
+        self.assert_matches_per_trial(model, batch, grid, similarity)
+        np.testing.assert_array_equal(
+            score_trace(model, batch[-1], grid, similarity),
+            score_traces(model, batch, grid, similarity)[-1],
+        )
+
+    def test_constant_prefixes_match_per_trial(self):
+        templates = np.array(
+            [
+                [0.0, 0.0, 0.0, 1.0, -2.0, 0.5, 1.5, -1.0],
+                [2.0, 2.0, 2.0, 2.0, 2.0, 1.0, -1.0, 3.0],
+                [1.0, -1.0, 2.0, 0.0, 0.5, 1.0, -0.5, 0.0],
+                # Its constant prefix leaves a rounding-sized variance at window 3.
+                [0.3, 0.3, 0.3, 0.3, 0.3, 0.1, -0.7, 2.9],
+            ]
+        )
+        model = toy_model(templates)
+        trials = [
+            Trial(np.array([[prefix] * 4 + [1 / 3, 0.2, -0.9, 2.6]]), None, 100.0)
+            for prefix in (0.0, 2.0, -4.0, 1e3)
+        ] + [
+            Trial(np.array([[0.5, -1.2, 2.0, 0.1, 1 / 3, 0.2, -0.9, 2.6]]), None, 100.0),
+            Trial(np.full((1, 8), 7.0), None, 100.0),
+        ]
+        for similarity in ("inner", "correlation"):
+            self.assert_matches_per_trial(model, trials, np.arange(1, 9), similarity)
+        traces = score_traces(model, trials, np.arange(1, 9), "correlation")
+        np.testing.assert_array_equal(traces[:-2, :4], 0.0)
+        np.testing.assert_array_equal(traces[:, :5, 3], 0.0)
+        np.testing.assert_array_equal(traces[-1], 0.0)
+
+    def test_empty_batch_and_validation(self):
+        model = toy_model(np.ones((2, 4)))
+        assert score_traces(model, [], [1, 4], "correlation").shape == (0, 2, 2)
+        short = [Trial(np.zeros((1, 4)), None, 100.0), Trial(np.zeros((1, 3)), None, 100.0)]
+        with pytest.raises(ValueError, match="exceeds"):
+            score_traces(model, short, [2, 4], "inner")
+        with pytest.raises(ValueError, match="similarity"):
+            score_traces(model, short, [2], "cosine")

@@ -63,14 +63,25 @@ def sim_setup():
 
 class TestEvaluateStore:
     def test_one_positive_decision_per_trial(self, sim_setup):
+        # Each trial makes one positive decision, the argmax label at its stop,
+        # so tp + fp is the trial count and tp the correct trials: precision
+        # is the accuracy exactly.
         cfg, sim, trials = sim_setup
-        config = ExperimentConfig(method="bds", hyperparams=[1.0], folds=5)
-        row = evaluate_store(trials, sim.structures, config)[0]
-        # precision = tp / (tp + fp) with tp + fp == n_trials exactly; recover
-        # the counts from the reported ratios.
-        assert row.subject == "s01"
-        assert 0.0 <= row.accuracy <= 1.0
-        assert row.mean_stop_s <= 1.05
+        for method, similarity, hyperparams in [
+            ("bds", "inner", [1e-4, 1.0, 1e4]),
+            ("margin", "inner", [0.5, 0.9]),
+            ("margin", "correlation", [0.7]),
+            ("beta", "correlation", [0.5, 0.9]),
+            ("fixed", "inner", [0.3, 1.05]),
+        ]:
+            config = ExperimentConfig(method=method, similarity=similarity,
+                                      hyperparams=hyperparams, folds=5)
+            for row in evaluate_store(trials, sim.structures, config):
+                assert row.subject == "s01"
+                assert 0.0 <= row.accuracy <= 1.0
+                # A mean of stops at t* = 126 / 120 s may round just above it.
+                assert row.mean_stop_s <= 1.05 + 1e-12
+                assert row.precision == row.accuracy, (method, row.hyperparam)
 
     def test_fixed_policy_matches_window_accuracy(self, sim_setup):
         cfg, sim, trials = sim_setup

@@ -57,6 +57,18 @@ class TestCountDecisions:
         with pytest.raises(ValueError, match="cover"):
             count_decisions(outcome(2), [True, True])
 
+    def test_matches_window_loop(self, rng):
+        for _ in range(200):
+            flags = rng.random(rng.integers(1, 12)) < 0.5
+            stop = int(rng.integers(0, flags.size))
+            want = DecisionCounts()
+            for w in range(stop):
+                want.fn += int(flags[w])
+                want.tn += int(not flags[w])
+            want.tp, want.fp = int(flags[stop]), int(not flags[stop])
+            for given_flags in (flags, flags.tolist()):
+                assert count_decisions(outcome(stop), given_flags) == want
+
     def test_counts_add(self):
         total = DecisionCounts(1, 2, 3, 4) + DecisionCounts(5, 6, 7, 8)
         assert (total.tp, total.fp, total.tn, total.fn) == (6, 8, 10, 12)

@@ -337,27 +337,40 @@ def fit_margin(traces, labels, theta):
     -------
     table: MarginTable
     """
-    traces = np.asarray(traces, dtype=float)
-    if traces.ndim != 3 or traces.shape[0] == 0:
-        raise ValueError("need a non-empty (n_trials, n_windows, n_classes) trace array")
-    labels = np.asarray(labels, dtype=int)
-    n_trials, n_windows, _ = traces.shape
+    return MarginCandidates(traces, labels).table(theta)
 
-    # Per window, sort the trials by margin; the trials whose margin is at
-    # least the k-th smallest are the suffix from the first copy of that value.
-    margins = _top_two_gap(traces)
-    order = np.argsort(margins, axis=0, kind="stable")
-    margins = np.take_along_axis(margins, order, axis=0)
-    correct = np.argmax(traces, axis=2) == labels[:, None]
-    correct = np.take_along_axis(correct, order, axis=0)
-    suffix_correct = np.cumsum(correct[::-1], axis=0)[::-1]
-    accuracy = suffix_correct / np.arange(n_trials, 0, -1)[:, None]
-    first = np.ones_like(correct)
-    first[1:] = margins[1:] != margins[:-1]
-    reached = first & (accuracy >= theta)
-    k = np.argmax(reached, axis=0)
-    thresholds = np.where(reached.any(axis=0), margins[k, np.arange(n_windows)], np.inf)
-    return MarginTable(thresholds=thresholds, target_accuracy=float(theta))
+
+class MarginCandidates:
+    """The candidate margin thresholds of a set of training traces, sorted
+    once per window, with the training accuracy each would give; every
+    targeted accuracy reads its :func:`fit_margin` table from them."""
+
+    def __init__(self, traces, labels):
+        traces = np.asarray(traces, dtype=float)
+        if traces.ndim != 3 or traces.shape[0] == 0:
+            raise ValueError("need a non-empty (n_trials, n_windows, n_classes) trace array")
+        labels = np.asarray(labels, dtype=int)
+        n_trials = traces.shape[0]
+
+        # Per window, sort the trials by margin; the trials whose margin is at
+        # least the k-th smallest are the suffix from the first copy of that value.
+        margins = _top_two_gap(traces)
+        order = np.argsort(margins, axis=0, kind="stable")
+        self.margins = np.take_along_axis(margins, order, axis=0)
+        correct = np.argmax(traces, axis=2) == labels[:, None]
+        correct = np.take_along_axis(correct, order, axis=0)
+        suffix_correct = np.cumsum(correct[::-1], axis=0)[::-1]
+        self.accuracy = suffix_correct / np.arange(n_trials, 0, -1)[:, None]
+        self.first = np.ones_like(correct)
+        self.first[1:] = self.margins[1:] != self.margins[:-1]
+
+    def table(self, theta):
+        """The :func:`fit_margin` table for targeted accuracy theta."""
+        reached = self.first & (self.accuracy >= theta)
+        k = np.argmax(reached, axis=0)
+        windows = np.arange(self.margins.shape[1])
+        thresholds = np.where(reached.any(axis=0), self.margins[k, windows], np.inf)
+        return MarginTable(thresholds=thresholds, target_accuracy=float(theta))
 
 
 def serialize_policy(policy):

@@ -13,8 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decoding import score
-
 
 @dataclass(frozen=True)
 class WindowParams:
@@ -194,13 +192,16 @@ def window_params(templates, alpha, sigma):
         inner products around their respective means.
     """
     templates = np.asarray(templates, dtype=float)
-    n, window = templates.shape
+    if templates.shape[1] < 1:
+        raise ValueError("window must span at least one sample")
+    return _gram_params(templates @ templates.T, templates.shape[1], alpha, sigma)
+
+
+def _gram_params(gram, window, alpha, sigma):
+    """:func:`window_params` from the window's template Gram matrix."""
+    n = gram.shape[0]
     if n < 2:
         raise ValueError("need at least two classes")
-    if window < 1:
-        raise ValueError("window must span at least one sample")
-
-    gram = templates @ templates.T
     diag = np.diag(gram)
     b1 = float(diag.mean())
     off_sum = float(gram.sum() - diag.sum())
@@ -215,7 +216,26 @@ def window_params(templates, alpha, sigma):
     floor = 1e-12 * max(1.0, abs(alpha) * b1)
     s1 = max(math.sqrt(noise_var + spread1), floor)
     s0 = max(math.sqrt(noise_var + spread0), floor)
-    return WindowParams(b1=b1, b0=b0, s1=s1, s0=s0, window_samples=window)
+    return WindowParams(b1=b1, b0=b0, s1=s1, s0=s0, window_samples=int(window))
+
+
+_GRAM_BLOCK = 32
+
+
+def _window_grams(templates, grid):
+    """Template Gram matrix of every grid window, accumulated from window to
+    window: whole blocks of _GRAM_BLOCK samples add to one running sum, and
+    each window adds its samples past the last whole block on top. A window's
+    Gram thus depends on its length alone, not on the grid that reached it."""
+    running = np.zeros((templates.shape[0],) * 2)
+    done = 0
+    for w in grid:
+        while done + _GRAM_BLOCK <= w:
+            block = templates[:, done:done + _GRAM_BLOCK]
+            running = running + block @ block.T
+            done += _GRAM_BLOCK
+        rest = templates[:, done:w]
+        yield running + rest @ rest.T if w > done else running
 
 
 def log_likelihood_ratio(f, params, alpha):
@@ -291,9 +311,10 @@ def calibrate(model, trials, grid, zeta=1.0):
     """Calibrate a stopping model from a fitted decoder and labeled trials.
 
     Runs the calibration chain: templates from the decoder, per-window
-    template inner products, least-squares scaling and residual noise from the
-    spatially filtered training trials, per-window distribution parameters,
-    and decision boundaries for the given cost ratio.
+    template inner products (a Gram matrix accumulated from window to window),
+    least-squares scaling and residual noise from the spatially filtered
+    training trials, per-window distribution parameters, and decision
+    boundaries for the given cost ratio.
 
     Parameters
     ----------
@@ -333,8 +354,8 @@ def calibrate(model, trials, grid, zeta=1.0):
     n_classes = model.templates.shape[0]
     windows = []
     eta = []
-    for w in grid:
-        params = window_params(model.templates[:, :w], alpha, sigma)
+    for w, gram in zip(grid, _window_grams(model.templates, grid)):
+        params = _gram_params(gram, w, alpha, sigma)
         windows.append(params)
         eta.append(decision_boundary(params, alpha, zeta, n_classes))
     return StoppingModel(
@@ -356,14 +377,22 @@ def run_trial(stopping, model, trial, emit_on_timeout=True):
     the window's boundary; the first window where any score exceeds it stops
     the trial and emits the highest-scoring accepted class. Reaching the last
     window without a crossing forces an emission of the overall best class
-    (or None when emit_on_timeout is False).
+    (or None when emit_on_timeout is False). The scores are running sums:
+    each window adds the templates' products with the segment filtered since
+    the previous window, so a trial that stops at window k costs k segment
+    products.
     """
     if trial.data.shape[1] < stopping.t_star:
         raise ValueError("trial shorter than the maximum trial length")
+    if model.templates.shape[1] < stopping.t_star:
+        raise ValueError("model templates shorter than the maximum trial length")
     decisions = []
     last = stopping.grid.size - 1
+    scores = np.zeros(model.templates.shape[0])
+    start = 0
     for idx, w in enumerate(stopping.grid):
-        scores = score(model, trial, int(w)).scores
+        scores += model.templates[:, start:w] @ (model.spatial_filter @ trial.data[:, start:w])
+        start = w
         accepted = np.flatnonzero(scores > stopping.eta[idx])
         if accepted.size:
             decisions.append(True)

@@ -9,6 +9,7 @@ outputs are byte-reproducible for a fixed seed.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -157,6 +158,20 @@ def _store_structures(meta, store_path):
     )
 
 
+def _store_grid(args, meta):
+    """Decision grid of a store command; a --grid-ms or --t-star-s that the
+    store cannot serve is a usage error."""
+    if not (math.isfinite(args.grid_ms) and args.grid_ms > 0):
+        raise UsageError(f"--grid-ms must be a positive number of ms, got {args.grid_ms:g}")
+    t_star_s = args.t_star_s if args.t_star_s is not None else meta.n_samples / meta.fs
+    if not (math.isfinite(t_star_s) and 1 <= round(t_star_s * meta.fs) <= meta.n_samples):
+        raise UsageError(
+            f"--t-star-s must span one sample to the store's {meta.n_samples / meta.fs:g} s "
+            f"trials, got {t_star_s:g}"
+        )
+    return window_grid(args.grid_ms, t_star_s, meta.fs)
+
+
 def cmd_calibrate(args):
     _print_config(
         "calibrate",
@@ -170,8 +185,7 @@ def cmd_calibrate(args):
     )
     meta, trials = _load_store_or_usage(args.store)
     structures = _store_structures(meta, args.store)
-    t_star_s = args.t_star_s if args.t_star_s is not None else meta.n_samples / meta.fs
-    grid = window_grid(args.grid_ms, t_star_s, meta.fs)
+    grid = _store_grid(args, meta)
     model = fit_cca(trials, structures)
     stopping = calibrate(model, trials, grid, zeta=args.zeta)
     envelope = serialize_policy(stopping)
@@ -204,6 +218,10 @@ def _run_evaluation(args, hyperparams, **shown):
             "out_csv": args.out_csv,
         },
     )
+    meta, trials = _load_store_or_usage(args.store)
+    if not trials:
+        raise UsageError(f"{args.store}: store holds no trials")
+    _store_grid(args, meta)
     try:
         check_method(args.method, args.similarity, hyperparams)
         config = ExperimentConfig(
@@ -217,9 +235,6 @@ def _run_evaluation(args, hyperparams, **shown):
         )
     except ValueError as err:
         raise UsageError(str(err))
-    meta, trials = _load_store_or_usage(args.store)
-    if not trials:
-        raise UsageError(f"{args.store}: store holds no trials")
     structures = _store_structures(meta, args.store)
     subject = args.subject
     rows = evaluate_store(trials, structures, config, subject=subject)

@@ -140,22 +140,29 @@ class TrialStatistics:
         self.n_samples = n_samples
         classes, self.groups = np.unique(labels, return_inverse=True)
 
-        data = np.stack([np.asarray(t.data, dtype=float) for t in trials])
-        self.finite = np.isfinite(data).all(axis=(1, 2))
-        data[~self.finite] = 0.0  # never fitted: fit() rejects these trials
-        self.means = data.mean(axis=2)
-        data -= self.means[:, :, None]
-        self.channel_gram = data @ data.transpose(0, 2, 1)
-
+        n_channels = trials[0].data.shape[0]
+        self.finite = np.empty(len(trials), dtype=bool)
+        self.means = np.empty((len(trials), n_channels))
+        self.channel_gram = np.empty((len(trials), n_channels, n_channels))
+        self.cross = np.empty((len(trials), n_channels, structures[classes[0]].shape[0]))
         design_means, design_grams = [], []
-        self.cross = np.empty(data.shape[:2] + structures[classes[0]].shape[:1])
         for group, label in enumerate(classes):
+            # One class's trials at a time bounds the largest temporary.
+            members = np.flatnonzero(self.groups == group)
+            data = np.stack([np.asarray(trials[i].data, dtype=float) for i in members])
+            finite = np.isfinite(data).all(axis=(1, 2))
+            data[~finite] = 0.0  # never fitted: fit() rejects these trials
+            means = data.mean(axis=2)
+            data -= means[:, :, None]
+            self.finite[members] = finite
+            self.means[members] = means
+            self.channel_gram[members] = data @ data.transpose(0, 2, 1)
+
             design = np.asarray(structures[label], dtype=float)[:, :n_samples]
             design_means.append(design.mean(axis=1))
             design = design - design_means[-1][:, None]
             design_grams.append(design @ design.T)
-            members = self.groups == group
-            self.cross[members] = data[members] @ design.T
+            self.cross[members] = data @ design.T
         self.design_means = np.stack(design_means)
         self.design_gram = np.stack(design_grams)
 
@@ -303,13 +310,16 @@ def score_trace(model, trial, grid, similarity="inner"):
 def score_traces(model, trials, grid, similarity="inner"):
     """Scores of every trial at every decision window.
 
-    All windows of a trial come from one pass over the longest one. Inner
-    products are running sums of the filtered trial times each template, read
-    at the window ends. Pearson scores come from running sums of x, x^2, t,
-    t^2 and xt, taken after subtracting each signal's mean over the longest
-    window so that an offset does not cancel away the variances. The template
-    terms depend only on the model and the grid, so they are computed once;
-    each trial adds its own sums and one (n_classes, longest) product. A
+    The grid cuts the longest window into segments [grid[k-1], grid[k]).
+    Every trial is spatially filtered once; per segment, one stacked product
+    of the filtered segments with the template segments gives each trial's
+    per-class contribution (one BLAS call per trial, so a trial scores the
+    same in any batch), and a running sum over the segments turns those into
+    window scores. Pearson scores take the xt term from the same products of
+    the centred signal and centred templates, with running sums of x, x^2, t
+    and t^2, all after subtracting each signal's mean over the longest window
+    so that an offset does not cancel away the variances. The template terms
+    depend only on the model and the grid, so they are computed once. A
     window whose filtered prefix or template prefix is constant scores 0, as
     in :func:`correlation_score`.
 
@@ -338,34 +348,47 @@ def score_traces(model, trials, grid, similarity="inner"):
         longest > trial.data.shape[1] for trial in trials
     ):
         raise ValueError(f"window of {longest} samples exceeds the available data")
-    ends = grid - 1
     templates = model.templates[:, :longest]
-    traces = np.empty((len(trials), grid.size, templates.shape[0]))
+    x = np.empty((len(trials), longest))
+    for i, trial in enumerate(trials):
+        x[i] = model.spatial_filter @ trial.data[:, :longest]
     if similarity == "inner":
-        for i, trial in enumerate(trials):
-            filtered = model.spatial_filter @ trial.data[:, :longest]
-            traces[i] = np.cumsum(templates * filtered, axis=1)[:, ends].T
-        return traces
+        return _window_products(x, templates, grid)
 
+    ends = grid - 1
     length = grid.astype(float)
     t = templates - templates.mean(axis=1, keepdims=True)
     sum_t = np.cumsum(t, axis=1)[:, ends]
     var_t = np.cumsum(t * t, axis=1)[:, ends] - sum_t * sum_t / length
-    t_degenerate = (grid <= _constant_run(templates)[:, None]) | (var_t <= 0.0)
-    for i, trial in enumerate(trials):
-        filtered = model.spatial_filter @ trial.data[:, :longest]
-        x = filtered - filtered.mean()
-        sum_x = np.cumsum(x)[ends]
-        var_x = np.cumsum(x * x)[ends] - sum_x * sum_x / length
-        cov = np.cumsum(t * x, axis=1)[:, ends] - sum_t * sum_x / length
-        degenerate = (
-            t_degenerate
-            | (grid <= _constant_run(filtered[None, :])[:, None])
-            | (var_x <= 0.0)
-        )
-        denom = np.sqrt(np.where(degenerate, 1.0, var_x * var_t))
-        traces[i] = np.where(degenerate, 0.0, cov / denom).T
+    degenerate = ((grid <= _constant_run(templates)[:, None]) | (var_t <= 0.0)).T
+    constant_x = grid <= _constant_run(x)[:, None]
+    x -= x.mean(axis=1, keepdims=True)
+    sum_x = np.cumsum(x, axis=1)[:, ends]
+    var_x = np.cumsum(x * x, axis=1)[:, ends] - sum_x * sum_x / length
+    degenerate = degenerate | (constant_x | (var_x <= 0.0))[:, :, None]
+
+    traces = _window_products(x, t, grid)
+    shift = sum_x[:, :, None] * sum_t.T
+    shift /= length[:, None]
+    traces -= shift
+    del shift
+    denom = var_x[:, :, None] * var_t.T
+    denom[degenerate] = 1.0
+    traces /= np.sqrt(denom, out=denom)
+    traces[degenerate] = 0.0
     return traces
+
+
+def _window_products(x, templates, grid):
+    """Inner products of every row of x with every template over every grid
+    window, shape (n_rows, n_windows, n_classes): one stacked product per
+    grid segment, summed over the segments up to each window."""
+    products = np.empty((x.shape[0], grid.size, templates.shape[0]))
+    start = 0
+    for k, end in enumerate(grid):
+        products[:, k] = np.matmul(x[:, None, start:end], templates[:, start:end].T)[:, 0]
+        start = end
+    return np.cumsum(products, axis=1, out=products)
 
 
 def _constant_run(rows):

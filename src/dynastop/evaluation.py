@@ -3,6 +3,9 @@ stopping policy per fold, runs every held-out trial to its stopping decision,
 and pools accuracy, timing, and decision-level metrics into result rows.
 """
 
+import math
+from functools import cached_property
+
 import numpy as np
 
 from . import metrics
@@ -10,10 +13,10 @@ from .baselines import (
     BetaPolicy,
     BoundaryPolicy,
     FixedLengthPolicy,
+    MarginCandidates,
     MarginPolicy,
     apply_policy,
     decoding_curve,
-    fit_margin,
     static_max_accuracy,
     static_max_itr,
     static_targeted_accuracy,
@@ -35,22 +38,26 @@ _NEEDS_HYPERPARAM = {"fixed", "static_targeted_accuracy", "margin", "beta", "bds
 
 
 def window_grid(grid_ms, t_star_s, fs):
-    """Decision windows in samples: every grid_ms from grid_ms up to t_star."""
+    """Decision windows in samples: every grid_ms from grid_ms up to t_star.
+
+    A step shorter than one sample gives a window at every sample.
+    """
+    if not (math.isfinite(grid_ms) and grid_ms > 0):
+        raise ValueError(f"grid step must be a positive number of ms, got {grid_ms!r}")
+    if not math.isfinite(t_star_s):
+        raise ValueError(f"t_star must be finite, got {t_star_s!r}")
     t_star = int(round(t_star_s * fs))
     if t_star < 1:
         raise ValueError("t_star shorter than one sample")
     step = grid_ms * fs / 1000.0
+    if step <= 1.0:
+        return np.arange(1, t_star + 1)
     windows = []
     k = 1
-    while True:
-        w = int(round(k * step))
-        if w >= t_star:
-            break
-        if w >= 1 and (not windows or w > windows[-1]):
-            windows.append(w)
+    while (w := int(round(k * step))) < t_star:
+        windows.append(w)
         k += 1
-    windows.append(t_star)
-    return np.asarray(windows, dtype=int)
+    return np.asarray(windows + [t_star], dtype=int)
 
 
 def check_method(method, similarity, hyperparams):
@@ -87,34 +94,28 @@ class _FoldPolicies:
         self.model = stats.fit(train_idx)
         self.fs = self.train[0].fs
         self.n_classes = len(stats.structures)
-        self._curve = None
-        self._train_traces = None
-        self._base_stopping = None
 
-    @property
+    @cached_property
     def curve(self):
-        if self._curve is None:
-            self._curve = decoding_curve(
-                lambda inner: self.stats.fit(self.train_idx[inner]),
-                self.train,
-                self.grid,
-                self.n_classes,
-                similarity=self.similarity,
-            )
-        return self._curve
+        return decoding_curve(
+            lambda inner: self.stats.fit(self.train_idx[inner]),
+            self.train,
+            self.grid,
+            self.n_classes,
+            similarity=self.similarity,
+        )
 
-    @property
+    @cached_property
     def train_traces(self):
-        if self._train_traces is None:
-            self._train_traces = score_traces(self.model, self.train, self.grid,
-                                              self.similarity)
-        return self._train_traces
+        return score_traces(self.model, self.train, self.grid, self.similarity)
 
-    @property
+    @cached_property
+    def margin_candidates(self):
+        return MarginCandidates(self.train_traces, [t.label for t in self.train])
+
+    @cached_property
     def base_stopping(self):
-        if self._base_stopping is None:
-            self._base_stopping = calibrate(self.model, self.train, self.grid, zeta=1.0)
-        return self._base_stopping
+        return calibrate(self.model, self.train, self.grid, zeta=1.0)
 
     def make(self, hyperparam):
         if self.method == "bds":
@@ -128,9 +129,7 @@ class _FoldPolicies:
         if self.method == "static_targeted_accuracy":
             return FixedLengthPolicy(static_targeted_accuracy(self.curve, hyperparam))
         if self.method == "margin":
-            labels = [t.label for t in self.train]
-            table = fit_margin(self.train_traces, labels, hyperparam)
-            return MarginPolicy(table.thresholds)
+            return MarginPolicy(self.margin_candidates.table(hyperparam).thresholds)
         if self.method == "beta":
             return BetaPolicy(hyperparam)
         raise ValueError(f"unknown method {self.method!r}")

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -27,3 +30,24 @@ def small_sim():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1729)
+
+
+@pytest.fixture
+def deadline():
+    """Context manager that fails the block it wraps after `seconds`, so a
+    regression to an endless loop fails the test instead of hanging it."""
+
+    @contextlib.contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

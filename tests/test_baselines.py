@@ -10,6 +10,7 @@ from dynastop.baselines import (
     BoundaryPolicy,
     DecodingCurve,
     FixedLengthPolicy,
+    MarginCandidates,
     MarginPolicy,
     apply_policy,
     beta_cdf,
@@ -136,19 +137,24 @@ class TestFitMarginOracle:
     def test_matches_candidate_loop(self, case, theta_kind):
         traces, labels, rng = case
         theta = {"0": 0.0, "1": 1.0}.get(theta_kind, float(rng.random()))
+        shared = MarginCandidates(traces, labels)
         # Accuracies k/n land exactly on a theta of that form as well.
         for value in (theta, 2 / 3, 0.5):
-            table = fit_margin(traces, labels, value)
-            np.testing.assert_array_equal(table.thresholds,
-                                          fit_margin_loop(traces, labels, value))
+            expected = fit_margin_loop(traces, labels, value)
+            np.testing.assert_array_equal(fit_margin(traces, labels, value).thresholds, expected)
+            np.testing.assert_array_equal(shared.table(value).thresholds, expected)
 
     def test_continuous_traces_match_candidate_loop(self, rng):
         traces = rng.standard_normal((144, 42, 36))
         labels = rng.integers(0, 36, 144)
         traces[np.arange(144), :, labels] += np.linspace(0.0, 3.0, 42)
+        shared = MarginCandidates(traces, labels)
         for theta in (0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
-            np.testing.assert_array_equal(fit_margin(traces, labels, theta).thresholds,
-                                          fit_margin_loop(traces, labels, theta))
+            expected = fit_margin_loop(traces, labels, theta)
+            np.testing.assert_array_equal(fit_margin(traces, labels, theta).thresholds, expected)
+            table = shared.table(theta)
+            np.testing.assert_array_equal(table.thresholds, expected)
+            assert table.target_accuracy == theta
 
 
 class TestApplyPolicy:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynastop.bayes_stop import (
+    StopOutcome,
     StoppingModel,
     WindowParams,
     calibrate,
@@ -13,7 +16,43 @@ from dynastop.bayes_stop import (
     run_trial,
     window_params,
 )
-from dynastop.decoding import DecoderModel, Trial, fit_cca
+from dynastop.decoding import DecoderModel, Trial, fit_cca, score
+from dynastop.evaluation import window_grid
+from dynastop.simulate import SimConfig, make_dataset, resolve_config
+
+
+def window_run_trial(stopping, model, trial, emit_on_timeout=True):
+    """Reference controller: every window's prefix scored from sample 0."""
+    if trial.data.shape[1] < stopping.t_star:
+        raise ValueError("trial shorter than the maximum trial length")
+    decisions = []
+    last = stopping.grid.size - 1
+    for idx, w in enumerate(stopping.grid):
+        scores = score(model, trial, int(w)).scores
+        accepted = np.flatnonzero(scores > stopping.eta[idx])
+        if accepted.size:
+            decisions.append(True)
+            label = int(accepted[np.argmax(scores[accepted])])
+            return StopOutcome(idx, label, False, decisions)
+        if idx == last:
+            decisions.append(True)
+            label = int(np.argmax(scores)) if emit_on_timeout else None
+            return StopOutcome(idx, label, True, decisions)
+        decisions.append(False)
+    raise AssertionError("unreachable: grid is never empty")
+
+
+def window_calibrate(model, trials, grid, zeta):
+    """Reference calibration: the template Gram of every window recomputed
+    from its whole prefix by window_params."""
+    t_star = int(grid[-1])
+    pairs = [(model.spatial_filter @ t.data[:, :t_star], model.templates[t.label, :t_star])
+             for t in trials]
+    alpha, sigma = estimate_scaling_and_noise(pairs)
+    windows = [window_params(model.templates[:, :w], alpha, sigma) for w in grid]
+    n_classes = model.templates.shape[0]
+    eta = np.array([decision_boundary(p, alpha, zeta, n_classes) for p in windows])
+    return alpha, sigma, windows, eta
 
 
 def log_normal_pdf(x, mean, std):
@@ -271,6 +310,29 @@ class TestCalibrate:
         np.testing.assert_allclose(derived.eta, direct.eta)
         assert derived.zeta == direct.zeta
 
+    @pytest.mark.parametrize("grid_ms", [100.0, 30.0, 1.0])
+    def test_matches_window_gram_oracle(self, small_sim, grid_ms):
+        cfg, sim, trials = small_sim
+        model = fit_cca(trials, sim.structures)
+        grid = window_grid(grid_ms, cfg.trial_seconds, cfg.fs)
+        base = calibrate(model, trials, grid, zeta=1.0)
+        infinite = 0
+        for zeta in (1e-8, 1e-2, 1.0, 1e2, 1e8, 1e16):
+            stopping = base.with_cost_ratio(zeta)
+            alpha, sigma, windows, eta = window_calibrate(model, trials, grid, zeta)
+            assert stopping.alpha == alpha
+            assert stopping.sigma == sigma
+            for got, want in zip(stopping.windows, windows):
+                assert got.window_samples == want.window_samples
+                for name in ("b0", "b1", "s0", "s1"):
+                    assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10)
+            np.testing.assert_array_equal(np.isinf(stopping.eta), np.isinf(eta))
+            finite = np.isfinite(eta)
+            np.testing.assert_array_equal(stopping.eta[~finite], eta[~finite])
+            np.testing.assert_allclose(stopping.eta[finite], eta[finite], rtol=1e-10)
+            infinite += np.count_nonzero(~finite)
+        assert infinite > 0
+
     def test_grid_validation(self, small_sim):
         cfg, sim, trials = small_sim
         model = fit_cca(trials, sim.structures)
@@ -345,6 +407,70 @@ class TestRunTrial:
         out = run_trial(stopping, model, Trial(data[None, :], None, 8.0))
         assert out.stopped_at == 0
         assert out.label == 0
+
+
+class TestRunTrialOracle:
+    def test_calibrated_trials_match_window_loop(self, small_sim):
+        cfg, sim, trials = small_sim
+        model = fit_cca(trials[:20], sim.structures)
+        for grid_ms in (100.0, 30.0):
+            grid = window_grid(grid_ms, cfg.trial_seconds, cfg.fs)
+            base = calibrate(model, trials[:20], grid, zeta=1.0)
+            stops = set()
+            for zeta in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+                stopping = base.with_cost_ratio(zeta)
+                for trial in trials:
+                    for emit in (True, False):
+                        outcome = run_trial(stopping, model, trial, emit)
+                        assert outcome == window_run_trial(stopping, model, trial, emit)
+                        stops.add((outcome.stopped_at, outcome.forced))
+            assert len(stops) > 3  # early, late and forced stops all occur
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_classes=st.integers(2, 5),
+        n_samples=st.integers(1, 24),
+        emit_on_timeout=st.booleans(),
+        levels=st.lists(st.sampled_from([-math.inf, -4.0, -1.0, 0.0, 1.0, 3.0, 8.0, math.inf]),
+                        min_size=24, max_size=24),
+    )
+    def test_integer_trials_match_window_loop(self, seed, n_classes, n_samples,
+                                              emit_on_timeout, levels):
+        # Small integers keep every partial sum exact, so both controllers see
+        # the same scores bit for bit and ties with the boundaries are common.
+        rng = np.random.default_rng(seed)
+        model = DecoderModel(
+            spatial_filter=rng.integers(-2, 3, 2).astype(float),
+            response=np.zeros(2),
+            templates=rng.integers(-1, 2, (n_classes, n_samples)).astype(float),
+            fs=10.0,
+            canonical_correlation=1.0,
+        )
+        grid = np.unique(rng.integers(1, n_samples + 1, rng.integers(1, n_samples + 1)))
+        grid[-1] = n_samples
+        grid = np.unique(grid)
+        stopping = StoppingModel(
+            alpha=1.0, sigma=1.0, zeta=1.0, n_classes=n_classes, t_star=n_samples,
+            grid=grid, windows=[WindowParams(1.0, 0.0, 1.0, 1.0, int(w)) for w in grid],
+            eta=np.asarray(levels[: grid.size]),
+        )
+        trial = Trial(rng.integers(-2, 3, (2, n_samples + 2)).astype(float), None, 10.0)
+        assert run_trial(stopping, model, trial, emit_on_timeout) == window_run_trial(
+            stopping, model, trial, emit_on_timeout)
+
+    def test_paper_length_session_matches_window_loop(self):
+        cfg = SimConfig(n_classes=36, n_channels=8, trial_seconds=4.2, sigma=3.0, seed=23)
+        sim = resolve_config(cfg)
+        trials = make_dataset(cfg, 2, resolved=sim)
+        model = fit_cca(trials[:36], sim.structures)
+        grid = window_grid(100.0, cfg.trial_seconds, cfg.fs)
+        base = calibrate(model, trials[:36], grid, zeta=1.0)
+        for zeta in (1e-2, 1.0, 1e2):
+            stopping = base.with_cost_ratio(zeta)
+            for trial in trials[36:]:
+                assert run_trial(stopping, model, trial) == window_run_trial(
+                    stopping, model, trial)
 
 
 class TestStoppingModelJson:

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from dynastop.bayes_stop import StoppingModel
@@ -126,6 +127,43 @@ class TestCalibrate:
             capsys,
         )
         assert code == 2
+
+
+class TestGridFlags:
+    """A decision grid the store cannot serve is a usage error that names the
+    flag; each command runs under a deadline because a non-positive step used
+    to loop forever."""
+
+    COMMANDS = {
+        "calibrate": ["--out-model", "m.json"],
+        "evaluate": ["--method", "fixed", "--hyperparam", "0.5", "--out-csv", "r.csv"],
+        "sweep": ["--method", "fixed", "--hyperparam-list", "0.5", "--out-csv", "r.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("flags, named", [
+        (["--grid-ms", "0"], "--grid-ms"),
+        (["--grid-ms", "-5"], "--grid-ms"),
+        (["--grid-ms", "nan"], "--grid-ms"),
+        (["--t-star-s", "2.0"], "--t-star-s"),
+        (["--t-star-s", "nan"], "--t-star-s"),
+    ])
+    def test_bad_grid_exits_2(self, tiny_store, tmp_path, capsys, deadline, command,
+                              flags, named):
+        extra = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a
+                 for a in self.COMMANDS[command]]
+        with deadline(60):
+            code, captured = run([command, "--store", str(tiny_store), *flags, *extra], capsys)
+        assert code == 2, captured.err
+        assert named in captured.err
+
+    def test_sub_sample_step_scores_every_sample(self, tiny_store, tmp_path, deadline):
+        out = tmp_path / "model.json"
+        with deadline(60):
+            assert main(["calibrate", "--store", str(tiny_store), "--grid-ms", "1e-9",
+                         "--out-model", str(out)]) == 0
+        model = StoppingModel.from_json(out.read_text())
+        np.testing.assert_array_equal(model.grid, np.arange(1, 127))
 
 
 class TestEvaluate:

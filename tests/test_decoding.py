@@ -21,6 +21,7 @@ from dynastop.decoding import (
     score_trace,
     score_traces,
 )
+from dynastop.evaluation import window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
 
 
@@ -121,6 +122,30 @@ def per_trial_score_trace(model, trial, grid, similarity):
     )
     denom = np.sqrt(np.where(degenerate, 1.0, var_x * var_t))
     return np.where(degenerate, 0.0, cov / denom).T
+
+
+def stacked_statistics(trials, structures):
+    """Reference statistics: every trial stacked into one array at once."""
+    labels = [t.label for t in trials]
+    classes, groups = np.unique(labels, return_inverse=True)
+    n_samples = trials[0].data.shape[1]
+    data = np.stack([np.asarray(t.data, dtype=float) for t in trials])
+    finite = np.isfinite(data).all(axis=(1, 2))
+    data[~finite] = 0.0
+    means = data.mean(axis=2)
+    data -= means[:, :, None]
+    channel_gram = data @ data.transpose(0, 2, 1)
+    design_means, design_grams = [], []
+    cross = np.empty(data.shape[:2] + structures[classes[0]].shape[:1])
+    for group, label in enumerate(classes):
+        design = np.asarray(structures[label], dtype=float)[:, :n_samples]
+        design_means.append(design.mean(axis=1))
+        design = design - design_means[-1][:, None]
+        design_grams.append(design @ design.T)
+        members = groups == group
+        cross[members] = data[members] @ design.T
+    return {"finite": finite, "means": means, "channel_gram": channel_gram, "cross": cross,
+            "design_means": np.stack(design_means), "design_gram": np.stack(design_grams)}
 
 
 def assert_same_model(model, reference, rtol=1e-10):
@@ -392,6 +417,17 @@ class TestTrialStatistics:
             assert_same_model(fit_cca(trials, sim.structures), reference)
             assert_same_model(TrialStatistics(trials, sim.structures).fit(), reference)
 
+    def test_statistics_equal_stacked_oracle(self, small_sim, paper_sim):
+        _, sim, trials = paper_sim
+        bad = Trial(trials[3].data.copy(), trials[3].label, trials[3].fs)
+        bad.data[2, 7] = np.nan
+        for trial_set, structures in ((small_sim[2], small_sim[1].structures),
+                                      (trials, sim.structures),
+                                      (trials[:3] + [bad] + trials[4:], sim.structures)):
+            stats = TrialStatistics(trial_set, structures)
+            for name, value in stacked_statistics(trial_set, structures).items():
+                assert np.array_equal(getattr(stats, name), value), name
+
     def test_fold_fits_match_dense_oracle(self, paper_sim):
         _, sim, trials = paper_sim
         stats = TrialStatistics(trials, sim.structures)
@@ -617,6 +653,27 @@ class TestScoreTracesBatch:
         np.testing.assert_array_equal(traces[:-2, :4], 0.0)
         np.testing.assert_array_equal(traces[:, :5, 3], 0.0)
         np.testing.assert_array_equal(traces[-1], 0.0)
+
+    @pytest.mark.parametrize("grid", [
+        window_grid(30, 4.2, 120.0),  # segments of 3 and 4 samples
+        # One-sample segments. From 3 samples on: the correlation of a
+        # 2-sample window carries 1.6e-12 of running-sum cancellation here.
+        np.concatenate([np.arange(3, 25), [40, 41, 42, 300, 301, 504]]),
+        window_grid(30, 2.0, 120.0),  # t* shorter than the trials
+    ])
+    @pytest.mark.parametrize("similarity", ["inner", "correlation"])
+    def test_uneven_grids_match_window_loop(self, paper_sim, grid, similarity):
+        _, sim, trials = paper_sim
+        model = fit_cca(trials, sim.structures)
+        batch = trials[:6] + with_offset(trials[6:9], 1e3)
+        traces = score_traces(model, batch, grid, similarity)
+        for trace, trial in zip(traces, batch):
+            if similarity == "inner":
+                assert_same_inner_trace(trace, model, trial, grid)
+            else:
+                np.testing.assert_allclose(
+                    trace, window_trace(model, trial, grid, similarity), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(score_trace(model, trial, grid, similarity), trace)
 
     def test_empty_batch_and_validation(self):
         model = toy_model(np.ones((2, 4)))

@@ -27,6 +27,24 @@ class TestWindowGrid:
         with pytest.raises(ValueError):
             window_grid(100, 0.001, 120.0)
 
+    def test_sub_sample_step_gives_every_sample(self, deadline):
+        with deadline(10):
+            np.testing.assert_array_equal(window_grid(1e-9, 1.05, 120), np.arange(1, 127))
+            np.testing.assert_array_equal(window_grid(5, 1.05, 120), np.arange(1, 127))
+            np.testing.assert_array_equal(window_grid(1000 / 120, 0.1, 120), np.arange(1, 13))
+
+    @pytest.mark.parametrize("grid_ms, t_star_s, match", [
+        (0.0, 1.05, "grid step"),
+        (-5.0, 1.05, "grid step"),
+        (float("nan"), 1.05, "grid step"),
+        (float("inf"), 1.05, "grid step"),
+        (100.0, float("nan"), "t_star"),
+        (100.0, -1.0, "t_star"),
+    ])
+    def test_rejects_bad_step_or_length(self, deadline, grid_ms, t_star_s, match):
+        with deadline(10), pytest.raises(ValueError, match=match):
+            window_grid(grid_ms, t_star_s, 120.0)
+
 
 class TestCheckMethod:
     def test_beta_requires_correlation(self):

@@ -194,29 +194,38 @@ def window_params(templates, alpha, sigma):
     templates = np.asarray(templates, dtype=float)
     if templates.shape[1] < 1:
         raise ValueError("window must span at least one sample")
-    return _gram_params(templates @ templates.T, templates.shape[1], alpha, sigma)
+    gram = templates @ templates.T
+    return _gram_params(gram[None], [templates.shape[1]], alpha, sigma)[0]
 
 
-def _gram_params(gram, window, alpha, sigma):
-    """:func:`window_params` from the window's template Gram matrix."""
-    n = gram.shape[0]
+def _gram_params(grams, windows, alpha, sigma):
+    """:func:`window_params` of every window from its template Gram matrix,
+    grams of shape (n_windows, n_classes, n_classes). Each term is one numpy
+    reduction over the last axis of a C-contiguous array for all windows,
+    which sums every window's entries in the same order as the reduction of
+    that window alone."""
+    n = grams.shape[1]
     if n < 2:
         raise ValueError("need at least two classes")
-    diag = np.diag(gram)
-    b1 = float(diag.mean())
-    off_sum = float(gram.sum() - diag.sum())
+    flat = np.ascontiguousarray(grams).reshape(len(grams), n * n)
+    diag = np.ascontiguousarray(flat[:, :: n + 1])
+    b1 = diag.mean(axis=1)
     n_off = n * n - n
-    b0 = off_sum / n_off
+    b0 = (flat.sum(axis=1) - diag.sum(axis=1)) / n_off
 
     noise_var = sigma * sigma * b1
-    spread1 = float(np.mean((alpha * diag - alpha * b1) ** 2))
-    off = gram[~np.eye(n, dtype=bool)]
-    spread0 = float(np.sum((alpha * off - alpha * b0) ** 2)) / n_off
+    spread1 = np.mean((alpha * diag - (alpha * b1)[:, None]) ** 2, axis=1)
+    off = np.ascontiguousarray(flat[:, ~np.eye(n, dtype=bool).ravel()])
+    spread0 = np.sum((alpha * off - (alpha * b0)[:, None]) ** 2, axis=1) / n_off
 
-    floor = 1e-12 * max(1.0, abs(alpha) * b1)
-    s1 = max(math.sqrt(noise_var + spread1), floor)
-    s0 = max(math.sqrt(noise_var + spread0), floor)
-    return WindowParams(b1=b1, b0=b0, s1=s1, s0=s0, window_samples=int(window))
+    params = []
+    for k, window in enumerate(windows):
+        floor = 1e-12 * max(1.0, abs(alpha) * float(b1[k]))
+        s1 = max(math.sqrt(noise_var[k] + spread1[k]), floor)
+        s0 = max(math.sqrt(noise_var[k] + spread0[k]), floor)
+        params.append(WindowParams(b1=float(b1[k]), b0=float(b0[k]), s1=s1, s0=s0,
+                                   window_samples=int(window)))
+    return params
 
 
 _GRAM_BLOCK = 32
@@ -273,10 +282,10 @@ def decision_boundary(params, alpha, zeta, n_classes):
     v0 = params.s0 * params.s0
     a = v1 - v0
     b = -2.0 * alpha * (v1 * params.b0 - v0 * params.b1)
-    c = (
-        -(alpha * alpha) * (v0 * params.b1 ** 2 - v1 * params.b0 ** 2)
-        + 2.0 * v0 * v1 * (math.log(params.s0 / params.s1) - threshold)
-    )
+    const = -(alpha * alpha) * (v0 * params.b1 ** 2 - v1 * params.b0 ** 2)
+    scale = 2.0 * v0 * v1
+    log_ratio = math.log(params.s0 / params.s1)
+    c = const + scale * (log_ratio - threshold)
 
     if a != 0.0:
         disc = b * b - 4.0 * a * c
@@ -298,9 +307,10 @@ def decision_boundary(params, alpha, zeta, n_classes):
     if not math.isfinite(eta):
         return math.inf if eta > 0 else -math.inf
     # Newton polish against the exact ratio to pin the crossing tightly.
+    # The ratio is log_likelihood_ratio's quadratic, term for term in floats.
     for _ in range(2):
-        gap = log_likelihood_ratio(eta, params, alpha) - threshold
-        slope = (2.0 * a * eta + b) / (2.0 * v0 * v1)
+        gap = log_ratio + (a * eta * eta + b * eta + const) / scale - threshold
+        slope = (2.0 * a * eta + b) / scale
         if slope <= 0.0 or not math.isfinite(slope):
             break
         eta -= gap / slope
@@ -352,12 +362,9 @@ def calibrate(model, trials, grid, zeta=1.0):
     alpha, sigma = estimate_scaling_and_noise(pairs)
 
     n_classes = model.templates.shape[0]
-    windows = []
-    eta = []
-    for w, gram in zip(grid, _window_grams(model.templates, grid)):
-        params = _gram_params(gram, w, alpha, sigma)
-        windows.append(params)
-        eta.append(decision_boundary(params, alpha, zeta, n_classes))
+    grams = np.stack(list(_window_grams(model.templates, grid)))
+    windows = _gram_params(grams, grid, alpha, sigma)
+    eta = [decision_boundary(params, alpha, zeta, n_classes) for params in windows]
     return StoppingModel(
         alpha=alpha,
         sigma=sigma,

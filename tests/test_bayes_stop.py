@@ -9,6 +9,8 @@ from dynastop.bayes_stop import (
     StopOutcome,
     StoppingModel,
     WindowParams,
+    _gram_params,
+    _window_grams,
     calibrate,
     decision_boundary,
     estimate_scaling_and_noise,
@@ -53,6 +55,41 @@ def window_calibrate(model, trials, grid, zeta):
     n_classes = model.templates.shape[0]
     eta = np.array([decision_boundary(p, alpha, zeta, n_classes) for p in windows])
     return alpha, sigma, windows, eta
+
+
+def llr_boundary(params, alpha, zeta, n_classes):
+    """Reference boundary: the closed-form root polished by Newton steps on
+    log_likelihood_ratio itself."""
+    threshold = math.log((n_classes - 1) * zeta)
+    v1 = params.s1 * params.s1
+    v0 = params.s0 * params.s0
+    a = v1 - v0
+    b = -2.0 * alpha * (v1 * params.b0 - v0 * params.b1)
+    c = (
+        -(alpha * alpha) * (v0 * params.b1 ** 2 - v1 * params.b0 ** 2)
+        + 2.0 * v0 * v1 * (math.log(params.s0 / params.s1) - threshold)
+    )
+    if a != 0.0:
+        disc = b * b - 4.0 * a * c
+        if disc <= 0.0:
+            return -math.inf if a > 0.0 else math.inf
+        sq = math.sqrt(disc)
+        eta = 2.0 * c / (-b - sq) if b >= 0.0 else (-b + sq) / (2.0 * a)
+    else:
+        if b == 0.0:
+            return -math.inf if c > 0.0 else math.inf
+        if b < 0.0:
+            return math.inf
+        eta = -c / b
+    if not math.isfinite(eta):
+        return math.inf if eta > 0 else -math.inf
+    for _ in range(2):
+        gap = log_likelihood_ratio(eta, params, alpha) - threshold
+        slope = (2.0 * a * eta + b) / (2.0 * v0 * v1)
+        if slope <= 0.0 or not math.isfinite(slope):
+            break
+        eta -= gap / slope
+    return float(eta)
 
 
 def log_normal_pdf(x, mean, std):
@@ -248,6 +285,18 @@ class TestDecisionBoundary:
         narrow = WindowParams(b1=1.0, b0=0.9, s1=0.2, s0=1.0, window_samples=2)
         assert decision_boundary(narrow, 1.0, 1e12, 2) == math.inf
 
+    def test_matches_log_likelihood_ratio_polish(self, rng):
+        infinite = 0
+        for _ in range(300):
+            p = random_params(rng, separated=bool(rng.integers(2)))
+            alpha = rng.uniform(-3, 3)
+            n = int(rng.integers(2, 40))
+            for zeta in (1e-12, 1e-4, 0.5, 1.0, 30.0, 1e8, 1e12):
+                eta = decision_boundary(p, alpha, zeta, n)
+                assert eta == llr_boundary(p, alpha, zeta, n)
+                infinite += math.isinf(eta)
+        assert infinite > 0
+
     def test_input_validation(self):
         p = WindowParams(b1=1.0, b0=0.0, s1=0.5, s0=0.5, window_samples=2)
         with pytest.raises(ValueError):
@@ -309,6 +358,16 @@ class TestCalibrate:
         direct = calibrate(model, trials, [12, 60, 126], zeta=50.0)
         np.testing.assert_allclose(derived.eta, direct.eta)
         assert derived.zeta == direct.zeta
+
+    @pytest.mark.parametrize("grid_ms", [100.0, 30.0, 1.0])
+    def test_windows_equal_one_window_at_a_time(self, small_sim, grid_ms):
+        cfg, sim, trials = small_sim
+        model = fit_cca(trials, sim.structures)
+        grid = window_grid(grid_ms, cfg.trial_seconds, cfg.fs)
+        stopping = calibrate(model, trials, grid, zeta=1.0)
+        alone = [_gram_params(gram[None], [w], stopping.alpha, stopping.sigma)[0]
+                 for w, gram in zip(grid, _window_grams(model.templates, grid))]
+        assert stopping.windows == alone
 
     @pytest.mark.parametrize("grid_ms", [100.0, 30.0, 1.0])
     def test_matches_window_gram_oracle(self, small_sim, grid_ms):

@@ -7,7 +7,6 @@ Run:  python3 demos/01_stimulus_codes.py
 import numpy as np
 
 from dynastop import (
-    decompose_events,
     make_gold_codes,
     make_m_sequence,
     modulate,
@@ -34,12 +33,13 @@ for j in range(1, 6):
 print(f"cross-correlation values against code 0 (first five codes): {sorted(values)}")
 
 # Modulation doubles the rate and xors a bit-clock, leaving only one- and
-# two-bit flashes (8.33 ms and 16.67 ms at 120 Hz).
+# two-bit flashes (8.33 ms and 16.67 ms at 120 Hz). Each run of ones is one
+# flash; its length in bits tells a short from a long one.
 modulated = modulate(gold)
-events = decompose_events(modulated[7]).events
-kinds = [ev.kind for ev in events]
-print(f"\nmodulated code 7: {modulated.shape[1]} bits, {len(events)} flashes "
-      f"({kinds.count('short')} short, {kinds.count('long')} long)")
+edges = np.diff(modulated[7].astype(np.int8), prepend=0, append=0)
+runs = np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1)
+print(f"\nmodulated code 7: {modulated.shape[1]} bits, {runs.size} flashes "
+      f"({np.count_nonzero(runs == 1)} short, {np.count_nonzero(runs == 2)} long)")
 
 # Subset selection: predict a template response per code with the canonical
 # event response, then greedily drop codes from the worst-correlated pairs.

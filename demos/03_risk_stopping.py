@@ -50,4 +50,4 @@ outcome = run_trial(stopping, model, test[0])
 status = "forced" if outcome.forced else "confident"
 print(f"\nfirst test trial: true class {test[0].label}, emitted {outcome.label} "
       f"({status}) after {grid[outcome.stopped_at] / cfg.fs:.2f} s")
-print(f"decision record: {''.join('S' if d else '.' for d in outcome.decisions)}")
+print(f"decision record: {'.' * outcome.stopped_at}S")

@@ -40,9 +40,6 @@ from .bayes_stop import (
 )
 from .codes import (
     Codebook,
-    Event,
-    EventStream,
-    decompose_events,
     make_gold_codes,
     make_m_sequence,
     modulate,
@@ -50,8 +47,6 @@ from .codes import (
     read_codebook,
     select_subset,
     structure_matrices,
-    structure_matrix,
-    tile_events,
     write_codebook,
 )
 from .decoding import (
@@ -70,7 +65,6 @@ from .evaluation import check_method, evaluate_store, window_grid
 from .metrics import (
     DecisionCounts,
     MetricsRow,
-    aggregate,
     count_decisions,
     f_score,
     itr,

@@ -41,7 +41,7 @@ def apply_policy(policy, trace):
     forced = stop is None
     if forced:
         stop = trace.shape[0] - 1
-    return StopOutcome(stop, int(np.argmax(trace[stop])), forced, [False] * stop + [True])
+    return StopOutcome(stop, int(np.argmax(trace[stop])), forced)
 
 
 def _first(fired):

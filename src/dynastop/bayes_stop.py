@@ -35,15 +35,14 @@ class WindowParams:
 class StopOutcome:
     """Result of running the controller on one trial.
 
-    decisions holds one stop/continue flag per evaluated window; exactly the
-    last one is True. forced marks an emission that happened only because the
-    maximum trial length was reached.
+    stopped_at is the grid index of the single stop decision; every earlier
+    window continued. forced marks an emission that happened only because
+    the maximum trial length was reached.
     """
 
     stopped_at: int
     label: int | None
     forced: bool
-    decisions: list
 
 
 @dataclass
@@ -393,7 +392,6 @@ def run_trial(stopping, model, trial, emit_on_timeout=True):
         raise ValueError("trial shorter than the maximum trial length")
     if model.templates.shape[1] < stopping.t_star:
         raise ValueError("model templates shorter than the maximum trial length")
-    decisions = []
     last = stopping.grid.size - 1
     scores = np.zeros(model.templates.shape[0])
     start = 0
@@ -402,12 +400,9 @@ def run_trial(stopping, model, trial, emit_on_timeout=True):
         start = w
         accepted = np.flatnonzero(scores > stopping.eta[idx])
         if accepted.size:
-            decisions.append(True)
             label = int(accepted[np.argmax(scores[accepted])])
-            return StopOutcome(idx, label, False, decisions)
+            return StopOutcome(idx, label, False)
         if idx == last:
-            decisions.append(True)
             label = int(np.argmax(scores)) if emit_on_timeout else None
-            return StopOutcome(idx, label, True, decisions)
-        decisions.append(False)
+            return StopOutcome(idx, label, True)
     raise AssertionError("unreachable: grid is never empty")

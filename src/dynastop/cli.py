@@ -145,17 +145,31 @@ def _load_store_or_usage(path):
 
 
 def _store_structures(meta, store_path):
+    """Structure matrices of a store's classes; a codebook that is missing,
+    unreadable or not a two-duration code is a configuration error."""
     if not meta.codebook:
         raise UsageError(f"{store_path}: manifest has no codebook reference")
-    book = read_codebook(f"{store_path}/{meta.codebook}")
-    if book.n_codes < meta.n_classes:
-        raise UsageError(
-            f"codebook holds {book.n_codes} codes but the store has {meta.n_classes} classes"
-        )
     response_samples = int(round(0.3 * meta.fs))
-    return structure_matrices(
-        book.codes[: meta.n_classes], meta.fs, book.rate_hz, meta.n_samples, response_samples
-    )
+    if not 1 <= response_samples <= meta.n_samples:
+        raise UsageError(
+            f"{store_path}: trials of {meta.n_samples} samples cannot hold the "
+            f"{response_samples}-sample flash response"
+        )
+    path = f"{store_path}/{meta.codebook}"
+    try:
+        book = read_codebook(path)
+        if book.n_codes < meta.n_classes:
+            raise UsageError(
+                f"codebook {path} holds {book.n_codes} codes but the store has "
+                f"{meta.n_classes} classes"
+            )
+        codes = book.codes[: meta.n_classes]
+        return structure_matrices(codes, meta.fs, book.rate_hz, meta.n_samples, response_samples)
+    except OSError as err:
+        raise UsageError(f"cannot read codebook {path}: {err.strerror or err}")
+    except ValueError as err:
+        message = str(err)
+        raise UsageError(message if message.startswith(path) else f"{path}: {message}")
 
 
 def _store_grid(args, meta):

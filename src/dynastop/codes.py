@@ -1,5 +1,5 @@
 """Stimulus sequence toolbox: m-sequences, Gold codes, flash modulation,
-event decomposition, and structure matrices for reconvolution decoding.
+and structure matrices for reconvolution decoding.
 
 Binary sequences are numpy uint8 arrays of 0/1 bits. A codebook stacks
 equal-length sequences row-wise with shape (n_codes, n_bits).
@@ -9,10 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-SHORT = "short"
-LONG = "long"
-EVENT_KINDS = (SHORT, LONG)
 
 # Classic preferred pairs per register degree. Masks include both the
 # x^degree term and the constant term, LSB = constant: x^6 + x + 1 -> 0b1000011.
@@ -42,25 +38,6 @@ class Codebook:
     def n_codes(self):
         return self.codes.shape[0]
 
-    @property
-    def n_bits(self):
-        return self.codes.shape[1]
-
-
-@dataclass(frozen=True)
-class Event:
-    """A single flash: kind is "short" (one bit) or "long" (two bits)."""
-
-    kind: str
-    onset: int
-
-
-@dataclass(frozen=True)
-class EventStream:
-    """Flash events extracted from one modulated sequence of source_length bits."""
-
-    events: tuple
-    source_length: int
 
 
 def make_m_sequence(poly, seed=1):
@@ -215,72 +192,39 @@ def modulate(codes):
     return up ^ clock
 
 
-def decompose_events(code):
-    """Split a modulated code into short/long flash events.
+def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
+    """Binary structure matrices placing flash responses on a sample grid.
 
-    Each maximal run of ones becomes one event: a 1-bit run is a short flash,
-    a 2-bit run a long flash. Runs longer than two bits are rejected because
-    they cannot come out of :func:`modulate`.
+    Each maximal run of ones in a code is one flash: a one-bit run is a short
+    flash, a two-bit run a long one. Row blocks of response_samples rows
+    belong to the short and the long kind in that order. A flash of kind k
+    with onset sample s sets entries (k * response_samples + j, s + j) for
+    j < response_samples, truncated at the matrix edge. Onset samples are
+    round-half-up of onset_bit * fs / rate_hz.
 
-    Returns
-    -------
-    stream: EventStream
-        Events with onsets in bit units, strictly increasing.
-    """
-    bits = np.asarray(code, dtype=np.uint8).ravel()
-    padded = np.concatenate(([0], bits, [0]))
-    edges = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    events = []
-    for start, end in zip(starts, ends):
-        length = end - start
-        if length > 2:
-            raise ValueError(
-                f"run of {length} ones at bit {start}: not a two-duration modulated code"
-            )
-        events.append(Event(SHORT if length == 1 else LONG, int(start)))
-    return EventStream(tuple(events), int(bits.size))
-
-
-def tile_events(stream, reps):
-    """Repeat an event stream end to end, as in cyclic stimulus presentation."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    events = tuple(
-        Event(ev.kind, ev.onset + cycle * stream.source_length)
-        for cycle in range(reps)
-        for ev in stream.events
-    )
-    return EventStream(events, stream.source_length * reps)
-
-
-def structure_matrix(stream, fs, rate_hz, n_samples, response_samples):
-    """Build the binary structure matrix placing event responses on a sample grid.
-
-    Row blocks of response_samples rows correspond to the short and the long
-    event kind in that order. An event of kind k at onset sample s sets entries
-    (k * response_samples + j, s + j) for j < response_samples, truncated at the
-    matrix edge. Onset samples are computed as round-half-up of
-    onset_bit * fs / rate_hz.
+    Codes repeat cyclically until n_samples is covered. Runs are found within
+    one cycle, so a code that starts and ends with a one shows two flashes at
+    each cycle seam, not one merged run.
 
     Parameters
     ----------
-    stream: EventStream
-        Flash events of one stimulus sequence.
+    codes: np.ndarray
+        Modulated binary codebook, shape (n_codes, n_bits).
     fs: float
         Sampling rate of the EEG in Hz.
     rate_hz: float
-        Presentation rate of the sequence bits in Hz.
+        Presentation rate of the code bits in Hz.
     n_samples: int
         Number of columns (trial samples).
     response_samples: int
-        Length of the per-event response window in samples.
+        Length of the per-flash response window in samples.
 
     Returns
     -------
-    matrix: np.ndarray
-        Float matrix of shape (2 * response_samples, n_samples) with 0/1 entries.
+    matrices: list of np.ndarray
+        One float (2 * response_samples, n_samples) matrix of 0/1 entries per
+        code. A run of more than two ones, which :func:`modulate` never makes,
+        raises ValueError.
     """
     n_samples = int(n_samples)
     response_samples = int(response_samples)
@@ -288,46 +232,31 @@ def structure_matrix(stream, fs, rate_hz, n_samples, response_samples):
         raise ValueError("n_samples must be positive")
     if response_samples < 1 or response_samples > n_samples:
         raise ValueError("response_samples must be in [1, n_samples]")
-
-    matrix = np.zeros((2 * response_samples, n_samples))
-    kinds = []
-    for ev in stream.events:
-        if ev.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {ev.kind!r}")
-        kinds.append(EVENT_KINDS.index(ev.kind))
-    if not kinds:
-        return matrix
-    # Same float64 arithmetic as math.floor(onset * fs / rate_hz + 0.5) per event.
-    onset_bits = np.array([ev.onset for ev in stream.events], dtype=np.float64)
-    onsets = np.floor(onset_bits * fs / rate_hz + 0.5).astype(np.int64)
-    blocks = np.array(kinds) * response_samples
-    offsets = np.arange(response_samples)
-    columns = onsets[:, None] + offsets
-    rows = np.broadcast_to(blocks[:, None] + offsets, columns.shape)
-    inside = columns < n_samples
-    matrix[rows[inside], columns[inside]] = 1.0
-    return matrix
-
-
-def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
-    """Structure matrices for every row of a modulated codebook.
-
-    Sequences are tiled cyclically when n_samples extends past one code cycle.
-
-    Returns
-    -------
-    matrices: list of np.ndarray
-        One (2 * response_samples, n_samples) matrix per code.
-    """
     codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
+    n_bits = codes.shape[1]
     bits_needed = int(math.ceil(n_samples * rate_hz / fs))
+    cycle_starts = n_bits * np.arange(max(1, int(math.ceil(bits_needed / n_bits))))
+    offsets = np.arange(response_samples)
     matrices = []
     for code in codes:
-        stream = decompose_events(code)
-        reps = max(1, int(math.ceil(bits_needed / stream.source_length)))
-        if reps > 1:
-            stream = tile_events(stream, reps)
-        matrices.append(structure_matrix(stream, fs, rate_hz, n_samples, response_samples))
+        edges = np.diff(code.astype(np.int8), prepend=0, append=0)
+        starts = np.flatnonzero(edges == 1)
+        lengths = np.flatnonzero(edges == -1) - starts
+        if np.any(lengths > 2):
+            bad = np.argmax(lengths > 2)
+            raise ValueError(
+                f"run of {lengths[bad]} ones at bit {starts[bad]}: "
+                "not a two-duration modulated code"
+            )
+        onset_bits = (cycle_starts[:, None] + starts).ravel().astype(np.float64)
+        # Round half up in the float64 arithmetic of math.floor(x + 0.5), not np.round.
+        onsets = np.floor(onset_bits * fs / rate_hz + 0.5).astype(np.int64)
+        columns = onsets[:, None] + offsets
+        rows = np.tile((lengths - 1) * response_samples, cycle_starts.size)[:, None] + offsets
+        inside = columns < n_samples
+        matrix = np.zeros((2 * response_samples, n_samples))
+        matrix[rows[inside], columns[inside]] = 1.0
+        matrices.append(matrix)
     return matrices
 
 
@@ -397,6 +326,8 @@ def write_codebook(path, codes, rate_hz=None):
 def read_codebook(path):
     """Read a codebook text file written by :func:`write_codebook`.
 
+    Each ValueError it raises names the file, and the line where there is one.
+
     Returns
     -------
     codebook: Codebook
@@ -412,7 +343,15 @@ def read_codebook(path):
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 if key.strip() == "rate_hz":
-                    rate_hz = float(value)
+                    try:
+                        rate_hz = float(value)
+                    except ValueError:
+                        rate_hz = math.nan
+                    if not 0 < rate_hz < math.inf:
+                        raise ValueError(
+                            f"{path}:{lineno}: rate_hz must be a positive number, "
+                            f"got {value.strip()!r}"
+                        )
                 continue
             if set(line) - {"0", "1"}:
                 raise ValueError(f"{path}:{lineno}: invalid characters in code line")

@@ -1,6 +1,6 @@
 """Performance accounting: decision-level true/false positive/negative
 counting, relevance metrics, information transfer rate, symbols per minute,
-and across-subject aggregation.
+and the results row schema.
 """
 
 import math
@@ -150,8 +150,10 @@ CSV_COLUMNS = (
 class MetricsRow:
     """One evaluation result: a subject/method/hyperparameter combination.
 
-    ci_* fields hold 95% confidence half-widths and stay 0 for single-subject
-    rows; :func:`aggregate` fills them for across-subject means.
+    ci_* fields hold 95% confidence half-widths. The evaluation harness
+    writes single-subject rows, where they stay 0; the columns keep the CSV
+    schema fixed, and ``dynastop report`` draws a band from them when a CSV
+    carries nonzero values.
     """
 
     subject: str
@@ -174,34 +176,6 @@ class MetricsRow:
     ci_recall: float = 0.0
     ci_specificity: float = 0.0
     ci_f_score: float = 0.0
-
-
-def aggregate(rows, subject="mean"):
-    """Across-subject mean with 95% confidence half-widths (1.96 * se).
-
-    All rows must share method, hyperparameter, and similarity. Half-widths
-    use the sample standard deviation and are 0 for a single row.
-    """
-    if not rows:
-        raise ValueError("nothing to aggregate")
-    keys = {(r.method, r.hyperparam, r.similarity) for r in rows}
-    if len(keys) != 1:
-        raise ValueError(f"rows mix configurations: {sorted(map(str, keys))}")
-    n = len(rows)
-    out = {}
-    for name in NUMERIC_FIELDS:
-        values = [getattr(r, name) for r in rows]
-        mean = sum(values) / n
-        if n > 1:
-            var = sum((v - mean) ** 2 for v in values) / (n - 1)
-            half = 1.96 * math.sqrt(var) / math.sqrt(n)
-        else:
-            half = 0.0
-        out[name] = mean
-        out[f"ci_{name}"] = half
-    method, hyperparam, similarity = next(iter(keys))
-    return MetricsRow(subject=subject, method=method, hyperparam=hyperparam,
-                      similarity=similarity, **out)
 
 
 def row_fields(row):

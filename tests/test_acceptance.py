@@ -65,6 +65,18 @@ def sharp_response(event_samples):
     return np.concatenate([short, long_])
 
 
+def run_lengths(bits):
+    """Length of every maximal run of ones, counted one bit at a time."""
+    lengths, run = [], 0
+    for bit in [*bits, 0]:
+        if bit:
+            run += 1
+        elif run:
+            lengths.append(run)
+            run = 0
+    return lengths
+
+
 def log_normal_pdf(x, mean, std):
     return -math.log(std * math.sqrt(2 * math.pi)) - 0.5 * ((x - mean) / std) ** 2
 
@@ -275,7 +287,7 @@ def test_criterion_07_decoder_recovery():
 
 
 def test_criterion_08_gold_code_properties():
-    from dynastop.codes import decompose_events, make_gold_codes, modulate
+    from dynastop.codes import make_gold_codes, modulate
 
     start = time.perf_counter()
     codes = make_gold_codes()
@@ -283,8 +295,8 @@ def test_criterion_08_gold_code_properties():
     modulated = modulate(codes)
     assert modulated.shape == (65, 126)
     for row in modulated:
-        stream = decompose_events(row)  # rejects any run of ones above two
-        assert {ev.kind for ev in stream.events} <= {"short", "long"}
+        # Every run of ones is a short (one-bit) or a long (two-bit) flash.
+        assert set(run_lengths(row)) <= {1, 2}
 
     bipolar = (1 - 2 * codes.astype(np.int64))
     observed = set()
@@ -355,7 +367,7 @@ def test_criterion_10_baseline_selectors():
 
 def test_criterion_11_decision_accounting():
     def outcome(stopped_at, forced=False):
-        return StopOutcome(stopped_at, 0, forced, [False] * stopped_at + [True])
+        return StopOutcome(stopped_at, 0, forced)
 
     counts = count_decisions(outcome(2), [True, True, True])
     assert (counts.tp, counts.fp, counts.tn, counts.fn) == (1, 0, 0, 2)

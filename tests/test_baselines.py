@@ -60,15 +60,11 @@ def window_decide(policy, scores, window_index):
 def apply_policy_loop(policy, trace):
     """Reference apply_policy: the per-window rule run window by window."""
     trace = np.asarray(trace, dtype=float)
-    decisions = []
     for w in range(trace.shape[0]):
         label = window_decide(policy, trace[w], w)
         if label is not None:
-            decisions.append(True)
-            return StopOutcome(w, int(label), False, decisions)
-        decisions.append(False)
-    decisions[-1] = True
-    return StopOutcome(trace.shape[0] - 1, int(np.argmax(trace[-1])), True, decisions)
+            return StopOutcome(w, int(label), False)
+    return StopOutcome(trace.shape[0] - 1, int(np.argmax(trace[-1])), True)
 
 
 def fit_margin_loop(traces, labels, theta):
@@ -163,13 +159,10 @@ class TestApplyPolicy:
         out = apply_policy(FixedLengthPolicy(99), trace)
         assert out.stopped_at == 4
         assert out.forced
-        assert out.decisions == [False] * 4 + [True]
-        assert sum(out.decisions) == 1
 
     def test_single_positive_decision(self, rng):
         trace = rng.standard_normal((6, 3))
         out = apply_policy(FixedLengthPolicy(2), trace)
-        assert out.decisions == [False, False, True]
         assert out.stopped_at == 2
         assert not out.forced
 

@@ -27,20 +27,16 @@ def window_run_trial(stopping, model, trial, emit_on_timeout=True):
     """Reference controller: every window's prefix scored from sample 0."""
     if trial.data.shape[1] < stopping.t_star:
         raise ValueError("trial shorter than the maximum trial length")
-    decisions = []
     last = stopping.grid.size - 1
     for idx, w in enumerate(stopping.grid):
         scores = score(model, trial, int(w)).scores
         accepted = np.flatnonzero(scores > stopping.eta[idx])
         if accepted.size:
-            decisions.append(True)
             label = int(accepted[np.argmax(scores[accepted])])
-            return StopOutcome(idx, label, False, decisions)
+            return StopOutcome(idx, label, False)
         if idx == last:
-            decisions.append(True)
             label = int(np.argmax(scores)) if emit_on_timeout else None
-            return StopOutcome(idx, label, True, decisions)
-        decisions.append(False)
+            return StopOutcome(idx, label, True)
     raise AssertionError("unreachable: grid is never empty")
 
 
@@ -426,7 +422,6 @@ class TestRunTrial:
         out = run_trial(stopping, model, trial)
         assert out.stopped_at == 0
         assert not out.forced
-        assert out.decisions == [True]
 
     def test_plus_inf_boundary_forces_at_last(self):
         stopping, model = self.scripted_stopping([math.inf] * 4)
@@ -435,7 +430,6 @@ class TestRunTrial:
         assert out.stopped_at == 3
         assert out.forced
         assert out.label == 1
-        assert out.decisions == [False, False, False, True]
 
     def test_scripted_crossing_window(self):
         # Boundaries high everywhere except window 2, where class 1 crosses.
@@ -446,7 +440,6 @@ class TestRunTrial:
         assert out.stopped_at == 2
         assert out.label == 1
         assert not out.forced
-        assert out.decisions == [False, False, True]
 
     def test_timeout_suppression(self):
         stopping, model = self.scripted_stopping([math.inf] * 4)

@@ -6,7 +6,9 @@ import pytest
 
 from dynastop.bayes_stop import StoppingModel
 from dynastop.cli import main
-from dynastop.codes import read_codebook
+from dynastop.codes import read_codebook, write_codebook
+from dynastop.decoding import Trial
+from dynastop.store import write_store
 
 
 def run(args, capsys=None):
@@ -127,6 +129,57 @@ class TestCalibrate:
             capsys,
         )
         assert code == 2
+
+    def test_missing_codebook_exits_2(self, tiny_store, tmp_path, capsys):
+        codebook = tiny_store / "codebook.txt"
+        codebook.unlink()
+        code, captured = run(
+            ["calibrate", "--store", str(tiny_store), "--out-model", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 2
+        assert f"cannot read codebook {codebook}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_trials_shorter_than_response_exit_2(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        trials = [Trial(np.zeros((1, 20)), label, 120.0) for label in (0, 1, 0, 1)]
+        write_store(store, trials, 2, codebook="codebook.txt")
+        write_codebook(store / "codebook.txt", [[0, 1] * 10, [1, 0] * 10], rate_hz=120)
+        code, captured = run(
+            ["calibrate", "--store", str(store), "--out-model", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 2
+        assert "trials of 20 samples cannot hold the 36-sample flash response" in captured.err
+
+    def test_codebook_with_long_run_exits_2(self, tiny_store, tmp_path, capsys):
+        codebook = tiny_store / "codebook.txt"
+        header, first, *rest = codebook.read_text().splitlines()
+        codebook.write_text("\n".join([header, "1110" + first[4:], *rest]) + "\n")
+        code, captured = run(
+            ["calibrate", "--store", str(tiny_store), "--out-model", str(tmp_path / "m.json")],
+            capsys,
+        )
+        assert code == 2
+        assert f"{codebook}: run of 3 ones at bit 0" in captured.err
+
+    @pytest.mark.parametrize("text, reason", [
+        ("0102\n1010\n", "invalid characters"),
+        ("0101\n", "at least two codes"),
+        ("# rate_hz=0\n0101\n1010\n", "rate_hz must be a positive number"),
+    ])
+    def test_malformed_codebook_exits_2(self, tiny_store, tmp_path, capsys, text, reason):
+        codebook = tiny_store / "codebook.txt"
+        codebook.write_text(text)
+        code, captured = run(
+            ["evaluate", "--store", str(tiny_store), "--method", "bds", "--hyperparam", "1",
+             "--out-csv", str(tmp_path / "r.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert str(codebook) in captured.err
+        assert reason in captured.err
 
 
 class TestGridFlags:

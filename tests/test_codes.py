@@ -1,4 +1,7 @@
 import math
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,11 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynastop.codes import (
-    EVENT_KINDS,
     Codebook,
-    Event,
-    EventStream,
-    decompose_events,
     make_gold_codes,
     make_m_sequence,
     modulate,
@@ -18,8 +17,6 @@ from dynastop.codes import (
     read_codebook,
     select_subset,
     structure_matrices,
-    structure_matrix,
-    tile_events,
     write_codebook,
 )
 
@@ -155,149 +152,195 @@ class TestModulate:
             assert np.array_equal(out[1::2], code)
 
 
+def flash_runs(code):
+    """(onset bit, length) of every maximal run of ones, one bit at a time."""
+    runs = []
+    start = None
+    for i, bit in enumerate([*code, 0]):
+        if bit and start is None:
+            start = i
+        elif not bit and start is not None:
+            runs.append((start, i - start))
+            start = None
+    return runs
+
+
+def event_loop_matrices(codes, fs, rate_hz, n_samples, response_samples):
+    """Reference structure matrices: one flash event of one code cycle at a
+    time, as the per-event builder placed them."""
+    if n_samples <= 0 or not 1 <= response_samples <= n_samples:
+        raise ValueError("bad dimensions")
+    matrices = []
+    for code in np.atleast_2d(codes):
+        runs = flash_runs(code)
+        for onset, length in runs:
+            if length > 2:
+                raise ValueError(
+                    f"run of {length} ones at bit {onset}: not a two-duration modulated code"
+                )
+        bits_needed = math.ceil(n_samples * rate_hz / fs)
+        cycles = max(1, math.ceil(bits_needed / len(code)))
+        matrix = np.zeros((2 * response_samples, n_samples))
+        for cycle in range(cycles):
+            for onset, length in runs:
+                start = math.floor((onset + cycle * len(code)) * fs / rate_hz + 0.5)
+                span = max(0, min(response_samples, n_samples - start))
+                rows = (length - 1) * response_samples + np.arange(span)
+                matrix[rows, start + np.arange(span)] = 1.0
+        matrices.append(matrix)
+    return matrices
+
+
+def onsets_by_kind(matrix):
+    """Onset samples of the short and the long flashes of a one-sample response."""
+    return np.flatnonzero(matrix[0]).tolist(), np.flatnonzero(matrix[1]).tolist()
+
+
 class TestDecomposeEvents:
+    """How structure_matrices splits a code into short and long flashes."""
+
     def test_hand_example(self):
-        stream = decompose_events([0, 1, 0, 1, 1, 0])
-        assert stream.events == (Event("short", 1), Event("long", 3))
-        assert stream.source_length == 6
+        (m,) = structure_matrices([[0, 1, 0, 1, 1, 0]], 1, 1, 6, 1)
+        assert onsets_by_kind(m) == ([1], [3])
 
     def test_all_zero(self):
-        assert decompose_events([0, 0, 0]).events == ()
+        (m,) = structure_matrices([[0, 0, 0]], 1, 1, 3, 1)
+        assert m.shape == (2, 3)
+        assert not m.any()
 
     def test_rejects_long_run(self):
-        with pytest.raises(ValueError, match="run of 3 ones"):
-            decompose_events([1, 1, 1])
+        with pytest.raises(ValueError, match="run of 3 ones at bit 0: not a two-duration"):
+            structure_matrices([[1, 1, 1]], 1, 1, 3, 1)
+        # The first offending run of the first offending code is reported.
+        with pytest.raises(ValueError, match="run of 4 ones at bit 1"):
+            structure_matrices([[0, 1, 0, 0, 0, 1], [0, 1, 1, 1, 1, 0]], 1, 1, 6, 1)
 
     def test_gold_codes_decompose_to_two_kinds(self, modulated_gold):
-        for row in modulated_gold:
-            kinds = {ev.kind for ev in decompose_events(row).events}
-            assert kinds <= {"short", "long"}
+        mats = structure_matrices(modulated_gold, 1, 1, modulated_gold.shape[1], 1)
+        for row, m in zip(modulated_gold, mats):
+            runs = flash_runs(row)
+            assert {length for _, length in runs} <= {1, 2}
+            assert onsets_by_kind(m) == (
+                [onset for onset, length in runs if length == 1],
+                [onset for onset, length in runs if length == 2],
+            )
 
     def test_tile_events(self):
-        stream = decompose_events([0, 1, 0, 1, 1, 0])
-        tiled = tile_events(stream, 3)
-        assert tiled.source_length == 18
-        onsets = [ev.onset for ev in tiled.events]
-        assert onsets == [1, 3, 7, 9, 13, 15]
-        assert all(b > a for a, b in zip(onsets, onsets[1:]))
+        (m,) = structure_matrices([[0, 1, 0, 1, 1, 0]], 1, 1, 18, 1)
+        assert onsets_by_kind(m) == ([1, 7, 13], [3, 9, 15])
 
-
-def structure_matrix_loop(stream, fs, rate_hz, n_samples, response_samples):
-    """Reference structure matrix: one event at a time."""
-    matrix = np.zeros((2 * response_samples, n_samples))
-    for ev in stream.events:
-        if ev.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {ev.kind!r}")
-        onset = int(math.floor(ev.onset * fs / rate_hz + 0.5))
-        if onset >= n_samples:
-            continue
-        span = min(response_samples, n_samples - onset)
-        rows = EVENT_KINDS.index(ev.kind) * response_samples + np.arange(span)
-        matrix[rows, onset + np.arange(span)] = 1.0
-    return matrix
+    def test_cycle_seam_keeps_two_flashes(self, modulated_gold):
+        # A code that starts and ends with a one: tiling its bits first would
+        # merge the long flash at the end with the short one at the start.
+        code = [1, 0, 1, 1]
+        assert (2, 3) in flash_runs(np.tile(code, 3))
+        (m,) = structure_matrices([code], 1, 1, 12, 1)
+        assert onsets_by_kind(m) == ([0, 4, 8], [2, 6, 10])
+        seam = (modulated_gold[:, 0] == 1) & (modulated_gold[:, -1] == 1)
+        assert np.count_nonzero(seam) == 16
 
 
 class TestStructureMatrix:
     def test_single_short_event(self):
-        stream = EventStream((Event("short", 0),), 4)
-        m = structure_matrix(stream, fs=10, rate_hz=10, n_samples=4, response_samples=2)
+        (m,) = structure_matrices([[1, 0, 0, 0]], fs=10, rate_hz=10, n_samples=4,
+                                  response_samples=2)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1
         expected[1, 1] = 1
         assert np.array_equal(m, expected)
 
     def test_empty_stream(self):
-        m = structure_matrix(EventStream((), 4), 10, 10, 5, 2)
+        (m,) = structure_matrices([[0, 0, 0, 0]], 10, 10, 5, 2)
         assert m.shape == (4, 5)
         assert not m.any()
 
     def test_truncated_at_edge(self):
-        stream = EventStream((Event("long", 2),), 3)
-        m = structure_matrix(stream, fs=1, rate_hz=1, n_samples=3, response_samples=2)
+        (m,) = structure_matrices([[0, 0, 1, 1]], fs=1, rate_hz=1, n_samples=3,
+                                  response_samples=2)
         assert m.sum() == 1
         assert m[2, 2] == 1  # first row of the long block, first response sample
 
     def test_onset_rounding_half_up(self):
         # onset bit 1 at fs/rate = 2.5 -> sample 3 (round half up, not banker's).
-        stream = EventStream((Event("short", 1),), 4)
-        m = structure_matrix(stream, fs=5, rate_hz=2, n_samples=8, response_samples=1)
+        (m,) = structure_matrices([[0, 1, 0, 0]], fs=5, rate_hz=2, n_samples=8,
+                                  response_samples=1)
         assert m[0, 3] == 1
         assert m.sum() == 1
 
     def test_ones_count_exact(self, rng):
         for _ in range(20):
             code = modulate(rng.integers(0, 2, 20).astype(np.uint8))
-            stream = decompose_events(code)
-            n_samples = int(rng.integers(10, 50))
+            n_samples = int(rng.integers(10, 100))
             response = int(rng.integers(1, n_samples + 1))
-            m = structure_matrix(stream, 1, 1, n_samples, response)
-            expected = sum(
-                max(0, min(response, n_samples - ev.onset)) for ev in stream.events
-            )
-            assert m.sum() == expected
+            (m,) = structure_matrices([code], 1, 1, n_samples, response)
+            onsets = [onset + cycle * code.size for cycle in range(3)
+                      for onset, _ in flash_runs(code)]
+            assert m.sum() == sum(max(0, min(response, n_samples - s)) for s in onsets)
             assert set(np.unique(m)) <= {0.0, 1.0}
 
     def test_sparse_events_one_per_column_block(self):
         # With same-kind events spaced at least a response apart, column sums
         # stay at one per kind block; overlapping stimulation stacks them.
-        stream = EventStream((Event("short", 0), Event("short", 5)), 10)
-        m = structure_matrix(stream, 1, 1, 10, 3)
+        (m,) = structure_matrices([[1, 0, 0, 0, 0, 1, 0, 0, 0, 0]], 1, 1, 10, 3)
         assert m[:3].sum(axis=0).max() == 1
         assert m[3:].sum() == 0
 
     def test_rejects_bad_dimensions(self):
-        stream = EventStream((), 4)
-        with pytest.raises(ValueError):
-            structure_matrix(stream, 1, 1, 0, 1)
-        with pytest.raises(ValueError):
-            structure_matrix(stream, 1, 1, 4, 5)
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            structure_matrices([[0, 1, 0, 0]], 1, 1, 0, 1)
+        with pytest.raises(ValueError, match=r"response_samples must be in \[1, n_samples\]"):
+            structure_matrices([[0, 1, 0, 0]], 1, 1, 4, 5)
+        with pytest.raises(ValueError, match="response_samples"):
+            structure_matrices([[0, 1, 0, 0]], 1, 1, 4, 0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
+        n_codes=st.integers(1, 3),
         n_bits=st.integers(1, 40),
-        reps=st.integers(1, 4),
+        modulated=st.booleans(),
         rates=st.sampled_from([(1, 1), (5, 2), (120.0, 60.0), (120.0, 40.0), (250.0, 60.0)]),
         n_samples=st.integers(1, 300),
         response_samples=st.integers(1, 40),
     )
-    def test_matches_event_loop(self, seed, n_bits, reps, rates, n_samples, response_samples):
-        # Random modulated codes, tiled cyclically, at integer and fractional
-        # samples per bit; events run past the matrix edge or start beyond it.
+    def test_matches_event_loop(self, seed, n_codes, n_bits, modulated, rates, n_samples,
+                                response_samples):
+        # Random codes, tiled cyclically, at integer and fractional samples
+        # per bit; events run past the matrix edge or start beyond it. Codes
+        # that are not modulated may hold longer runs, which both reject.
         fs, rate_hz = rates
         response_samples = min(response_samples, n_samples)
-        bits = np.random.default_rng(seed).integers(0, 2, n_bits).astype(np.uint8)
-        stream = tile_events(decompose_events(modulate(bits)), reps)
-        got = structure_matrix(stream, fs, rate_hz, n_samples, response_samples)
-        want = structure_matrix_loop(stream, fs, rate_hz, n_samples, response_samples)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        codes = np.random.default_rng(seed).integers(0, 2, (n_codes, n_bits)).astype(np.uint8)
+        if modulated:
+            codes = modulate(codes)
+        try:
+            want = event_loop_matrices(codes, fs, rate_hz, n_samples, response_samples)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+                structure_matrices(codes, fs, rate_hz, n_samples, response_samples)
+            return
+        got = structure_matrices(codes, fs, rate_hz, n_samples, response_samples)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
     def test_edge_truncation_matches_event_loop(self):
-        stream = EventStream(
-            (Event("short", 0), Event("long", 3), Event("short", 6), Event("long", 7),
-             Event("short", 9)),
-            10,
-        )
-        for n_samples in range(4, 12):
-            got = structure_matrix(stream, 5, 2, n_samples, 4)
-            want = structure_matrix_loop(stream, 5, 2, n_samples, 4)
-            np.testing.assert_array_equal(got, want)
-
-    def test_unknown_kind_rejected(self):
-        stream = EventStream((Event("short", 0), Event("flicker", 2)), 4)
-        with pytest.raises(ValueError, match="unknown event kind 'flicker'"):
-            structure_matrix(stream, 1, 1, 4, 2)
+        code = [[1, 0, 0, 1, 1, 0, 1, 0, 1, 1]]
+        for n_samples in range(4, 40):
+            got = structure_matrices(code, 5, 2, n_samples, 4)
+            want = event_loop_matrices(code, 5, 2, n_samples, 4)
+            np.testing.assert_array_equal(got[0], want[0])
 
     def test_structure_matrices_match_event_loop(self, modulated_gold):
         for n_samples, fs, rate_hz in ((126, 120.0, 120.0), (504, 120.0, 60.0), (300, 250.0, 60.0)):
-            mats = structure_matrices(modulated_gold[:6], fs, rate_hz, n_samples, 36)
-            bits_needed = math.ceil(n_samples * rate_hz / fs)
-            for code, got in zip(modulated_gold[:6], mats):
-                stream = decompose_events(code)
-                stream = tile_events(stream, max(1, math.ceil(bits_needed / stream.source_length)))
-                want = structure_matrix_loop(stream, fs, rate_hz, n_samples, 36)
-                assert got.tobytes() == want.tobytes()
+            got = structure_matrices(modulated_gold, fs, rate_hz, n_samples, 36)
+            want = event_loop_matrices(modulated_gold, fs, rate_hz, n_samples, 36)
+            assert len(got) == 65
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64
+                assert g.tobytes() == w.tobytes()
 
     def test_structure_matrices_tiles_to_cover(self, modulated_gold):
         mats = structure_matrices(modulated_gold[:2], fs=120, rate_hz=120,
@@ -371,8 +414,38 @@ class TestCodebookIO:
         with pytest.raises(ValueError, match="lengths differ"):
             read_codebook(path)
 
+    @pytest.mark.parametrize("rate", ["0", "-120", "nan", "inf", "fast"])
+    def test_rejects_bad_rate(self, tmp_path, rate):
+        # A zero or negative rate would place flashes at wrapped or
+        # overflowing sample indices.
+        path = tmp_path / "codes.txt"
+        path.write_text(f"# rate_hz={rate}\n0101\n1010\n")
+        message = f"codes.txt:1: rate_hz must be a positive number, got '{rate}'"
+        with pytest.raises(ValueError, match=message):
+            read_codebook(path)
+
     def test_rejects_duplicates(self, tmp_path):
         path = tmp_path / "codes.txt"
         path.write_text("010\n010\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_codebook(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 70).flatmap(
+            lambda n_bits: st.lists(
+                st.lists(st.integers(0, 1), min_size=n_bits, max_size=n_bits),
+                min_size=2, max_size=8, unique_by=tuple,
+            )
+        ),
+        rate_hz=st.one_of(st.none(), st.integers(1, 10_000)),
+    )
+    def test_write_read_round_trip(self, rows, rate_hz):
+        codes = np.array(rows, dtype=np.uint8)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "codes.txt")
+            write_codebook(path, codes, rate_hz=rate_hz)
+            book = read_codebook(path)
+        assert book.codes.dtype == np.uint8
+        assert np.array_equal(book.codes, codes)
+        assert book.rate_hz == (120.0 if rate_hz is None else float(rate_hz))

@@ -8,7 +8,6 @@ from dynastop.metrics import (
     CSV_COLUMNS,
     DecisionCounts,
     MetricsRow,
-    aggregate,
     count_decisions,
     f_score,
     itr,
@@ -21,8 +20,7 @@ from dynastop.metrics import (
 
 
 def outcome(stopped_at, forced=False):
-    decisions = [False] * stopped_at + [True]
-    return StopOutcome(stopped_at, 0, forced, decisions)
+    return StopOutcome(stopped_at, 0, forced)
 
 
 class TestCountDecisions:
@@ -141,55 +139,6 @@ class TestSpm:
             spm(0.0)
         with pytest.raises(ValueError):
             spm(1.0, -0.1)
-
-
-def row(subject, accuracy, stop=1.0):
-    return MetricsRow(
-        subject=subject,
-        method="bds",
-        hyperparam=1.0,
-        similarity="inner",
-        accuracy=accuracy,
-        mean_stop_s=stop,
-        itr=10.0,
-        spm=30.0,
-        precision=accuracy,
-        recall=0.2,
-        specificity=0.9,
-        f_score=0.3,
-    )
-
-
-class TestAggregate:
-    def test_identical_rows_zero_ci(self):
-        agg = aggregate([row("a", 0.5), row("b", 0.5), row("c", 0.5)])
-        assert agg.subject == "mean"
-        assert agg.accuracy == pytest.approx(0.5)
-        assert agg.ci_accuracy == 0.0
-
-    def test_two_subject_mean(self):
-        agg = aggregate([row("a", 0.4), row("b", 0.6)])
-        assert agg.accuracy == pytest.approx(0.5)
-
-    def test_ci_matches_hand_computation(self):
-        agg = aggregate([row("a", 0.4), row("b", 0.5), row("c", 0.9)])
-        # mean 0.6; sample sd sqrt(0.07); half-width 1.96 * sd / sqrt(3)
-        assert agg.accuracy == pytest.approx(0.6)
-        assert agg.ci_accuracy == pytest.approx(1.96 * math.sqrt(0.07 / 3))
-        assert agg.ci_accuracy == pytest.approx(0.29939494540378153, abs=1e-12)
-
-    def test_single_row_zero_ci(self):
-        agg = aggregate([row("a", 0.7)])
-        assert agg.accuracy == pytest.approx(0.7)
-        assert agg.ci_accuracy == 0.0
-
-    def test_mixed_configurations_rejected(self):
-        other = row("b", 0.5)
-        other.method = "margin"
-        with pytest.raises(ValueError, match="mix"):
-            aggregate([row("a", 0.5), other])
-        with pytest.raises(ValueError):
-            aggregate([])
 
 
 def test_csv_columns_cover_row_fields():

@@ -16,26 +16,27 @@ from .decoding import score_traces
 
 
 class StoppingPolicy:
-    """Stopping rule over a whole (n_windows, n_classes) score trace.
+    """Stopping rule over (n_trials, n_windows, n_classes) score traces.
 
-    first_stop returns the first window at which the rule fires, or None when
-    it never does. Policies never handle the forced case or choose the label
+    first_stops gives each trial's first firing window (-1: never fires), and
+    first_stop its one-trace case (None: never fires); a rule overrides one of
+    the two. Policies never handle the forced case or choose the label
     themselves: apply_policy emits the best-scoring class at the stop, and
     stops at the last window when no rule fired.
     """
 
+    def first_stops(self, traces):
+        outcomes = [apply_policy(self, trace) for trace in traces]
+        return np.array([-1 if o.forced else o.stopped_at for o in outcomes], dtype=int)
+
     def first_stop(self, trace):
-        raise NotImplementedError
+        stop = int(self.first_stops(np.asarray(trace, dtype=float)[None])[0])
+        return None if stop < 0 else stop
 
 
 def apply_policy(policy, trace):
-    """Run a policy over a (n_windows, n_classes) score trace.
-
-    Returns
-    -------
-    outcome: StopOutcome
-        forced is True when only the final window produced the emission.
-    """
+    """Run a policy over one (n_windows, n_classes) score trace to its
+    StopOutcome; forced is True when only the final window produced it."""
     trace = np.asarray(trace, dtype=float)
     stop = policy.first_stop(trace)
     forced = stop is None
@@ -45,8 +46,8 @@ def apply_policy(policy, trace):
 
 
 def _first(fired):
-    """Index of the first True flag, None when there is none."""
-    return int(np.argmax(fired)) if fired.any() else None
+    """Index of the first True flag along the last axis, -1 where there is none."""
+    return np.where(fired.any(axis=-1), np.argmax(fired, axis=-1), -1)
 
 
 class FixedLengthPolicy(StoppingPolicy):
@@ -55,8 +56,9 @@ class FixedLengthPolicy(StoppingPolicy):
     def __init__(self, stop_window):
         self.stop_window = int(stop_window)
 
-    def first_stop(self, trace):
-        return max(self.stop_window, 0) if self.stop_window < trace.shape[0] else None
+    def first_stops(self, traces):
+        stop = max(self.stop_window, 0) if self.stop_window < traces.shape[1] else -1
+        return np.full(traces.shape[0], stop)
 
 
 class BoundaryPolicy(StoppingPolicy):
@@ -67,8 +69,8 @@ class BoundaryPolicy(StoppingPolicy):
     def __init__(self, eta):
         self.eta = np.asarray(eta, dtype=float)
 
-    def first_stop(self, trace):
-        return _first((trace > self.eta[: trace.shape[0], None]).any(axis=1))
+    def first_stops(self, traces):
+        return _first((traces > self.eta[: traces.shape[1], None]).any(axis=2))
 
 
 def _top_two_gap(traces):
@@ -84,8 +86,8 @@ class MarginPolicy(StoppingPolicy):
     def __init__(self, thresholds):
         self.thresholds = np.asarray(thresholds, dtype=float)
 
-    def first_stop(self, trace):
-        return _first(_top_two_gap(trace) >= self.thresholds[: trace.shape[0]])
+    def first_stops(self, traces):
+        return _first(_top_two_gap(traces) >= self.thresholds[: traces.shape[1]])
 
 
 class BetaPolicy(StoppingPolicy):

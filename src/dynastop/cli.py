@@ -27,7 +27,7 @@ from .codes import (
     write_codebook,
 )
 from .decoding import fit_cca, _templates_from_response
-from .evaluation import METHODS, check_method, evaluate_store, window_grid
+from .evaluation import METHODS, HyperparamError, check_method, evaluate_store, window_grid
 from .metrics import CSV_COLUMNS
 from .simulate import SimConfig, default_response, make_dataset, resolve_config
 from .store import ExperimentConfig, StoreError, load_store, write_results_csv, write_store
@@ -216,7 +216,7 @@ def cmd_calibrate(args):
     return 0
 
 
-def _run_evaluation(args, hyperparams, **shown):
+def _run_evaluation(args, hyperparams, flag, **shown):
     _print_config(
         args.command,
         {
@@ -247,6 +247,8 @@ def _run_evaluation(args, hyperparams, **shown):
             t_star_s=args.t_star_s,
             overhead_s=args.overhead_s,
         )
+    except HyperparamError as err:
+        raise UsageError(f"{flag}: {err}")
     except ValueError as err:
         raise UsageError(str(err))
     structures = _store_structures(meta, args.store)
@@ -265,7 +267,7 @@ def _run_evaluation(args, hyperparams, **shown):
 
 def cmd_evaluate(args):
     hyperparams = [args.hyperparam] if args.hyperparam is not None else []
-    return _run_evaluation(args, hyperparams, hyperparam=args.hyperparam)
+    return _run_evaluation(args, hyperparams, "--hyperparam", hyperparam=args.hyperparam)
 
 
 def cmd_sweep(args):
@@ -276,7 +278,7 @@ def cmd_sweep(args):
     if not values:
         raise UsageError("empty hyperparameter list")
     values = list(dict.fromkeys(values))
-    return _run_evaluation(args, values, hyperparam_list=values)
+    return _run_evaluation(args, values, "--hyperparam-list", hyperparam_list=values)
 
 
 def cmd_report(args):

@@ -15,7 +15,6 @@ from .baselines import (
     FixedLengthPolicy,
     MarginCandidates,
     MarginPolicy,
-    apply_policy,
     decoding_curve,
     static_max_accuracy,
     static_max_itr,
@@ -25,16 +24,20 @@ from .baselines import (
 from .bayes_stop import calibrate
 from .decoding import TrialStatistics, score_traces
 
-METHODS = (
-    "fixed",
-    "static_max_accuracy",
-    "static_targeted_accuracy",
-    "static_max_itr",
-    "margin",
-    "beta",
-    "bds",
-)
-_NEEDS_HYPERPARAM = {"fixed", "static_targeted_accuracy", "margin", "beta", "bds"}
+# Each method's hyperparameter domain as shown and as tested; None: takes none.
+METHODS = {
+    "fixed": ("seconds > 0", lambda h: h > 0),
+    "static_max_accuracy": None,
+    "static_targeted_accuracy": ("theta in (0, 1)", lambda h: 0 < h < 1),
+    "static_max_itr": None,
+    "margin": ("theta in [0, 1]", lambda h: 0 <= h <= 1),
+    "beta": ("theta in (0, 1)", lambda h: 0 < h < 1),
+    "bds": ("zeta > 0", lambda h: h > 0),
+}
+
+
+class HyperparamError(ValueError):
+    """A hyperparameter that is not finite or lies outside its method's domain."""
 
 
 def window_grid(grid_ms, t_star_s, fs):
@@ -61,17 +64,22 @@ def window_grid(grid_ms, t_star_s, fs):
 
 
 def check_method(method, similarity, hyperparams):
-    """Validate a method/similarity/hyperparameter combination."""
+    """Validate a method/similarity/hyperparameter combination; every
+    hyperparameter must be finite and lie in the method's domain."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
     if method == "beta" and similarity != "correlation":
         raise ValueError("the beta method does not support the inner product")
     if method == "bds" and similarity != "inner":
         raise ValueError("bds scores are inner products; correlation is not supported")
-    if method in _NEEDS_HYPERPARAM and not hyperparams:
+    if METHODS[method] and not hyperparams:
         raise ValueError(f"method {method!r} needs a hyperparameter")
-    if method not in _NEEDS_HYPERPARAM and hyperparams:
+    if not METHODS[method] and hyperparams:
         raise ValueError(f"method {method!r} takes no hyperparameter")
+    for h in hyperparams:
+        domain, inside = METHODS[method]
+        if not (math.isfinite(h) and inside(h)):
+            raise HyperparamError(f"{method} needs a finite value with {domain}, got {h:g}")
 
 
 def _nearest_window(grid, fs, seconds):
@@ -162,10 +170,8 @@ def evaluate_store(trials, structures, config, subject="s01"):
     """
     if not trials:
         raise ValueError("no trials to evaluate")
-    hyperparams = list(dict.fromkeys(config.hyperparams))
-    check_method(config.method, config.similarity, hyperparams)
-    if not hyperparams:
-        hyperparams = [None]
+    check_method(config.method, config.similarity, config.hyperparams)
+    hyperparams = list(dict.fromkeys(config.hyperparams)) or [None]
 
     fs = trials[0].fs
     t_star_s = config.t_star_s
@@ -175,11 +181,8 @@ def evaluate_store(trials, structures, config, subject="s01"):
     labels = np.array([t.label for t in trials])
     folds = stratified_folds(labels, config.folds)
 
-    hits = {h: [] for h in hyperparams}
-    stop_seconds = {h: [] for h in hyperparams}
-    counts = {h: metrics.DecisionCounts() for h in hyperparams}
-
     stats = TrialStatistics(trials, structures)
+    fold_stops, fold_correct = [], []
     for fold in folds:
         if fold.size == 0:
             continue
@@ -188,37 +191,29 @@ def evaluate_store(trials, structures, config, subject="s01"):
         policies = _FoldPolicies(
             config.method, config.similarity, stats, trials, np.flatnonzero(mask), grid
         )
-        policy_by_h = {h: policies.make(h) for h in hyperparams}
         traces = score_traces(policies.model, [trials[i] for i in fold], grid,
                               config.similarity)
-        argmax_correct = np.argmax(traces, axis=2) == labels[fold, None]
-        for trace, label, correct in zip(traces, labels[fold], argmax_correct):
-            for h in hyperparams:
-                outcome = apply_policy(policy_by_h[h], trace)
-                hits[h].append(outcome.label == label)
-                stop_seconds[h].append(grid[outcome.stopped_at] / fs)
-                counts[h] = counts[h] + metrics.count_decisions(outcome, correct)
+        fold_stops.append(np.stack([policies.make(h).first_stops(traces) for h in hyperparams]))
+        fold_correct.append(np.argmax(traces, axis=2) == labels[fold, None])
 
+    # One column per trial in fold order; a trial no rule stopped is forced
+    # to the last window.
+    first = np.concatenate(fold_stops, axis=1)
+    forced = first < 0
+    stops = np.where(forced, grid.size - 1, first)
+    correct = np.concatenate(fold_correct)
     rows = []
-    n_classes = len(structures)
-    for h in hyperparams:
-        accuracy = float(np.mean(hits[h]))
-        mean_stop = float(np.mean(stop_seconds[h]))
-        c = counts[h]
-        rows.append(
-            metrics.MetricsRow(
-                subject=subject,
-                method=config.method,
-                hyperparam=h,
-                similarity=config.similarity,
-                accuracy=accuracy,
-                mean_stop_s=mean_stop,
-                itr=metrics.itr(accuracy, n_classes, mean_stop + config.overhead_s),
-                spm=metrics.spm(mean_stop, config.overhead_s),
-                precision=metrics.precision(c),
-                recall=metrics.recall(c),
-                specificity=metrics.specificity(c),
-                f_score=metrics.f_score(c),
-            )
-        )
+    for h, h_stops, h_forced in zip(hyperparams, stops, forced):
+        c = metrics.tally_decisions(correct, h_stops, h_forced)
+        # Every trial makes one positive decision, so tp counts the hits.
+        accuracy = c.tp / h_stops.size
+        mean_stop = float(np.mean(grid[h_stops] / fs))
+        rows.append(metrics.MetricsRow(
+            subject=subject, method=config.method, hyperparam=h,
+            similarity=config.similarity, accuracy=accuracy, mean_stop_s=mean_stop,
+            itr=metrics.itr(accuracy, len(structures), mean_stop + config.overhead_s),
+            spm=metrics.spm(mean_stop, config.overhead_s),
+            precision=metrics.precision(c), recall=metrics.recall(c),
+            specificity=metrics.specificity(c), f_score=metrics.f_score(c),
+        ))
     return rows

@@ -34,28 +34,28 @@ class DecisionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def count_decisions(outcome, argmax_correct, include_forced=True):
-    """Classify the decisions of one trial.
-
-    Parameters
-    ----------
-    outcome: StopOutcome
-        Controller outcome; the positive decision sits at outcome.stopped_at.
-    argmax_correct: sequence of bool
-        Whether the best score matched the true class, for every window up to
-        and including the stop.
-    include_forced: bool (default: True)
-        When False, trials that only stopped because the maximum length was
-        reached are dropped from the counts entirely.
-    """
-    if len(argmax_correct) < outcome.stopped_at + 1:
+def tally_decisions(argmax_correct, stops, forced, include_forced=True):
+    """Pooled DecisionCounts of trials with (n_trials, n_windows) correctness
+    flags, a stop window and a forced flag each (with include_forced False,
+    forced trials count none); negatives come from the cumulative count of
+    correct windows before each stop."""
+    correct = np.asarray(argmax_correct, dtype=bool)
+    stops = np.asarray(stops, dtype=int)
+    if stops.size and (stops.min() < 0 or stops.max() >= correct.shape[1]):
         raise ValueError("correctness flags must cover every window up to the stop")
-    if outcome.forced and not include_forced:
-        return DecisionCounts()
-    stop = outcome.stopped_at
-    fn = int(np.count_nonzero(argmax_correct[:stop]))
-    tp = int(bool(argmax_correct[stop]))
-    return DecisionCounts(tp=tp, fp=1 - tp, tn=stop - fn, fn=fn)
+    kept = ~np.asarray(forced, dtype=bool) | include_forced
+    trial = np.arange(stops.size)
+    at_stop = correct[trial, stops]
+    fn = int((np.cumsum(correct, axis=1)[trial, stops] - at_stop)[kept].sum())
+    tp = int(np.count_nonzero(at_stop & kept))
+    return DecisionCounts(tp=tp, fp=int(np.count_nonzero(kept)) - tp,
+                          tn=int(stops[kept].sum()) - fn, fn=fn)
+
+
+def count_decisions(outcome, argmax_correct, include_forced=True):
+    """One trial's :func:`tally_decisions`, from its StopOutcome and flags."""
+    return tally_decisions([argmax_correct], [outcome.stopped_at], [outcome.forced],
+                           include_forced)
 
 
 def _ratio(numerator, denominator):

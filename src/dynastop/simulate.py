@@ -78,21 +78,16 @@ def resolve_config(cfg):
         raise ValueError("response length must be even (short + long block)")
     event_samples = response.size // 2
 
-    codes = cfg.codes
-    if codes is None:
+    if cfg.codes is None:
         codes = modulate(make_gold_codes())
         if cfg.n_classes > codes.shape[0]:
             raise ValueError(
                 f"{cfg.n_classes} classes exceed the {codes.shape[0]} default codes"
             )
-        if cfg.n_classes < codes.shape[0]:
-            probe = structure_matrices(codes, cfg.fs, cfg.rate_hz, n_samples, event_samples)
-            probe_templates = _templates_from_response(response, probe)
-            kept = select_subset(codes, probe_templates, cfg.n_classes)
-            codes = codes[kept]
-    codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
-    if codes.shape[0] != cfg.n_classes:
-        raise ValueError("codes row count must equal n_classes")
+    else:
+        codes = np.atleast_2d(np.asarray(cfg.codes, dtype=np.uint8))
+        if codes.shape[0] != cfg.n_classes:
+            raise ValueError("codes row count must equal n_classes")
 
     pattern = cfg.spatial_pattern
     if pattern is None:
@@ -103,6 +98,11 @@ def resolve_config(cfg):
 
     structures = structure_matrices(codes, cfg.fs, cfg.rate_hz, n_samples, event_samples)
     templates = _templates_from_response(response, structures)
+    if codes.shape[0] > cfg.n_classes:
+        # Each code's rows are built on their own, so the kept ones are theirs.
+        kept = select_subset(codes, templates, cfg.n_classes)
+        codes, templates = codes[kept], templates[kept]
+        structures = [structures[k] for k in kept]
     return ResolvedSim(
         config=cfg,
         codes=codes,

@@ -101,30 +101,39 @@ def integer_traces(draw, max_trials=1, max_windows=6, max_classes=5):
     return traces, rng.integers(0, n_classes, n_trials), rng
 
 
+def first_stops_loop(policy, traces):
+    """Reference first_stops: each trial's window-loop stop, -1 when forced."""
+    outcomes = [apply_policy_loop(policy, trace) for trace in traces]
+    return [-1 if o.forced else o.stopped_at for o in outcomes]
+
+
 class TestFirstCrossingOracle:
-    @settings(max_examples=200, deadline=None)
-    @given(case=integer_traces(), kind=st.sampled_from(["fixed", "boundary", "margin"]),
-           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    @given(case=integer_traces(max_trials=6),
+           kind=st.sampled_from(["fixed", "boundary", "margin"]), data=st.data())
     def test_matches_window_loop(self, case, kind, data):
         traces, _, rng = case
-        trace = traces[0]
-        n_windows = trace.shape[0]
+        n_windows = traces.shape[1]
         if kind == "fixed":
             policy = FixedLengthPolicy(data.draw(st.integers(-2, n_windows + 2)))
         else:
             levels = data.draw(st.lists(LEVELS, min_size=n_windows, max_size=n_windows))
             policy = (BoundaryPolicy if kind == "boundary" else MarginPolicy)(levels)
-        assert apply_policy(policy, trace) == apply_policy_loop(policy, trace)
+        assert policy.first_stops(traces).tolist() == first_stops_loop(policy, traces)
+        for trace in traces:
+            assert apply_policy(policy, trace) == apply_policy_loop(policy, trace)
 
     def test_random_traces_match_window_loop(self, rng):
         for _ in range(200):
-            trace = np.clip(rng.standard_normal((8, 6)).round(1) / 3.0, -1.0, 1.0)
+            traces = np.clip(rng.standard_normal((3, 8, 6)).round(1) / 3.0, -1.0, 1.0)
             levels = np.where(rng.random(8) < 0.2, rng.choice([-np.inf, np.inf], 8),
                               rng.standard_normal(8).round(1) / 3.0)
             for policy in (BoundaryPolicy(levels), MarginPolicy(np.abs(levels)),
                            FixedLengthPolicy(rng.integers(-1, 10)),
                            BetaPolicy(rng.choice([0.5, 0.9, 0.999]))):
-                assert apply_policy(policy, trace) == apply_policy_loop(policy, trace)
+                assert policy.first_stops(traces).tolist() == first_stops_loop(policy, traces)
+                for trace in traces:
+                    assert apply_policy(policy, trace) == apply_policy_loop(policy, trace)
 
 
 class TestFitMarginOracle:

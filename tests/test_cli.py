@@ -296,6 +296,37 @@ class TestSweep:
         assert code == 2
 
 
+class TestHyperparamDomains:
+    """A hyperparameter outside its method's domain, or not finite, is a
+    usage error that names the flag and the value before any fold is fitted."""
+
+    @pytest.mark.parametrize("command, method, similarity, value", [
+        ("sweep", "bds", "inner", "0"),
+        ("sweep", "beta", "correlation", "1.5"),
+        ("evaluate", "bds", "inner", "nan"),
+        ("sweep", "margin", "inner", "nan"),
+        ("evaluate", "fixed", "inner", "nan"),
+        ("evaluate", "fixed", "inner", "-1"),
+    ])
+    def test_exits_2_and_fits_nothing(self, tiny_store, tmp_path, capsys, monkeypatch,
+                                      command, method, similarity, value):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("evaluated an out-of-domain hyperparameter")
+
+        monkeypatch.setattr("dynastop.cli.evaluate_store", no_fit)
+        flag = "--hyperparam" if command == "evaluate" else "--hyperparam-list"
+        out = tmp_path / "r.csv"
+        code, captured = run(
+            [command, "--store", str(tiny_store), "--method", method,
+             "--similarity", similarity, flag, value, "--out-csv", str(out)],
+            capsys,
+        )
+        assert code == 2, captured.err
+        assert f"{flag}: " in captured.err
+        assert f"got {value}" in captured.err
+        assert not out.exists()
+
+
 class TestReport:
     @pytest.fixture
     def results_csv(self, tiny_store, tmp_path):

@@ -1,11 +1,67 @@
 import numpy as np
 import pytest
 
+from dynastop import metrics
 from dynastop.baselines import apply_policy, stratified_folds
-from dynastop.decoding import fit_cca, score_trace
-from dynastop.evaluation import check_method, evaluate_store, window_grid
+from dynastop.decoding import TrialStatistics, fit_cca, score_trace, score_traces
+from dynastop.evaluation import (
+    HyperparamError,
+    _FoldPolicies,
+    check_method,
+    evaluate_store,
+    window_grid,
+)
 from dynastop.metrics import count_decisions
 from dynastop.store import ExperimentConfig
+
+
+def evaluate_store_loop(trials, structures, config, subject="s01"):
+    """Reference evaluate_store: every held-out trial run through
+    apply_policy and count_decisions one hyperparameter at a time."""
+    hyperparams = list(dict.fromkeys(config.hyperparams)) or [None]
+    fs = trials[0].fs
+    t_star_s = config.t_star_s
+    if t_star_s is None:
+        t_star_s = trials[0].data.shape[1] / fs
+    grid = window_grid(config.grid_ms, t_star_s, fs)
+    labels = np.array([t.label for t in trials])
+    hits = {h: [] for h in hyperparams}
+    stop_seconds = {h: [] for h in hyperparams}
+    counts = {h: metrics.DecisionCounts() for h in hyperparams}
+    stats = TrialStatistics(trials, structures)
+    for fold in stratified_folds(labels, config.folds):
+        if fold.size == 0:
+            continue
+        mask = np.ones(len(trials), dtype=bool)
+        mask[fold] = False
+        policies = _FoldPolicies(
+            config.method, config.similarity, stats, trials, np.flatnonzero(mask), grid
+        )
+        policy_by_h = {h: policies.make(h) for h in hyperparams}
+        traces = score_traces(policies.model, [trials[i] for i in fold], grid,
+                              config.similarity)
+        argmax_correct = np.argmax(traces, axis=2) == labels[fold, None]
+        for trace, label, correct in zip(traces, labels[fold], argmax_correct):
+            for h in hyperparams:
+                outcome = apply_policy(policy_by_h[h], trace)
+                hits[h].append(outcome.label == label)
+                stop_seconds[h].append(grid[outcome.stopped_at] / fs)
+                counts[h] = counts[h] + count_decisions(outcome, correct)
+
+    rows = []
+    for h in hyperparams:
+        accuracy = float(np.mean(hits[h]))
+        mean_stop = float(np.mean(stop_seconds[h]))
+        c = counts[h]
+        rows.append(metrics.MetricsRow(
+            subject=subject, method=config.method, hyperparam=h,
+            similarity=config.similarity, accuracy=accuracy, mean_stop_s=mean_stop,
+            itr=metrics.itr(accuracy, len(structures), mean_stop + config.overhead_s),
+            spm=metrics.spm(mean_stop, config.overhead_s),
+            precision=metrics.precision(c), recall=metrics.recall(c),
+            specificity=metrics.specificity(c), f_score=metrics.f_score(c),
+        ))
+    return rows
 
 
 class TestWindowGrid:
@@ -67,6 +123,19 @@ class TestCheckMethod:
         with pytest.raises(ValueError, match="takes no hyperparameter"):
             check_method("static_max_accuracy", "inner", [0.5])
         check_method("static_max_itr", "correlation", [])
+
+    @pytest.mark.parametrize("method, similarity, inside, outside", [
+        ("bds", "inner", [1e-8, 1.0, 1e8], [0.0, -1.0]),
+        ("fixed", "inner", [0.1, 5.0], [0.0, -1.0]),
+        ("margin", "inner", [0.0, 0.5, 1.0], [-0.1, 1.5]),
+        ("beta", "correlation", [0.1, 0.99], [0.0, 1.0, 1.5]),
+        ("static_targeted_accuracy", "inner", [0.5], [0.0, 1.0]),
+    ])
+    def test_hyperparameter_domain(self, method, similarity, inside, outside):
+        check_method(method, similarity, inside)
+        for value in outside + [float("nan"), float("inf"), -float("inf")]:
+            with pytest.raises(HyperparamError, match=method):
+                check_method(method, similarity, [*inside, value])
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +239,25 @@ class TestEvaluateStore:
                 )
         assert total.tp + total.fn == expected_positive_windows
         assert total.tp + total.fp == len(trials)
+
+    @pytest.mark.parametrize("method, similarity, hyperparams", [
+        ("bds", "inner", [1e-8, 1.0, 1e4, 1.0, 1e8]),
+        ("margin", "inner", [0.0, 0.5, 0.9, 0.5, 1.0]),
+        ("margin", "correlation", [0.3, 0.7]),
+        ("beta", "correlation", [0.5, 0.9, 0.5, 0.999]),
+        ("fixed", "inner", [0.05, 0.3, 1.05, 0.3, 9.0]),
+        ("static_targeted_accuracy", "inner", [0.1, 0.5, 0.98, 0.1]),
+        ("static_max_accuracy", "inner", []),
+        ("static_max_itr", "correlation", []),
+    ])
+    @pytest.mark.parametrize("t_star_s", [None, 0.55])
+    def test_rows_match_trial_loop(self, small_sim, method, similarity, hyperparams, t_star_s):
+        cfg, sim, trials = small_sim
+        config = ExperimentConfig(method=method, similarity=similarity,
+                                  hyperparams=hyperparams, folds=5, t_star_s=t_star_s,
+                                  overhead_s=0.5)
+        assert (evaluate_store(trials, sim.structures, config)
+                == evaluate_store_loop(trials, sim.structures, config))
 
     def test_rejects_empty(self, sim_setup):
         cfg, sim, trials = sim_setup

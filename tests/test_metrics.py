@@ -16,6 +16,7 @@ from dynastop.metrics import (
     recall,
     specificity,
     spm,
+    tally_decisions,
 )
 
 
@@ -66,6 +67,28 @@ class TestCountDecisions:
             want.tp, want.fp = int(flags[stop]), int(not flags[stop])
             for given_flags in (flags, flags.tolist()):
                 assert count_decisions(outcome(stop), given_flags) == want
+
+    @pytest.mark.parametrize("include_forced", [True, False])
+    def test_tally_matches_trial_sum(self, rng, include_forced):
+        for _ in range(100):
+            n_trials, n_windows = rng.integers(1, 8), rng.integers(1, 12)
+            correct = rng.random((n_trials, n_windows)) < 0.5
+            stops = rng.integers(0, n_windows, n_trials)
+            forced = rng.random(n_trials) < 0.3
+            want = DecisionCounts()
+            for flags, stop, was_forced in zip(correct, stops, forced):
+                want = want + count_decisions(outcome(int(stop), bool(was_forced)), flags,
+                                              include_forced)
+            got = tally_decisions(correct, stops, forced, include_forced)
+            assert got == want
+            assert all(type(v) is int for v in (got.tp, got.fp, got.tn, got.fn))
+
+    def test_tally_of_no_trials(self):
+        assert tally_decisions(np.zeros((0, 3), bool), [], []) == DecisionCounts()
+
+    def test_tally_rejects_stop_past_flags(self):
+        with pytest.raises(ValueError, match="cover"):
+            tally_decisions([[True, False]], [2], [False])
 
     def test_counts_add(self):
         total = DecisionCounts(1, 2, 3, 4) + DecisionCounts(5, 6, 7, 8)

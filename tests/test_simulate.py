@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from dynastop.codes import structure_matrices
+from dynastop.decoding import _templates_from_response
 from dynastop.simulate import (
     SimConfig,
     default_response,
@@ -24,6 +26,22 @@ class TestResolveConfig:
         assert sim.codes.shape == (36, 126)
         assert sim.templates.shape == (36, 126)
         assert len(sim.structures) == 36
+
+    @pytest.mark.parametrize("n_classes, trial_seconds", [(36, 1.05), (36, 4.2), (65, 1.05)])
+    def test_kept_rows_equal_a_build_of_the_kept_codes(self, n_classes, trial_seconds):
+        # The subset's matrices and templates are rows of the full family's;
+        # they must be the bytes a build from the kept codes alone gives.
+        cfg = SimConfig(n_classes=n_classes, trial_seconds=trial_seconds)
+        sim = resolve_config(cfg)
+        structures = structure_matrices(sim.codes, cfg.fs, cfg.rate_hz, sim.n_samples,
+                                        sim.response.size // 2)
+        templates = _templates_from_response(sim.response, structures)
+        assert len(sim.structures) == n_classes
+        for got, want in zip(sim.structures, structures):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                              want.tobytes())
+        assert (sim.templates.dtype, sim.templates.shape) == (templates.dtype, templates.shape)
+        assert sim.templates.tobytes() == templates.tobytes()
 
     def test_custom_response_length_must_be_even(self):
         with pytest.raises(ValueError, match="even"):

@@ -10,12 +10,9 @@ __version__ = "0.1.0"
 
 from .baselines import (
     BetaPolicy,
-    BoundaryPolicy,
     DecodingCurve,
     FixedLengthPolicy,
     MarginPolicy,
-    MarginTable,
-    StoppingPolicy,
     apply_policy,
     beta_cdf,
     decoding_curve,
@@ -30,6 +27,7 @@ from .baselines import (
 from .bayes_stop import (
     StopOutcome,
     StoppingModel,
+    StoppingPolicy,
     WindowParams,
     calibrate,
     decision_boundary,

@@ -1,9 +1,9 @@
 """Comparison stopping strategies behind one policy interface: fixed trial
 length, three static selectors driven by a cross-validated decoding curve, the
-score-margin rule, and the Beta-distribution outlier rule.
+score-margin rule, and the Beta-distribution outlier rule; plus the JSON codec
+of every policy, the calibrated bds model included.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -11,27 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .bayes_stop import StopOutcome, StoppingModel
+from .bayes_stop import StopOutcome, StoppingModel, StoppingPolicy, WindowParams, _first
 from .decoding import score_traces
-
-
-class StoppingPolicy:
-    """Stopping rule over (n_trials, n_windows, n_classes) score traces.
-
-    first_stops gives each trial's first firing window (-1: never fires), and
-    first_stop its one-trace case (None: never fires); a rule overrides one of
-    the two. Policies never handle the forced case or choose the label
-    themselves: apply_policy emits the best-scoring class at the stop, and
-    stops at the last window when no rule fired.
-    """
-
-    def first_stops(self, traces):
-        outcomes = [apply_policy(self, trace) for trace in traces]
-        return np.array([-1 if o.forced else o.stopped_at for o in outcomes], dtype=int)
-
-    def first_stop(self, trace):
-        stop = int(self.first_stops(np.asarray(trace, dtype=float)[None])[0])
-        return None if stop < 0 else stop
 
 
 def apply_policy(policy, trace):
@@ -45,11 +26,6 @@ def apply_policy(policy, trace):
     return StopOutcome(stop, int(np.argmax(trace[stop])), forced)
 
 
-def _first(fired):
-    """Index of the first True flag along the last axis, -1 where there is none."""
-    return np.where(fired.any(axis=-1), np.argmax(fired, axis=-1), -1)
-
-
 class FixedLengthPolicy(StoppingPolicy):
     """Always stop at one predeclared window with the best-scoring class."""
 
@@ -59,18 +35,6 @@ class FixedLengthPolicy(StoppingPolicy):
     def first_stops(self, traces):
         stop = max(self.stop_window, 0) if self.stop_window < traces.shape[1] else -1
         return np.full(traces.shape[0], stop)
-
-
-class BoundaryPolicy(StoppingPolicy):
-    """Stop when any score exceeds its window's boundary and emit the
-    highest-scoring class, which is then accepted too. Drives a calibrated
-    StoppingModel inside the shared evaluation harness."""
-
-    def __init__(self, eta):
-        self.eta = np.asarray(eta, dtype=float)
-
-    def first_stops(self, traces):
-        return _first((traces > self.eta[: traces.shape[1], None]).any(axis=2))
 
 
 def _top_two_gap(traces):
@@ -98,7 +62,8 @@ class BetaPolicy(StoppingPolicy):
     maximum (ties at the maximum excluded), and the trial stops when the Beta
     CDF at the mapped maximum reaches the target accuracy. Only meaningful for
     bounded (correlation) scores. Windows are tested one at a time, because
-    the rule usually fires at the first.
+    the rule usually fires at the first, and first_stops runs apply_policy on
+    each trace.
     """
 
     def __init__(self, target_accuracy, epsilon=1e-6):
@@ -106,6 +71,10 @@ class BetaPolicy(StoppingPolicy):
             raise ValueError("target accuracy must be in (0, 1)")
         self.target_accuracy = float(target_accuracy)
         self.epsilon = float(epsilon)
+
+    def first_stops(self, traces):
+        outcomes = [apply_policy(self, trace) for trace in traces]
+        return np.array([-1 if o.forced else o.stopped_at for o in outcomes], dtype=int)
 
     def first_stop(self, trace):
         return next((w for w, s in enumerate(trace) if self.decide(s, w) is not None), None)
@@ -311,14 +280,6 @@ def static_max_itr(curve):
     return int(np.argmax(curve.itr))
 
 
-@dataclass
-class MarginTable:
-    """Per-window margin thresholds targeting a training accuracy."""
-
-    thresholds: np.ndarray
-    target_accuracy: float
-
-
 def fit_margin(traces, labels, theta):
     """Learn per-window margin thresholds reaching a targeted accuracy.
 
@@ -337,7 +298,7 @@ def fit_margin(traces, labels, theta):
 
     Returns
     -------
-    table: MarginTable
+    policy: MarginPolicy
     """
     return MarginCandidates(traces, labels).table(theta)
 
@@ -345,7 +306,7 @@ def fit_margin(traces, labels, theta):
 class MarginCandidates:
     """The candidate margin thresholds of a set of training traces, sorted
     once per window, with the training accuracy each would give; every
-    targeted accuracy reads its :func:`fit_margin` table from them."""
+    targeted accuracy reads its :func:`fit_margin` policy from them."""
 
     def __init__(self, traces, labels):
         traces = np.asarray(traces, dtype=float)
@@ -367,47 +328,91 @@ class MarginCandidates:
         self.first[1:] = self.margins[1:] != self.margins[:-1]
 
     def table(self, theta):
-        """The :func:`fit_margin` table for targeted accuracy theta."""
+        """The :func:`fit_margin` policy for targeted accuracy theta."""
         reached = self.first & (self.accuracy >= theta)
         k = np.argmax(reached, axis=0)
         windows = np.arange(self.margins.shape[1])
         thresholds = np.where(reached.any(axis=0), self.margins[k, windows], np.inf)
-        return MarginTable(thresholds=thresholds, target_accuracy=float(theta))
+        return MarginPolicy(thresholds)
+
+
+# The WindowParams fields a "bds" envelope carries per window, next to its eta.
+_WINDOW_FIELDS = ("b0", "b1", "s0", "s1")
+
+
+def _encode(value):
+    """A float for JSON; the infinities become the strings "inf" and "-inf"."""
+    value = float(value)
+    return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
+
+
+def _read(value, key, kind):
+    """A JSON value of policy field key as kind: float (a number, or "inf" or
+    "-inf" for the infinities), int, list or dict; None is a missing field.
+    ValueError naming the field otherwise."""
+    if kind is float and value in ("inf", "-inf"):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        problem = "is missing" if value is None else f"has type {type(value).__name__}"
+        raise ValueError(f"policy field {key!r} {problem}")
+    return kind(value)
 
 
 def serialize_policy(policy):
-    """JSON-ready envelope for a stopping policy: a kind tag plus parameters."""
+    """JSON-ready envelope for a stopping policy: a kind tag plus parameters.
+    Infinite boundaries and thresholds are written as "inf"/"-inf"."""
     if isinstance(policy, StoppingModel):
-        return {"kind": "bds", **json.loads(policy.to_json())}
+        return {
+            "kind": "bds",
+            "alpha": _encode(policy.alpha),
+            "sigma": _encode(policy.sigma),
+            "zeta": _encode(policy.zeta),
+            "n_classes": int(policy.n_classes),
+            "t_star": policy.t_star,
+            "grid": [int(w) for w in policy.grid],
+            "windows": [{**{k: _encode(getattr(p, k)) for k in _WINDOW_FIELDS}, "eta": _encode(e)}
+                        for p, e in zip(policy.windows, policy.eta)],
+        }
     if isinstance(policy, FixedLengthPolicy):
         return {"kind": "fixed", "stop_window": policy.stop_window}
-    if isinstance(policy, (MarginPolicy, MarginTable)):
-        envelope = {
-            "kind": "margin",
-            "thresholds": ["inf" if math.isinf(t) else float(t) for t in policy.thresholds],
-        }
-        if isinstance(policy, MarginTable):
-            envelope["target_accuracy"] = policy.target_accuracy
-        return envelope
+    if isinstance(policy, MarginPolicy):
+        return {"kind": "margin", "thresholds": [_encode(t) for t in policy.thresholds]}
     if isinstance(policy, BetaPolicy):
         return {"kind": "beta", "target_accuracy": policy.target_accuracy}
     raise TypeError(f"cannot serialize {type(policy).__name__}")
 
 
 def deserialize_policy(envelope):
-    """Rebuild a policy from :func:`serialize_policy` output.
-
-    The "bds" kind returns the StoppingModel; wrap its boundaries in a
-    BoundaryPolicy to run it against score traces.
-    """
+    """Rebuild a policy from :func:`serialize_policy` output; the "bds" kind
+    is the StoppingModel itself, checked for a strictly increasing grid that
+    ends at t_star and one window entry per window. A missing, mistyped or
+    inconsistent field raises ValueError naming it."""
+    if not isinstance(envelope, dict):
+        raise ValueError(f"a policy envelope is a JSON object, not {type(envelope).__name__}")
     kind = envelope.get("kind")
     if kind == "bds":
-        return StoppingModel.from_json(json.dumps(envelope))
+        grid = [_read(w, "grid", int) for w in _read(envelope.get("grid"), "grid", list)]
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("grid must be non-empty and strictly increasing")
+        if grid[-1] != _read(envelope.get("t_star"), "t_star", int):
+            raise ValueError("last grid window must equal t_star")
+        entries = [_read(e, "windows", dict)
+                   for e in _read(envelope.get("windows"), "windows", list)]
+        if len(entries) != len(grid):
+            raise ValueError("one window entry per grid point required")
+        return StoppingModel(
+            **{k: _read(envelope.get(k), k, float) for k in ("alpha", "sigma", "zeta")},
+            n_classes=_read(envelope.get("n_classes"), "n_classes", int),
+            grid=np.asarray(grid, dtype=int),
+            windows=[WindowParams(**{k: _read(e.get(k), k, float) for k in _WINDOW_FIELDS},
+                                  window_samples=w) for e, w in zip(entries, grid)],
+            eta=np.array([_read(e.get("eta"), "eta", float) for e in entries]),
+        )
     if kind == "fixed":
-        return FixedLengthPolicy(envelope["stop_window"])
+        return FixedLengthPolicy(_read(envelope.get("stop_window"), "stop_window", int))
     if kind == "margin":
-        thresholds = [math.inf if t == "inf" else float(t) for t in envelope["thresholds"]]
-        return MarginPolicy(thresholds)
+        thresholds = _read(envelope.get("thresholds"), "thresholds", list)
+        return MarginPolicy([_read(t, "thresholds", float) for t in thresholds])
     if kind == "beta":
-        return BetaPolicy(envelope["target_accuracy"])
+        return BetaPolicy(_read(envelope.get("target_accuracy"), "target_accuracy", float))
     raise ValueError(f"unknown policy kind {kind!r}")

@@ -6,7 +6,6 @@ per-window score boundary via a likelihood ratio test, and runs the online
 stop/continue controller.
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -36,28 +35,57 @@ class StopOutcome:
     """Result of running the controller on one trial.
 
     stopped_at is the grid index of the single stop decision; every earlier
-    window continued. forced marks an emission that happened only because
-    the maximum trial length was reached.
+    window continued. label is the best-scoring class at the stop. forced
+    marks a stop that happened only because the maximum trial length was
+    reached.
     """
 
     stopped_at: int
-    label: int | None
+    label: int
     forced: bool
 
 
+def _first(fired):
+    """Index of the first True flag along the last axis, -1 where there is none."""
+    return np.where(fired.any(axis=-1), np.argmax(fired, axis=-1), -1)
+
+
+class StoppingPolicy:
+    """Stopping rule over (n_trials, n_windows, n_classes) score traces.
+
+    first_stops gives each trial's first firing window (-1: never fires), and
+    first_stop its one-trace case (None: never fires). Policies never handle
+    the forced case or choose the label themselves: baselines.apply_policy
+    emits the best-scoring class at the stop, and stops at the last window
+    when no rule fired.
+    """
+
+    def first_stop(self, trace):
+        stop = int(self.first_stops(np.asarray(trace, dtype=float)[None])[0])
+        return None if stop < 0 else stop
+
+
 @dataclass
-class StoppingModel:
+class StoppingModel(StoppingPolicy):
     """Calibrated stopping model: score scaling, noise level, per-window
-    distribution parameters, and decision boundaries for one cost ratio."""
+    distribution parameters, and decision boundaries for one cost ratio.
+
+    As a policy it stops at the first window where any score exceeds the
+    window's boundary; the best-scoring class is then accepted too.
+    """
 
     alpha: float
     sigma: float
     zeta: float
     n_classes: int
-    t_star: int
     grid: np.ndarray
     windows: list
     eta: np.ndarray
+
+    @property
+    def t_star(self):
+        """The maximum trial length in samples: the last grid window."""
+        return int(self.grid[-1])
 
     def with_cost_ratio(self, zeta):
         """Same calibration, boundaries recomputed for a new cost ratio."""
@@ -66,68 +94,8 @@ class StoppingModel:
         )
         return replace(self, zeta=float(zeta), eta=eta)
 
-    def to_json(self):
-        """Serialize to a JSON document; infinite boundaries become "inf"/"-inf"."""
-        def encode(value):
-            if math.isinf(value):
-                return "inf" if value > 0 else "-inf"
-            return value
-
-        return json.dumps(
-            {
-                "alpha": self.alpha,
-                "sigma": self.sigma,
-                "zeta": self.zeta,
-                "n_classes": self.n_classes,
-                "t_star": self.t_star,
-                "grid": [int(w) for w in self.grid],
-                "windows": [
-                    {
-                        "b0": p.b0,
-                        "b1": p.b1,
-                        "s0": p.s0,
-                        "s1": p.s1,
-                        "eta": encode(float(e)),
-                    }
-                    for p, e in zip(self.windows, self.eta)
-                ],
-            },
-            indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        grid = np.asarray(doc["grid"], dtype=int)
-        if grid.size == 0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be non-empty and strictly increasing")
-        if int(grid[-1]) != int(doc["t_star"]):
-            raise ValueError("last grid window must equal t_star")
-        if len(doc["windows"]) != grid.size:
-            raise ValueError("one window entry per grid point required")
-        windows = []
-        eta = []
-        for entry, w in zip(doc["windows"], grid):
-            windows.append(
-                WindowParams(
-                    b1=float(entry["b1"]),
-                    b0=float(entry["b0"]),
-                    s1=float(entry["s1"]),
-                    s0=float(entry["s0"]),
-                    window_samples=int(w),
-                )
-            )
-            eta.append(float(entry["eta"]))  # float("inf") parses the sentinels
-        return cls(
-            alpha=float(doc["alpha"]),
-            sigma=float(doc["sigma"]),
-            zeta=float(doc["zeta"]),
-            n_classes=int(doc["n_classes"]),
-            t_star=int(doc["t_star"]),
-            grid=grid,
-            windows=windows,
-            eta=np.asarray(eta, dtype=float),
-        )
+    def first_stops(self, traces):
+        return _first((traces > self.eta[: traces.shape[1], None]).any(axis=2))
 
 
 def estimate_scaling_and_noise(pairs):
@@ -271,8 +239,8 @@ def decision_boundary(params, alpha, zeta, n_classes):
     ratio never reaches the threshold (never stop at this window) and -inf
     when it always exceeds it.
     """
-    if zeta <= 0:
-        raise ValueError("cost ratio must be positive")
+    if not zeta > 0:
+        raise ValueError(f"cost ratio must be positive, got {zeta!r}")
     if n_classes < 2:
         raise ValueError("need at least two classes")
     threshold = math.log((n_classes - 1) * zeta)
@@ -369,21 +337,20 @@ def calibrate(model, trials, grid, zeta=1.0):
         sigma=sigma,
         zeta=float(zeta),
         n_classes=n_classes,
-        t_star=t_star,
         grid=grid,
         windows=windows,
         eta=np.asarray(eta, dtype=float),
     )
 
 
-def run_trial(stopping, model, trial, emit_on_timeout=True):
+def run_trial(stopping, model, trial):
     """Run the stop/continue controller over one trial.
 
     At each grid window the per-class inner-product scores are compared with
     the window's boundary; the first window where any score exceeds it stops
-    the trial and emits the highest-scoring accepted class. Reaching the last
-    window without a crossing forces an emission of the overall best class
-    (or None when emit_on_timeout is False). The scores are running sums:
+    the trial. Reaching the last window without a crossing forces the stop
+    there. Either way the trial emits its best-scoring class: a score above
+    the boundary puts the maximum above it too. The scores are running sums:
     each window adds the templates' products with the segment filtered since
     the previous window, so a trial that stops at window k costs k segment
     products.
@@ -398,11 +365,7 @@ def run_trial(stopping, model, trial, emit_on_timeout=True):
     for idx, w in enumerate(stopping.grid):
         scores += model.templates[:, start:w] @ (model.spatial_filter @ trial.data[:, start:w])
         start = w
-        accepted = np.flatnonzero(scores > stopping.eta[idx])
-        if accepted.size:
-            label = int(accepted[np.argmax(scores[accepted])])
-            return StopOutcome(idx, label, False)
-        if idx == last:
-            label = int(np.argmax(scores)) if emit_on_timeout else None
-            return StopOutcome(idx, label, True)
+        fired = (scores > stopping.eta[idx]).any()
+        if fired or idx == last:
+            return StopOutcome(idx, int(np.argmax(scores)), not fired)
     raise AssertionError("unreachable: grid is never empty")

@@ -129,19 +129,15 @@ def cmd_simulate(args):
         sigma=float(settings["sigma"]),
         seed=int(settings["seed"]),
     )
-    resolved = resolve_config(cfg)
-    trials = make_dataset(cfg, trials_per_class, resolved=resolved)
+    try:
+        resolved = resolve_config(cfg)
+        trials = make_dataset(cfg, trials_per_class, resolved=resolved)
+    except ValueError as err:
+        raise UsageError(str(err))
     write_store(out, trials, cfg.n_classes, codebook="codebook.txt")
     write_codebook(f"{out}/codebook.txt", resolved.codes, rate_hz=cfg.rate_hz)
     print(f"wrote {len(trials)} trials to {out}")
     return 0
-
-
-def _load_store_or_usage(path):
-    try:
-        return load_store(path)
-    except StoreError as err:
-        raise UsageError(str(err))
 
 
 def _store_structures(meta, store_path):
@@ -197,7 +193,11 @@ def cmd_calibrate(args):
             "out_model": args.out_model,
         },
     )
-    meta, trials = _load_store_or_usage(args.store)
+    try:
+        check_method("bds", "inner", [args.zeta])
+    except HyperparamError as err:
+        raise UsageError(f"--zeta: {err}")
+    meta, trials = load_store(args.store)
     structures = _store_structures(meta, args.store)
     grid = _store_grid(args, meta)
     model = fit_cca(trials, structures)
@@ -232,7 +232,7 @@ def _run_evaluation(args, hyperparams, flag, **shown):
             "out_csv": args.out_csv,
         },
     )
-    meta, trials = _load_store_or_usage(args.store)
+    meta, trials = load_store(args.store)
     if not trials:
         raise UsageError(f"{args.store}: store holds no trials")
     _store_grid(args, meta)
@@ -252,8 +252,7 @@ def _run_evaluation(args, hyperparams, flag, **shown):
     except ValueError as err:
         raise UsageError(str(err))
     structures = _store_structures(meta, args.store)
-    subject = args.subject
-    rows = evaluate_store(trials, structures, config, subject=subject)
+    rows = evaluate_store(trials, structures, config, subject=args.subject)
     write_results_csv(args.out_csv, rows, append=True)
     for row in rows:
         tag = "" if row.hyperparam is None else f" h={row.hyperparam:g}"
@@ -408,10 +407,7 @@ def main(argv=None):
         args.subject = args.store.rstrip("/").rsplit("/", 1)[-1]
     try:
         return args.func(args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except StoreError as err:
+    except (UsageError, StoreError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - map any runtime failure to exit 1

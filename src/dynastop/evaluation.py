@@ -11,10 +11,8 @@ import numpy as np
 from . import metrics
 from .baselines import (
     BetaPolicy,
-    BoundaryPolicy,
     FixedLengthPolicy,
     MarginCandidates,
-    MarginPolicy,
     decoding_curve,
     static_max_accuracy,
     static_max_itr,
@@ -127,7 +125,7 @@ class _FoldPolicies:
 
     def make(self, hyperparam):
         if self.method == "bds":
-            return BoundaryPolicy(self.base_stopping.with_cost_ratio(hyperparam).eta)
+            return self.base_stopping.with_cost_ratio(hyperparam)
         if self.method == "fixed":
             return FixedLengthPolicy(_nearest_window(self.grid, self.fs, hyperparam))
         if self.method == "static_max_accuracy":
@@ -137,7 +135,7 @@ class _FoldPolicies:
         if self.method == "static_targeted_accuracy":
             return FixedLengthPolicy(static_targeted_accuracy(self.curve, hyperparam))
         if self.method == "margin":
-            return MarginPolicy(self.margin_candidates.table(hyperparam).thresholds)
+            return self.margin_candidates.table(hyperparam)
         if self.method == "beta":
             return BetaPolicy(hyperparam)
         raise ValueError(f"unknown method {self.method!r}")

@@ -3,6 +3,7 @@ times a scaled class template plus white Gaussian noise, so every stage of the
 pipeline is testable without recorded data.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,10 @@ def default_pattern(n_channels):
 
 def resolve_config(cfg):
     """Materialize codes, pattern, response, structures, and true templates."""
-    if cfg.sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(cfg.sigma) and cfg.sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {cfg.sigma!r}")
+    if not math.isfinite(cfg.alpha):
+        raise ValueError(f"alpha must be finite, got {cfg.alpha!r}")
     n_samples = int(round(cfg.trial_seconds * cfg.fs))
     if n_samples < 1:
         raise ValueError("trial_seconds too short for the sampling rate")

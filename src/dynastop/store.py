@@ -8,6 +8,7 @@ order, so trials stream without loading the whole file.
 
 import csv
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -74,25 +75,16 @@ def write_store(path, trials, n_classes, codebook=None):
             raise StoreError(f"labels[{i}]={trial.label} out of range [0, {n_classes})")
         labels.append(int(trial.label))
 
-    meta = StoreMeta(
-        fs=fs,
-        n_channels=int(shape[0]),
-        n_samples=int(shape[1]),
-        n_trials=len(trials),
-        n_classes=int(n_classes),
-        labels=labels,
-        codebook=codebook,
-    )
     manifest = {
         "format_version": FORMAT_VERSION,
-        "fs": meta.fs,
-        "channels": meta.n_channels,
-        "samples_per_trial": meta.n_samples,
-        "n_trials": meta.n_trials,
-        "n_classes": meta.n_classes,
-        "labels": meta.labels,
-        "codebook": meta.codebook,
-        "byte_order": meta.byte_order,
+        "fs": fs,
+        "channels": int(shape[0]),
+        "samples_per_trial": int(shape[1]),
+        "n_trials": len(trials),
+        "n_classes": int(n_classes),
+        "labels": labels,
+        "codebook": codebook,
+        "byte_order": "little",
     }
     with open(os.path.join(path, MANIFEST_NAME), "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
@@ -102,14 +94,18 @@ def write_store(path, trials, n_classes, codebook=None):
             fh.write(np.ascontiguousarray(trial.data, dtype=_SAMPLE_DTYPE).tobytes())
 
 
-def _require(manifest, key, kind):
+def _require(manifest, key, kind, valid=None, domain=""):
+    """manifest[key] as kind, where a JSON boolean is never a number; with
+    valid, a value it rejects is out of range and the message shows domain."""
     if key not in manifest:
         raise StoreError(f"manifest field {key!r} is missing")
     value = manifest[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise StoreError(f"manifest field {key!r} has type {type(value).__name__}")
+    if valid is not None and not valid(value):
+        raise StoreError(f"manifest field {key!r} must be {domain}, got {value!r}")
     return value
 
 
@@ -136,18 +132,24 @@ def read_store(path):
         raise StoreError(f"{manifest_path}: no manifest") from None
     except json.JSONDecodeError as err:
         raise StoreError(f"{manifest_path}: unreadable manifest: {err}") from None
+    if not isinstance(manifest, dict):
+        raise StoreError(f"{manifest_path}: manifest is not a JSON object")
 
     if _require(manifest, "format_version", int) != FORMAT_VERSION:
         raise StoreError(f"format_version {manifest['format_version']} unsupported")
     byte_order = _require(manifest, "byte_order", str)
     if byte_order != "little":
         raise StoreError(f"byte_order {byte_order!r} unsupported (little-endian v1 only)")
+    n_trials = _require(manifest, "n_trials", int, lambda v: v >= 0, ">= 0")
+    # A store without trials records 0 for its sampling rate and trial shape.
+    positive, shown = (lambda v: v >= 0, ">= 0") if n_trials == 0 else (lambda v: v > 0, "> 0")
     meta = StoreMeta(
-        fs=_require(manifest, "fs", float),
-        n_channels=_require(manifest, "channels", int),
-        n_samples=_require(manifest, "samples_per_trial", int),
-        n_trials=_require(manifest, "n_trials", int),
-        n_classes=_require(manifest, "n_classes", int),
+        fs=_require(manifest, "fs", float, lambda v: math.isfinite(v) and positive(v),
+                    f"finite and {shown}"),
+        n_channels=_require(manifest, "channels", int, positive, shown),
+        n_samples=_require(manifest, "samples_per_trial", int, positive, shown),
+        n_trials=n_trials,
+        n_classes=_require(manifest, "n_classes", int, lambda v: v > 0, "> 0"),
         labels=_require(manifest, "labels", list),
         codebook=manifest.get("codebook"),
         byte_order=byte_order,
@@ -155,7 +157,7 @@ def read_store(path):
     if len(meta.labels) != meta.n_trials:
         raise StoreError(f"labels length {len(meta.labels)} != n_trials {meta.n_trials}")
     for i, label in enumerate(meta.labels):
-        if not isinstance(label, int) or not 0 <= label < meta.n_classes:
+        if type(label) is not int or not 0 <= label < meta.n_classes:
             raise StoreError(f"labels[{i}]={label} out of range [0, {meta.n_classes})")
 
     blob_path = os.path.join(path, BLOB_NAME)
@@ -208,6 +210,8 @@ class ExperimentConfig:
             raise ValueError("t_star must be at least one grid step")
         if self.similarity not in ("inner", "correlation"):
             raise ValueError(f"unknown similarity {self.similarity!r}")
+        if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0):
+            raise ValueError(f"overhead_s must be finite and >= 0, got {self.overhead_s!r}")
 
     @classmethod
     def from_json(cls, path):

@@ -22,7 +22,6 @@ import pytest
 
 import dynastop
 from dynastop.baselines import (
-    BoundaryPolicy,
     DecodingCurve,
     apply_policy,
     beta_cdf,
@@ -95,7 +94,7 @@ def bds_cross_validation(trials, structures, zetas, fs, folds=5, grid_ms=100.0):
         train = [trials[i] for i in np.flatnonzero(mask)]
         model = fit_cca(train, structures)
         base = calibrate(model, train, grid, zeta=1.0)
-        policies = {z: BoundaryPolicy(base.with_cost_ratio(z).eta) for z in zetas}
+        policies = {z: base.with_cost_ratio(z) for z in zetas}
         for idx in fold:
             trace = score_trace(model, trials[idx], grid, "inner")
             correct = np.argmax(trace, axis=1) == trials[idx].label
@@ -392,11 +391,10 @@ def test_criterion_11_decision_accounting():
         train = [trials[i] for i in np.flatnonzero(mask)]
         model = fit_cca(train, sim.structures)
         stopping = calibrate(model, train, grid, zeta=1.0)
-        policy = BoundaryPolicy(stopping.eta)
         for idx in fold:
             trace = score_trace(model, trials[idx], grid, "inner")
             correct = np.argmax(trace, axis=1) == trials[idx].label
-            total = total + count_decisions(apply_policy(policy, trace), correct)
+            total = total + count_decisions(apply_policy(stopping, trace), correct)
     assert total.tp + total.fp == len(trials)
     report(11, f"four-outcome semantics verified; {total.tp + total.fp} positive "
                f"decisions for {len(trials)} trials")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from dynastop.baselines import (
     BetaPolicy,
-    BoundaryPolicy,
     DecodingCurve,
     FixedLengthPolicy,
     MarginCandidates,
@@ -23,8 +23,8 @@ from dynastop.baselines import (
     static_targeted_accuracy,
     stratified_folds,
 )
-from dynastop.bayes_stop import StopOutcome, calibrate, run_trial
-from dynastop.decoding import TrialStatistics, fit_cca, score_trace
+from dynastop.bayes_stop import StopOutcome, StoppingModel, WindowParams, calibrate, run_trial
+from dynastop.decoding import TrialStatistics, fit_cca, score_trace, score_traces
 from dynastop.evaluation import window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
 
@@ -46,7 +46,7 @@ def window_decide(policy, scores, window_index):
     None to wait."""
     if isinstance(policy, FixedLengthPolicy):
         return int(np.argmax(scores)) if window_index >= policy.stop_window else None
-    if isinstance(policy, BoundaryPolicy):
+    if isinstance(policy, StoppingModel):
         accepted = np.flatnonzero(scores > policy.eta[window_index])
         return int(accepted[np.argmax(scores[accepted])]) if accepted.size else None
     if isinstance(policy, MarginPolicy):
@@ -55,6 +55,14 @@ def window_decide(policy, scores, window_index):
             return int(np.argmax(scores))
         return None
     return policy.decide(scores, window_index)
+
+
+def boundary_model(eta):
+    """A StoppingModel that runs the given boundaries, one window per sample."""
+    grid = np.arange(1, len(eta) + 1)
+    return StoppingModel(alpha=1.0, sigma=1.0, zeta=1.0, n_classes=2, grid=grid,
+                         windows=[WindowParams(1.0, 0.0, 1.0, 1.0, int(w)) for w in grid],
+                         eta=np.asarray(eta, dtype=float))
 
 
 def apply_policy_loop(policy, trace):
@@ -118,7 +126,7 @@ class TestFirstCrossingOracle:
             policy = FixedLengthPolicy(data.draw(st.integers(-2, n_windows + 2)))
         else:
             levels = data.draw(st.lists(LEVELS, min_size=n_windows, max_size=n_windows))
-            policy = (BoundaryPolicy if kind == "boundary" else MarginPolicy)(levels)
+            policy = (boundary_model if kind == "boundary" else MarginPolicy)(levels)
         assert policy.first_stops(traces).tolist() == first_stops_loop(policy, traces)
         for trace in traces:
             assert apply_policy(policy, trace) == apply_policy_loop(policy, trace)
@@ -128,7 +136,7 @@ class TestFirstCrossingOracle:
             traces = np.clip(rng.standard_normal((3, 8, 6)).round(1) / 3.0, -1.0, 1.0)
             levels = np.where(rng.random(8) < 0.2, rng.choice([-np.inf, np.inf], 8),
                               rng.standard_normal(8).round(1) / 3.0)
-            for policy in (BoundaryPolicy(levels), MarginPolicy(np.abs(levels)),
+            for policy in (boundary_model(levels), MarginPolicy(np.abs(levels)),
                            FixedLengthPolicy(rng.integers(-1, 10)),
                            BetaPolicy(rng.choice([0.5, 0.9, 0.999]))):
                 assert policy.first_stops(traces).tolist() == first_stops_loop(policy, traces)
@@ -157,9 +165,7 @@ class TestFitMarginOracle:
         for theta in (0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
             expected = fit_margin_loop(traces, labels, theta)
             np.testing.assert_array_equal(fit_margin(traces, labels, theta).thresholds, expected)
-            table = shared.table(theta)
-            np.testing.assert_array_equal(table.thresholds, expected)
-            assert table.target_accuracy == theta
+            np.testing.assert_array_equal(shared.table(theta).thresholds, expected)
 
 
 class TestApplyPolicy:
@@ -198,11 +204,10 @@ class TestBoundaryPolicy:
         model = fit_cca(trials[:20], sim.structures)
         grid = window_grid(100, 1.05, cfg.fs)
         stopping = calibrate(model, trials[:20], grid, zeta=1.0)
-        policy = BoundaryPolicy(stopping.eta)
         for trial in trials[20:]:
             direct = run_trial(stopping, model, trial)
             trace = score_trace(model, trial, grid, "inner")
-            via_policy = apply_policy(policy, trace)
+            via_policy = apply_policy(stopping, trace)
             assert direct.stopped_at == via_policy.stopped_at
             assert direct.label == via_policy.label
             assert direct.forced == via_policy.forced
@@ -490,21 +495,31 @@ class TestPolicySerialization:
         assert isinstance(back, FixedLengthPolicy) and back.stop_window == 3
 
     def test_margin_roundtrip_with_infinity(self):
-        env = serialize_policy(MarginPolicy([0.5, math.inf]))
+        env = serialize_policy(MarginPolicy([0.5, math.inf, -math.inf]))
+        assert env["thresholds"] == [0.5, "inf", "-inf"]
         back = deserialize_policy(env)
-        assert back.thresholds[0] == 0.5 and back.thresholds[1] == math.inf
+        assert back.thresholds.tolist() == [0.5, math.inf, -math.inf]
 
-    def test_margin_table_keeps_target_accuracy(self):
-        from dynastop.baselines import MarginTable
-
-        table = MarginTable(thresholds=np.array([0.2, math.inf]), target_accuracy=0.9)
-        env = serialize_policy(table)
-        assert env["kind"] == "margin"
-        assert env["target_accuracy"] == 0.9
-        assert env["thresholds"] == [0.2, "inf"]
+    def test_fitted_margin_policy_envelope(self):
+        traces = np.array([[[1.0, 0.0], [1.0, 0.9]], [[0.0, 1.0], [1.0, 0.9]]])
+        policy = fit_margin(traces, [0, 1], 1.0)
+        assert isinstance(policy, MarginPolicy)
+        env = serialize_policy(policy)
+        assert env == {"kind": "margin", "thresholds": [1.0, "inf"]}
         back = deserialize_policy(env)
         assert isinstance(back, MarginPolicy)
-        assert back.thresholds[1] == math.inf
+        assert back.thresholds.tolist() == [1.0, math.inf]
+
+    @pytest.mark.parametrize("envelope, named", [
+        ({"kind": "fixed"}, "stop_window"),
+        ({"kind": "fixed", "stop_window": 2.5}, "stop_window"),
+        ({"kind": "margin", "thresholds": "inf"}, "thresholds"),
+        ({"kind": "margin", "thresholds": [0.5, "nan"]}, "thresholds"),
+        ({"kind": "beta", "target_accuracy": "0.9"}, "target_accuracy"),
+    ])
+    def test_missing_or_mistyped_field_is_named(self, envelope, named):
+        with pytest.raises(ValueError, match=f"policy field '{named}'"):
+            deserialize_policy(envelope)
 
     def test_beta_roundtrip(self):
         back = deserialize_policy(serialize_policy(BetaPolicy(0.9)))
@@ -516,10 +531,16 @@ class TestPolicySerialization:
         stopping = calibrate(model, trials, [12, 126], zeta=3.0)
         env = serialize_policy(stopping)
         assert env["kind"] == "bds"
-        back = deserialize_policy(env)
-        np.testing.assert_allclose(back.eta, stopping.eta)
+        back = deserialize_policy(json.loads(json.dumps(env)))
+        np.testing.assert_array_equal(back.eta, stopping.eta)
         assert back.zeta == stopping.zeta
+        # The model read back is the bds policy itself.
+        traces = score_traces(model, trials, [12, 126], "inner")
+        np.testing.assert_array_equal(back.first_stops(traces), stopping.first_stops(traces))
+        assert apply_policy(back, traces[0]) == apply_policy(stopping, traces[0])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown policy kind"):
             deserialize_policy({"kind": "mystery"})
+        with pytest.raises(ValueError, match="JSON object"):
+            deserialize_policy(["bds"])

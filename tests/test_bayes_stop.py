@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dynastop.baselines import apply_policy, deserialize_policy, serialize_policy
 from dynastop.bayes_stop import (
     StopOutcome,
     StoppingModel,
@@ -18,12 +20,12 @@ from dynastop.bayes_stop import (
     run_trial,
     window_params,
 )
-from dynastop.decoding import DecoderModel, Trial, fit_cca, score
+from dynastop.decoding import DecoderModel, Trial, fit_cca, score, score_traces
 from dynastop.evaluation import window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
 
 
-def window_run_trial(stopping, model, trial, emit_on_timeout=True):
+def window_run_trial(stopping, model, trial):
     """Reference controller: every window's prefix scored from sample 0."""
     if trial.data.shape[1] < stopping.t_star:
         raise ValueError("trial shorter than the maximum trial length")
@@ -35,8 +37,7 @@ def window_run_trial(stopping, model, trial, emit_on_timeout=True):
             label = int(accepted[np.argmax(scores[accepted])])
             return StopOutcome(idx, label, False)
         if idx == last:
-            label = int(np.argmax(scores)) if emit_on_timeout else None
-            return StopOutcome(idx, label, True)
+            return StopOutcome(idx, int(np.argmax(scores)), True)
     raise AssertionError("unreachable: grid is never empty")
 
 
@@ -298,7 +299,69 @@ class TestDecisionBoundary:
         with pytest.raises(ValueError):
             decision_boundary(p, 1.0, 0.0, 2)
         with pytest.raises(ValueError):
+            decision_boundary(p, 1.0, math.nan, 2)
+        with pytest.raises(ValueError):
             decision_boundary(p, 1.0, 1.0, 1)
+
+
+def bisect_rising_crossing(params, alpha, threshold, eta):
+    """The crossing of log_likelihood_ratio with threshold where the ratio
+    rises, by bisection. The bracket runs from the ratio's turning point along
+    its rising side (around eta when the ratio is linear) and doubles in width
+    until the ratio changes sign across it. Returns None when the ratio at the
+    turning point is too close to the threshold for its sign to be trusted."""
+    def gap(f):
+        return log_likelihood_ratio(f, params, alpha) - threshold
+
+    v1, v0 = params.s1 ** 2, params.s0 ** 2
+    width = 1.0 + abs(eta)
+    if v1 == v0:
+        def bracket(w):
+            return eta - w, eta + w
+    else:
+        vertex = alpha * (v1 * params.b0 - v0 * params.b1) / (v1 - v0)
+        if abs(gap(vertex)) < 1e-6 or (gap(vertex) < 0.0) != (v1 > v0):
+            return None
+        width += abs(eta - vertex)
+
+        def bracket(w):
+            return (vertex, vertex + w) if v1 > v0 else (vertex - w, vertex)
+    for _ in range(1100):
+        lo, hi = bracket(width)
+        if gap(lo) < 0.0 < gap(hi):
+            break
+        width *= 2.0
+    else:
+        raise AssertionError("the ratio never crosses the threshold on its rising side")
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestDecisionBoundaryBisection:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        b1=st.floats(0.01, 100.0),
+        b0_share=st.floats(-1.0, 1.0),
+        s1=st.floats(1e-3, 10.0),
+        s0_ratio=st.sampled_from([1.0]) | st.floats(0.2, 5.0),
+        alpha=st.floats(1e-3, 3.0) | st.floats(-3.0, -1e-3),
+        log10_zeta=st.floats(-8.0, 8.0),
+        n_classes=st.integers(2, 64),
+    )
+    def test_finite_boundary_is_the_bisected_crossing(self, b1, b0_share, s1, s0_ratio,
+                                                       alpha, log10_zeta, n_classes):
+        p = WindowParams(b1=b1, b0=b0_share * b1, s1=s1, s0=s1 * s0_ratio, window_samples=4)
+        zeta = 10.0 ** log10_zeta
+        eta = decision_boundary(p, alpha, zeta, n_classes)
+        assume(math.isfinite(eta))
+        root = bisect_rising_crossing(p, alpha, math.log((n_classes - 1) * zeta), eta)
+        assume(root is not None)
+        scale = abs(alpha) * b1 + p.s1 + p.s0
+        assert eta == pytest.approx(root, rel=1e-9, abs=1e-9 * scale)
 
 
 def symmetric_two_class_model():
@@ -334,7 +397,7 @@ class TestCalibrate:
         grid = [12, 60, 126]
         a = calibrate(model, trials, grid, zeta=2.0)
         b = calibrate(model, trials, grid, zeta=2.0)
-        assert a.to_json() == b.to_json()
+        assert json.dumps(serialize_policy(a)) == json.dumps(serialize_policy(b))
 
     def test_single_window_matches_last_of_larger_grid(self, small_sim):
         cfg, sim, trials = small_sim
@@ -408,7 +471,6 @@ class TestRunTrial:
             sigma=0.1,
             zeta=1.0,
             n_classes=2,
-            t_star=8,
             grid=np.array([2, 4, 6, 8]),
             windows=[
                 WindowParams(1.0, 0.0, 0.1, 0.1, w) for w in (2, 4, 6, 8)
@@ -441,12 +503,12 @@ class TestRunTrial:
         assert out.label == 1
         assert not out.forced
 
-    def test_timeout_suppression(self):
+    def test_timeout_emits_best_class(self):
         stopping, model = self.scripted_stopping([math.inf] * 4)
         trial = Trial(model.templates[0][None, :], None, 8.0)
-        out = run_trial(stopping, model, trial, emit_on_timeout=False)
+        out = run_trial(stopping, model, trial)
         assert out.forced
-        assert out.label is None
+        assert out.label == 0
 
     def test_short_trial_rejected(self):
         stopping, model = self.scripted_stopping([0.0] * 4)
@@ -472,10 +534,9 @@ class TestRunTrialOracle:
             for zeta in (1e-4, 1e-2, 1.0, 1e2, 1e4):
                 stopping = base.with_cost_ratio(zeta)
                 for trial in trials:
-                    for emit in (True, False):
-                        outcome = run_trial(stopping, model, trial, emit)
-                        assert outcome == window_run_trial(stopping, model, trial, emit)
-                        stops.add((outcome.stopped_at, outcome.forced))
+                    outcome = run_trial(stopping, model, trial)
+                    assert outcome == window_run_trial(stopping, model, trial)
+                    stops.add((outcome.stopped_at, outcome.forced))
             assert len(stops) > 3  # early, late and forced stops all occur
 
     @settings(max_examples=200, deadline=None)
@@ -483,12 +544,10 @@ class TestRunTrialOracle:
         seed=st.integers(0, 2**32 - 1),
         n_classes=st.integers(2, 5),
         n_samples=st.integers(1, 24),
-        emit_on_timeout=st.booleans(),
         levels=st.lists(st.sampled_from([-math.inf, -4.0, -1.0, 0.0, 1.0, 3.0, 8.0, math.inf]),
                         min_size=24, max_size=24),
     )
-    def test_integer_trials_match_window_loop(self, seed, n_classes, n_samples,
-                                              emit_on_timeout, levels):
+    def test_integer_trials_match_window_loop(self, seed, n_classes, n_samples, levels):
         # Small integers keep every partial sum exact, so both controllers see
         # the same scores bit for bit and ties with the boundaries are common.
         rng = np.random.default_rng(seed)
@@ -503,13 +562,15 @@ class TestRunTrialOracle:
         grid[-1] = n_samples
         grid = np.unique(grid)
         stopping = StoppingModel(
-            alpha=1.0, sigma=1.0, zeta=1.0, n_classes=n_classes, t_star=n_samples,
-            grid=grid, windows=[WindowParams(1.0, 0.0, 1.0, 1.0, int(w)) for w in grid],
+            alpha=1.0, sigma=1.0, zeta=1.0, n_classes=n_classes, grid=grid,
+            windows=[WindowParams(1.0, 0.0, 1.0, 1.0, int(w)) for w in grid],
             eta=np.asarray(levels[: grid.size]),
         )
         trial = Trial(rng.integers(-2, 3, (2, n_samples + 2)).astype(float), None, 10.0)
-        assert run_trial(stopping, model, trial, emit_on_timeout) == window_run_trial(
-            stopping, model, trial, emit_on_timeout)
+        outcome = run_trial(stopping, model, trial)
+        assert outcome == window_run_trial(stopping, model, trial)
+        trace = np.array([score(model, trial, int(w)).scores for w in grid])
+        assert outcome == apply_policy(stopping, trace)
 
     def test_paper_length_session_matches_window_loop(self):
         cfg = SimConfig(n_classes=36, n_channels=8, trial_seconds=4.2, sigma=3.0, seed=23)
@@ -524,6 +585,22 @@ class TestRunTrialOracle:
                 assert run_trial(stopping, model, trial) == window_run_trial(
                     stopping, model, trial)
 
+    def test_small_sim_matches_model_first_stops(self, small_sim):
+        # The online controller and the model's batched rule stop every trial
+        # at the same window and emit the argmax there.
+        cfg, sim, trials = small_sim
+        model = fit_cca(trials[:20], sim.structures)
+        grid = window_grid(100.0, cfg.trial_seconds, cfg.fs)
+        traces = score_traces(model, trials, grid, "inner")
+        base = calibrate(model, trials[:20], grid, zeta=1.0)
+        for zeta in (1e-4, 1e-2, 1.0, 1e2, 1e4):
+            stopping = base.with_cost_ratio(zeta)
+            first = stopping.first_stops(traces)
+            for trial, trace, stop in zip(trials, traces, first):
+                want = StopOutcome(grid.size - 1 if stop < 0 else int(stop),
+                                   int(np.argmax(trace[stop])), bool(stop < 0))
+                assert run_trial(stopping, model, trial) == want
+
 
 class TestStoppingModelJson:
     def test_roundtrip_with_infinities(self, small_sim):
@@ -532,9 +609,9 @@ class TestStoppingModelJson:
         stopping = calibrate(model, trials, [12, 60, 126], zeta=1e10)
         stopping.eta[0] = math.inf
         stopping.eta[1] = -math.inf
-        text = stopping.to_json()
+        text = json.dumps(serialize_policy(stopping))
         assert '"inf"' in text and '"-inf"' in text
-        back = StoppingModel.from_json(text)
+        back = deserialize_policy(json.loads(text))
         assert back.zeta == stopping.zeta
         assert back.n_classes == stopping.n_classes
         np.testing.assert_array_equal(back.grid, stopping.grid)
@@ -543,6 +620,7 @@ class TestStoppingModelJson:
 
     def test_rejects_inconsistent_documents(self):
         doc = {
+            "kind": "bds",
             "alpha": 1.0,
             "sigma": 0.1,
             "zeta": 1.0,
@@ -553,11 +631,38 @@ class TestStoppingModelJson:
                 {"b0": 0.0, "b1": 1.0, "s0": 0.1, "s1": 0.1, "eta": 0.5}
             ],
         }
-        import json
-
         with pytest.raises(ValueError, match="window entry"):
-            StoppingModel.from_json(json.dumps(doc))
+            deserialize_policy(doc)
         doc["t_star"] = 9
         doc["windows"].append({"b0": 0.0, "b1": 1.0, "s0": 0.1, "s1": 0.1, "eta": 0.5})
         with pytest.raises(ValueError, match="t_star"):
-            StoppingModel.from_json(json.dumps(doc))
+            deserialize_policy(doc)
+        doc["t_star"] = 8
+        doc["grid"] = [8, 2]
+        with pytest.raises(ValueError, match="increasing"):
+            deserialize_policy(doc)
+
+    @pytest.mark.parametrize("path, value, named", [
+        (("alpha",), None, "alpha"), (("sigma",), "1.0", "sigma"), (("zeta",), True, "zeta"),
+        (("zeta",), "nan", "zeta"), (("n_classes",), 2.0, "n_classes"),
+        (("n_classes",), None, "n_classes"), (("t_star",), "8", "t_star"),
+        (("grid",), 8, "grid"), (("grid", 0), 2.5, "grid"), (("windows",), {}, "windows"),
+        (("windows", 1), [0.5], "windows"), (("windows", 0, "b1"), None, "b1"),
+        (("windows", 1, "s0"), False, "s0"), (("windows", 1, "eta"), "Infinity", "eta"),
+    ])
+    def test_missing_or_mistyped_field_is_named(self, path, value, named):
+        doc = {"kind": "bds", "alpha": 1.0, "sigma": 0.1, "zeta": 1.0, "n_classes": 2,
+               "t_star": 8, "grid": [2, 8],
+               "windows": [{"b0": 0.0, "b1": 1.0, "s0": 0.1, "s1": 0.1, "eta": "-inf"},
+                           {"b0": 0.0, "b1": 1.0, "s0": 0.1, "s1": 0.1, "eta": 0.5}]}
+        assert deserialize_policy(doc).eta[0] == -math.inf
+        *outer, last = path
+        target = doc
+        for key in outer:
+            target = target[key]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+        with pytest.raises(ValueError, match=f"policy field '{named}'"):
+            deserialize_policy(doc)

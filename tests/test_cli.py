@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dynastop.bayes_stop import StoppingModel
+from dynastop.baselines import deserialize_policy
 from dynastop.cli import main
 from dynastop.codes import read_codebook, write_codebook
 from dynastop.decoding import Trial
@@ -117,7 +117,7 @@ class TestCalibrate:
         ) == 0
         envelope = json.loads(out.read_text())
         assert envelope["kind"] == "bds"
-        model = StoppingModel.from_json(json.dumps(envelope))
+        model = deserialize_policy(envelope)
         assert model.zeta == 2.0
         assert model.n_classes == 6
         assert model.grid[-1] == model.t_star
@@ -215,7 +215,7 @@ class TestGridFlags:
         with deadline(60):
             assert main(["calibrate", "--store", str(tiny_store), "--grid-ms", "1e-9",
                          "--out-model", str(out)]) == 0
-        model = StoppingModel.from_json(out.read_text())
+        model = deserialize_policy(json.loads(out.read_text()))
         np.testing.assert_array_equal(model.grid, np.arange(1, 127))
 
 
@@ -324,6 +324,54 @@ class TestHyperparamDomains:
         assert code == 2, captured.err
         assert f"{flag}: " in captured.err
         assert f"got {value}" in captured.err
+        assert not out.exists()
+
+
+class TestOutOfDomainFlags:
+    """A numeric flag outside its domain, or not finite, is a usage error that
+    names the flag or field and fits or writes nothing."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_zeta(self, tiny_store, tmp_path, capsys, monkeypatch, value):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted a decoder for an out-of-domain --zeta")
+
+        monkeypatch.setattr("dynastop.cli.fit_cca", no_fit)
+        out = tmp_path / "m.json"
+        code, captured = run(["calibrate", "--store", str(tiny_store), "--zeta", value,
+                              "--out-model", str(out)], capsys)
+        assert code == 2, captured.err
+        assert "--zeta: " in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_overhead(self, tiny_store, tmp_path, capsys, monkeypatch, command, value):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("evaluated with an out-of-domain --overhead-s")
+
+        monkeypatch.setattr("dynastop.cli.evaluate_store", no_fit)
+        flag = "--hyperparam" if command == "evaluate" else "--hyperparam-list"
+        out = tmp_path / "r.csv"
+        code, captured = run([command, "--store", str(tiny_store), "--method", "bds", flag,
+                              "1", "--overhead-s", value, "--out-csv", str(out)], capsys)
+        assert code == 2, captured.err
+        assert "overhead_s" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--sigma", "nan", "sigma"),
+        ("--sigma", "inf", "sigma"),
+        ("--sigma", "0", "sigma"),
+        ("--alpha", "nan", "alpha"),
+        ("--alpha", "-inf", "alpha"),
+        ("--trials-per-class", "0", "trials_per_class"),
+    ])
+    def test_simulate(self, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "store"
+        code, captured = run(["simulate", "--out", str(out), f"{flag}={value}"], capsys)
+        assert code == 2, captured.err
+        assert f"{named} must be" in captured.err
         assert not out.exists()
 
 

@@ -1,10 +1,13 @@
 import csv
 import json
 import os
+import tempfile
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynastop.decoding import Trial
 from dynastop.metrics import CSV_COLUMNS, MetricsRow
@@ -133,6 +136,54 @@ class TestStoreErrors:
         trials[1] = Trial(np.zeros((2, 20)), 1, 120.0)
         with pytest.raises(StoreError, match="shape"):
             write_store(tmp_path / "store", trials, n_classes=3)
+
+
+# Per manifest field, values a store reader must reject: mistyped (a JSON bool
+# is no int), not finite, or out of range; MISSING deletes the field.
+MISSING = object()
+NAN, INF = float("nan"), float("inf")
+BAD_MANIFEST_VALUES = {
+    "format_version": [MISSING, 2, 0, 1.0, "1", True, None],
+    "byte_order": [MISSING, "big", 1, None],
+    "n_trials": [MISSING, -1, 5, 7, 6.0, "6", True, NAN, None],
+    "fs": [MISSING, NAN, INF, -INF, 0, -120.0, "120", True, None, [120.0]],
+    "channels": [MISSING, 0, -3, 3.0, "3", True, INF, None],
+    "samples_per_trial": [MISSING, 0, -20, 20.5, "20", False, NAN, None],
+    "n_classes": [MISSING, 0, -1, 3.0, "3", True, None],
+    "labels": [MISSING, "0,1,2", 3, None, {"0": 0}, [0, 1, 2, 0, 1, True],
+               [0, 1, 2, 0, 1, 3], [0, 1, 2, 0, 1, -1], [0, 1, 2, 0, 1, 1.0],
+               [0, 1, 2, 0, 1, NAN]],
+}
+
+
+class TestManifestProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(field=st.sampled_from(sorted(BAD_MANIFEST_VALUES)), data=st.data())
+    def test_bad_field_raises_store_error_naming_it(self, field, data):
+        value = data.draw(st.sampled_from(BAD_MANIFEST_VALUES[field]))
+        rng = np.random.default_rng(5)
+        with tempfile.TemporaryDirectory() as path:
+            write_store(path, make_trials(rng), n_classes=3, codebook="codes.txt")
+            manifest_path = os.path.join(path, "manifest.json")
+            with open(manifest_path) as fh:
+                manifest = json.load(fh)
+            if value is MISSING:
+                del manifest[field]
+            else:
+                manifest[field] = value
+            with open(manifest_path, "w") as fh:
+                json.dump(manifest, fh)
+            with pytest.raises(StoreError, match=field):
+                read_store(path)
+
+    def test_empty_store_may_record_zero_rate(self, tmp_path):
+        write_store(tmp_path, [], n_classes=4)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["fs"] == 0.0 and manifest["channels"] == 0
+        manifest["fs"] = -1.0
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="'fs'"):
+            read_store(tmp_path)
 
 
 def sample_row(subject="s01", method="bds", hyperparam=1.0):

@@ -77,28 +77,25 @@ class BetaPolicy(StoppingPolicy):
         return np.array([-1 if o.forced else o.stopped_at for o in outcomes], dtype=int)
 
     def first_stop(self, trace):
-        return next((w for w, s in enumerate(trace) if self.decide(s, w) is not None), None)
+        return next((w for w, s in enumerate(trace) if self.fires(s)), None)
 
-    def decide(self, scores, window_index):
-        """The best-scoring class when the rule fires on one window's
-        scores, else None."""
+    def fires(self, scores):
+        """Whether the rule fires on one window's scores."""
         mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, self.epsilon, 1.0 - self.epsilon)
         top = mapped.max()
         rest = mapped[mapped < top]
         if rest.size < 2:
-            return None
+            return False
         mean = rest.mean()
         var = rest.var()
         if var <= 0.0 or var >= mean * (1.0 - mean):
-            return None
+            return False
         common = mean * (1.0 - mean) / var - 1.0
         a = mean * common
         b = (1.0 - mean) * common
         if a <= 0.0 or b <= 0.0:
-            return None
-        if beta_cdf(top, a, b) >= self.target_accuracy:
-            return int(np.argmax(scores))
-        return None
+            return False
+        return beta_cdf(top, a, b) >= self.target_accuracy
 
 
 def _betacf(a, b, x, max_iter=300, eps=1e-15):

@@ -107,9 +107,16 @@ def cmd_simulate(args):
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise UsageError(f"{args.config}: simulate config is not a JSON object")
         unknown = set(loaded) - set(settings)
         if unknown:
             raise UsageError(f"unknown simulate config fields: {sorted(unknown)}")
+        for key, value in loaded.items():
+            # The default's type is the field's; a JSON boolean is never a number.
+            kind = (int, float) if type(settings[key]) is float else int
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise UsageError(f"simulate config field {key!r} has type {type(value).__name__}")
         settings.update(loaded)
     for key in ("seed", "trials_per_class", "sigma", "alpha"):
         value = getattr(args, key)

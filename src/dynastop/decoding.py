@@ -104,7 +104,8 @@ class TrialStatistics:
     subset of the trials adds its members' moments and corrects for the
     spread of their means (the pairwise update of Chan, Golub and LeVeque),
     so cross-validation folds share one pass over the data and no fit builds
-    the concatenated design matrix.
+    the concatenated design matrix. The design side of a fit depends only on
+    the subset's class counts, so subsets with equal counts share it.
 
     Parameters
     ----------
@@ -165,6 +166,7 @@ class TrialStatistics:
             self.cross[members] = data @ design.T
         self.design_means = np.stack(design_means)
         self.design_gram = np.stack(design_grams)
+        self._designs = {}
 
     def fit(self, indices=None, ridge=1e-6):
         """Fit the decoder on the trials at `indices` (default: all of them),
@@ -180,26 +182,34 @@ class TrialStatistics:
         if not self.finite[indices].all():
             raise ValueError("trial data contains non-finite values")
 
-        n_samples = self.n_samples
-        n = indices.size * n_samples
+        n = indices.size * self.n_samples
         mean_x = self.means[indices]
         mean_x = mean_x - mean_x.mean(axis=0)
-        mean_d = self.design_means[groups]
-        mean_d = mean_d - mean_d.mean(axis=0)
-        counts = np.bincount(groups, minlength=self.design_gram.shape[0]).astype(float)
-        m2_xx = self.channel_gram[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_x)
-        m2_dd = np.tensordot(counts, self.design_gram, axes=1) + n_samples * (mean_d.T @ mean_d)
-        m2_xd = self.cross[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_d)
-        return _solve_cca(m2_xx / (n - 1), m2_dd / (n - 1), m2_xd / (n - 1), ridge,
-                          self.structures, self.fs)
+        m2_xx = self.channel_gram[indices].sum(axis=0) + self.n_samples * (mean_x.T @ mean_x)
+        cov_xx = m2_xx / (n - 1)
+        cov_xx += ridge * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
+        isq_x = _inverse_sqrt(cov_xx, "channel")
+        spread, isq_d = self._design(np.bincount(groups, minlength=len(self.design_means)), ridge)
+        m2_xd = self.cross[indices].sum(axis=0) + self.n_samples * (mean_x.T @ spread[groups])
+        return _solve_cca(isq_x, isq_d, m2_xd / (n - 1), self.structures, self.fs)
+
+    def _design(self, counts, ridge):
+        """Class design means less the subset's grand mean, and the whitened
+        design covariance: functions of the class counts alone, so computed
+        once per (ridge, counts) and shared by every fit with those counts."""
+        key = (ridge, counts.tobytes())
+        if key not in self._designs:
+            weights = counts.astype(float)
+            spread = self.design_means - weights @ self.design_means / weights.sum()
+            m2_dd = (np.tensordot(weights, self.design_gram, axes=1)
+                     + self.n_samples * (spread.T @ (weights[:, None] * spread)))
+            cov_dd = m2_dd / (weights.sum() * self.n_samples - 1)
+            cov_dd += ridge * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
+            self._designs[key] = spread, _inverse_sqrt(cov_dd, "design")
+        return self._designs[key]
 
 
-def _solve_cca(cov_xx, cov_dd, cov_xd, ridge, structures, fs):
-    cov_xx = cov_xx + ridge * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
-    cov_dd = cov_dd + ridge * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
-
-    isq_x = _inverse_sqrt(cov_xx, "channel")
-    isq_d = _inverse_sqrt(cov_dd, "design")
+def _solve_cca(isq_x, isq_d, cov_xd, structures, fs):
     left, singulars, right_t = np.linalg.svd(isq_x @ cov_xd @ isq_d)
     spatial = isq_x @ left[:, 0]
     response = isq_d @ right_t[0]
@@ -316,12 +326,12 @@ def score_traces(model, trials, grid, similarity="inner"):
     per-class contribution (one BLAS call per trial, so a trial scores the
     same in any batch), and a running sum over the segments turns those into
     window scores. Pearson scores take the xt term from the same products of
-    the centred signal and centred templates, with running sums of x, x^2, t
-    and t^2, all after subtracting each signal's mean over the longest window
-    so that an offset does not cancel away the variances. The template terms
-    depend only on the model and the grid, so they are computed once. A
-    window whose filtered prefix or template prefix is constant scores 0, as
-    in :func:`correlation_score`.
+    the signals and templates less their first samples, with running sums of
+    x, x^2, t and t^2. A first sample lies in every window, so a window far
+    from its row's overall level does not cancel away its variance. The
+    template terms depend only on the model and the grid, so they are
+    computed once. A window whose filtered prefix or template prefix is
+    constant scores 0, as in :func:`correlation_score`.
 
     Parameters
     ----------
@@ -357,12 +367,12 @@ def score_traces(model, trials, grid, similarity="inner"):
 
     ends = grid - 1
     length = grid.astype(float)
-    t = templates - templates.mean(axis=1, keepdims=True)
+    t = templates - templates[:, :1]
     sum_t = np.cumsum(t, axis=1)[:, ends]
     var_t = np.cumsum(t * t, axis=1)[:, ends] - sum_t * sum_t / length
     degenerate = ((grid <= _constant_run(templates)[:, None]) | (var_t <= 0.0)).T
     constant_x = grid <= _constant_run(x)[:, None]
-    x -= x.mean(axis=1, keepdims=True)
+    x -= x[:, :1]
     sum_x = np.cumsum(x, axis=1)[:, ends]
     var_x = np.cumsum(x * x, axis=1)[:, ends] - sum_x * sum_x / length
     degenerate = degenerate | (constant_x | (var_x <= 0.0))[:, :, None]

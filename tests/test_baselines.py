@@ -54,7 +54,7 @@ def window_decide(policy, scores, window_index):
         if top_two[1] - top_two[0] >= policy.thresholds[window_index]:
             return int(np.argmax(scores))
         return None
-    return policy.decide(scores, window_index)
+    return int(np.argmax(scores)) if policy.fires(scores) else None
 
 
 def boundary_model(eta):
@@ -291,7 +291,7 @@ class TestBetaPolicy:
         d = 1 / math.sqrt(12)
         scores = np.array([2 * (0.5 - d) - 1, 2 * (0.5 + d) - 1, 0.998])
         policy = BetaPolicy(0.95)
-        assert policy.decide(scores, 0) == 2
+        assert policy.fires(scores) and np.argmax(scores) == 2
 
     def test_max_within_rest_spread_continues(self):
         # The best score sits just above the others, well inside the fitted
@@ -299,20 +299,20 @@ class TestBetaPolicy:
         mapped_rest = np.linspace(0.1, 0.6, 10)
         scores = np.concatenate([2 * mapped_rest - 1, [2 * 0.58 - 1]])
         policy = BetaPolicy(0.95)
-        assert policy.decide(scores, 0) is None
+        assert not policy.fires(scores)
 
     def test_zero_variance_rest_skips(self):
         scores = np.array([0.2, 0.2, 0.9])
         policy = BetaPolicy(0.95)
-        assert policy.decide(scores, 0) is None
+        assert not policy.fires(scores)
 
     def test_ties_at_maximum_excluded(self):
         scores = np.array([0.9, 0.9, 0.1, 0.2, 0.15])
         policy = BetaPolicy(0.5)
-        label = policy.decide(scores, 0)
-        assert label in (0, None)
-        if label is not None:
-            assert label == 0
+        # The tied maxima are left out of the fit; a firing rule emits the
+        # lowest tied index.
+        if policy.fires(scores):
+            assert np.argmax(scores) == 0
 
     def test_invalid_target(self):
         with pytest.raises(ValueError):

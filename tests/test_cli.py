@@ -107,6 +107,33 @@ class TestSimulate:
         assert code == 2
         assert "wobble" in captured.err
 
+    @pytest.mark.parametrize("field, value, kind", [
+        ("n_classes", "x", "str"),
+        ("n_classes", True, "bool"),
+        ("seed", 1.7, "float"),
+        ("sigma", True, "bool"),
+        ("fs", "120", "str"),
+    ])
+    def test_mistyped_config_field_exits_2(self, tmp_path, capsys, field, value, kind):
+        # An int field needs a JSON integer and a float field a JSON number.
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({field: value}))
+        out = tmp_path / "s"
+        code, captured = run(["simulate", "--config", str(config), "--out", str(out)], capsys)
+        assert code == 2, captured.err
+        assert f"simulate config field {field!r} has type {kind}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", [5, "abc", None, [["seed", 2]]])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, document):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(document))
+        out = tmp_path / "s"
+        code, captured = run(["simulate", "--config", str(config), "--out", str(out)], capsys)
+        assert code == 2, captured.err
+        assert "simulate config is not a JSON object" in captured.err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_writes_model_json(self, tiny_store, tmp_path):

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynastop.baselines import stratified_folds
@@ -12,6 +12,7 @@ from dynastop.decoding import (
     Trial,
     TrialStatistics,
     _inverse_sqrt,
+    _solve_cca,
     _templates_from_response,
     classify,
     correlation_score,
@@ -21,8 +22,9 @@ from dynastop.decoding import (
     score_trace,
     score_traces,
 )
-from dynastop.evaluation import window_grid
+from dynastop.evaluation import evaluate_store, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
+from dynastop.store import ExperimentConfig
 
 
 def dense_fit_cca(trials, structures, ridge=1e-6):
@@ -101,8 +103,8 @@ def per_trial_score_trace(model, trial, grid, similarity):
     templates = model.templates[:, :longest]
     if similarity == "inner":
         return np.cumsum(templates * filtered, axis=1)[:, ends].T
-    x = filtered - filtered.mean()
-    t = templates - templates.mean(axis=1, keepdims=True)
+    x = filtered - filtered[0]
+    t = templates - templates[:, :1]
     length = grid.astype(float)
     sum_x = np.cumsum(x)[ends]
     sum_t = np.cumsum(t, axis=1)[:, ends]
@@ -122,6 +124,41 @@ def per_trial_score_trace(model, trial, grid, similarity):
     )
     denom = np.sqrt(np.where(degenerate, 1.0, var_x * var_t))
     return np.where(degenerate, 0.0, cov / denom).T
+
+
+def per_trial_fit(stats, indices, ridge=1e-6):
+    """Reference subset fit: the design mean taken over each member trial's
+    class row and the design covariance whitened on every call."""
+    indices = np.asarray(indices, dtype=int)
+    groups = stats.groups[indices]
+    n_samples = stats.n_samples
+    n = indices.size * n_samples
+    mean_x = stats.means[indices]
+    mean_x = mean_x - mean_x.mean(axis=0)
+    mean_d = stats.design_means[groups]
+    mean_d = mean_d - mean_d.mean(axis=0)
+    counts = np.bincount(groups, minlength=stats.design_gram.shape[0]).astype(float)
+    m2_xx = stats.channel_gram[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_x)
+    m2_dd = np.tensordot(counts, stats.design_gram, axes=1) + n_samples * (mean_d.T @ mean_d)
+    m2_xd = stats.cross[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_d)
+    cov_xx = m2_xx / (n - 1)
+    cov_dd = m2_dd / (n - 1)
+    cov_xx += ridge * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
+    cov_dd += ridge * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
+    return _solve_cca(_inverse_sqrt(cov_xx, "channel"), _inverse_sqrt(cov_dd, "design"),
+                      m2_xd / (n - 1), stats.structures, stats.fs)
+
+
+def static_curve_subsets(labels, n_folds=5):
+    """Training indices of a static baseline's fits: each outer fold's
+    training split, then the training splits of its inner folds."""
+    subsets = []
+    for fold in stratified_folds(labels, n_folds):
+        outer = np.setdiff1d(np.arange(labels.size), fold)
+        subsets.append(outer)
+        for inner in stratified_folds(labels[outer], n_folds):
+            subsets.append(outer[np.setdiff1d(np.arange(outer.size), inner)])
+    return subsets
 
 
 def stacked_statistics(trials, structures):
@@ -528,6 +565,67 @@ class TestTrialStatistics:
         assert len(messages) == len(cases)  # each case trips a different check
 
 
+class TestDesignCache:
+    @staticmethod
+    def unequal_shuffled(trials, rng):
+        """The trials in a random order with seven of them dropped."""
+        order = rng.permutation(len(trials))[:-7]
+        return [trials[i] for i in order]
+
+    def test_static_curve_fits_match_per_trial_oracle(self, small_sim, rng):
+        _, sim, trials = small_sim
+        unequal = self.unequal_shuffled(trials, rng)
+        assert np.unique(np.bincount([t.label for t in unequal])).size > 1
+        for trial_set in (trials, unequal):
+            stats = TrialStatistics(trial_set, sim.structures)
+            subsets = static_curve_subsets(np.array([t.label for t in trial_set]))
+            assert len(subsets) == 30
+            for subset in subsets:
+                assert_same_model(stats.fit(subset), per_trial_fit(stats, subset), rtol=1e-12)
+
+    def test_ridges_do_not_share_an_entry(self, small_sim):
+        _, sim, trials = small_sim
+        stats = TrialStatistics(trials, sim.structures)
+        subset = np.arange(0, len(trials), 2)
+        for ridge in (1e-6, 1e-2, 1e-6):
+            assert_same_model(stats.fit(subset, ridge=ridge),
+                              per_trial_fit(stats, subset, ridge=ridge), rtol=1e-12)
+        assert len(stats._designs) == 2
+
+    @pytest.mark.parametrize("method, designs, channels",
+                             [("static_max_itr", 6, 30), ("fixed", 1, 5)])
+    def test_design_whitened_once_per_class_counts(self, small_sim, monkeypatch,
+                                                   method, designs, channels):
+        # Five trials of each of six classes over five folds: every outer
+        # training split has the same counts, and the inner splits of one
+        # have five different count vectors.
+        _, sim, trials = small_sim
+        names = []
+
+        def counting(cov, name):
+            names.append(name)
+            return _inverse_sqrt(cov, name)
+
+        monkeypatch.setattr("dynastop.decoding._inverse_sqrt", counting)
+        hyperparams = [0.5] if method == "fixed" else []
+        config = ExperimentConfig(method=method, hyperparams=hyperparams, folds=5)
+        evaluate_store(trials, sim.structures, config)
+        assert names.count("design") == designs
+        assert names.count("channel") == channels
+
+    def test_zero_data_with_cached_design_is_rank_deficient(self, small_sim):
+        # The same classes twice, once with all-zero data: the zero copy's
+        # fit finds its design side cached and must still reject the data.
+        _, sim, trials = small_sim
+        zeros = [Trial(np.zeros_like(t.data), t.label, t.fs) for t in trials]
+        stats = TrialStatistics(trials + zeros, sim.structures)
+        real = np.arange(len(trials))
+        stats.fit(real)
+        with pytest.raises(ValueError, match="channel covariance is rank deficient"):
+            stats.fit(real + len(trials))
+        assert len(stats._designs) == 1
+
+
 class TestScoreTraceOracle:
     def test_inner_matches_window_loop(self, paper_sim):
         _, sim, trials = paper_sim
@@ -555,6 +653,11 @@ class TestScoreTraceOracle:
         offset=st.sampled_from([0.0, 0.5, -40.0, 1e3]),
         similarity=st.sampled_from(["inner", "correlation"]),
     )
+    # Short windows far from their row's longest-window mean, which cancelled
+    # when the template rows (first case) or the trial (second) were centred
+    # on that mean.
+    @example(seed=16344578, n_samples=39, offset=0.0, similarity="correlation")
+    @example(seed=2721926448, n_samples=64, offset=0.0, similarity="correlation")
     def test_random_traces_match_window_loop(self, seed, n_samples, offset, similarity):
         rng = np.random.default_rng(seed)
         templates = rng.standard_normal((5, n_samples)) + rng.normal(0.0, 3.0, (5, 1))

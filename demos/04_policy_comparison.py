@@ -8,8 +8,8 @@ Outputs land in demos/out/.
 
 import os
 
-from dynastop import SimConfig, evaluate_store, make_dataset, resolve_config
-from dynastop.store import ExperimentConfig, write_results_csv
+from dynastop import ExperimentConfig, SimConfig, evaluate_store, make_dataset, resolve_config
+from dynastop.store import write_results_csv
 from dynastop.cli import main as cli_main
 
 OUT = os.path.join(os.path.dirname(__file__), "out")

@@ -59,7 +59,7 @@ from .decoding import (
     score,
     score_trace,
 )
-from .evaluation import check_method, evaluate_store, window_grid
+from .evaluation import ConfigError, ExperimentConfig, check_method, evaluate_store, window_grid
 from .metrics import (
     DecisionCounts,
     MetricsRow,
@@ -81,7 +81,6 @@ from .simulate import (
     resolve_config,
 )
 from .store import (
-    ExperimentConfig,
     StoreError,
     StoreMeta,
     load_store,

@@ -54,6 +54,10 @@ class MarginPolicy(StoppingPolicy):
         return _first(_top_two_gap(traces) >= self.thresholds[: traces.shape[1]])
 
 
+# Mapped scores are kept this far inside (0, 1), where the Beta CDF is defined.
+_BETA_EPSILON = 1e-6
+
+
 class BetaPolicy(StoppingPolicy):
     """Stop when the best correlation is an outlier among the others.
 
@@ -66,11 +70,10 @@ class BetaPolicy(StoppingPolicy):
     each trace.
     """
 
-    def __init__(self, target_accuracy, epsilon=1e-6):
+    def __init__(self, target_accuracy):
         if not 0.0 < target_accuracy < 1.0:
             raise ValueError("target accuracy must be in (0, 1)")
         self.target_accuracy = float(target_accuracy)
-        self.epsilon = float(epsilon)
 
     def first_stops(self, traces):
         outcomes = [apply_policy(self, trace) for trace in traces]
@@ -81,7 +84,7 @@ class BetaPolicy(StoppingPolicy):
 
     def fires(self, scores):
         """Whether the rule fires on one window's scores."""
-        mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, self.epsilon, 1.0 - self.epsilon)
+        mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, _BETA_EPSILON, 1.0 - _BETA_EPSILON)
         top = mapped.max()
         rest = mapped[mapped < top]
         if rest.size < 2:

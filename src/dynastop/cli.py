@@ -9,7 +9,6 @@ outputs are byte-reproducible for a fixed seed.
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -19,6 +18,7 @@ from .baselines import serialize_policy
 from .bayes_stop import calibrate
 from .codes import (
     PREFERRED_PAIRS,
+    flash_response_samples,
     make_gold_codes,
     modulate,
     read_codebook,
@@ -27,10 +27,10 @@ from .codes import (
     write_codebook,
 )
 from .decoding import fit_cca, _templates_from_response
-from .evaluation import METHODS, HyperparamError, check_method, evaluate_store, window_grid
+from .evaluation import METHODS, ConfigError, ExperimentConfig, evaluate_store
 from .metrics import CSV_COLUMNS
 from .simulate import SimConfig, default_response, make_dataset, resolve_config
-from .store import ExperimentConfig, StoreError, load_store, write_results_csv, write_store
+from .store import StoreError, load_store, write_results_csv, write_store
 from .svgplot import PALETTE, line_chart
 
 
@@ -78,7 +78,7 @@ def cmd_codes(args):
     if args.subset_k is not None:
         # No recorded responses at hand: rank code similarity through the
         # canonical response model at the presentation rate.
-        response = default_response(int(round(0.3 * args.rate_hz)))
+        response = default_response(flash_response_samples(args.rate_hz))
         structures = structure_matrices(
             codes, args.rate_hz, args.rate_hz, codes.shape[1], response.size // 2
         )
@@ -94,16 +94,10 @@ def cmd_codes(args):
 
 
 def cmd_simulate(args):
-    settings = {
-        "n_classes": 36,
-        "n_channels": 8,
-        "fs": 120.0,
-        "trial_seconds": 1.05,
-        "alpha": 1.0,
-        "sigma": 3.0,
-        "seed": 1234,
-        "trials_per_class": 3,
-    }
+    # SimConfig's defaults, but noisier, with three trials per class.
+    settings = {name: getattr(SimConfig, name)
+                for name in ("n_classes", "n_channels", "fs", "trial_seconds", "alpha", "seed")}
+    settings.update(sigma=3.0, trials_per_class=3)
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
@@ -122,28 +116,18 @@ def cmd_simulate(args):
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    settings["out"] = args.out
-    _print_config("simulate", settings)
+    _print_config("simulate", {**settings, "out": args.out})
 
-    trials_per_class = int(settings.pop("trials_per_class"))
-    out = settings.pop("out")
-    cfg = SimConfig(
-        n_classes=int(settings["n_classes"]),
-        n_channels=int(settings["n_channels"]),
-        fs=float(settings["fs"]),
-        trial_seconds=float(settings["trial_seconds"]),
-        alpha=float(settings["alpha"]),
-        sigma=float(settings["sigma"]),
-        seed=int(settings["seed"]),
-    )
+    trials_per_class = settings.pop("trials_per_class")
+    cfg = SimConfig(**settings)
     try:
         resolved = resolve_config(cfg)
         trials = make_dataset(cfg, trials_per_class, resolved=resolved)
     except ValueError as err:
         raise UsageError(str(err))
-    write_store(out, trials, cfg.n_classes, codebook="codebook.txt")
-    write_codebook(f"{out}/codebook.txt", resolved.codes, rate_hz=cfg.rate_hz)
-    print(f"wrote {len(trials)} trials to {out}")
+    write_store(args.out, trials, cfg.n_classes, codebook="codebook.txt")
+    write_codebook(f"{args.out}/codebook.txt", resolved.codes, rate_hz=cfg.rate_hz)
+    print(f"wrote {len(trials)} trials to {args.out}")
     return 0
 
 
@@ -152,7 +136,7 @@ def _store_structures(meta, store_path):
     unreadable or not a two-duration code is a configuration error."""
     if not meta.codebook:
         raise UsageError(f"{store_path}: manifest has no codebook reference")
-    response_samples = int(round(0.3 * meta.fs))
+    response_samples = flash_response_samples(meta.fs)
     if not 1 <= response_samples <= meta.n_samples:
         raise UsageError(
             f"{store_path}: trials of {meta.n_samples} samples cannot hold the "
@@ -175,18 +159,26 @@ def _store_structures(meta, store_path):
         raise UsageError(message if message.startswith(path) else f"{path}: {message}")
 
 
-def _store_grid(args, meta):
-    """Decision grid of a store command; a --grid-ms or --t-star-s that the
-    store cannot serve is a usage error."""
-    if not (math.isfinite(args.grid_ms) and args.grid_ms > 0):
-        raise UsageError(f"--grid-ms must be a positive number of ms, got {args.grid_ms:g}")
-    t_star_s = args.t_star_s if args.t_star_s is not None else meta.n_samples / meta.fs
-    if not (math.isfinite(t_star_s) and 1 <= round(t_star_s * meta.fs) <= meta.n_samples):
+def _experiment_config(args, flag, **settings):
+    """The checked settings of a store command whose hyperparameters come from
+    flag; a setting ExperimentConfig rejects is a usage error naming its flag."""
+    try:
+        return ExperimentConfig(grid_ms=args.grid_ms, t_star_s=args.t_star_s, **settings)
+    except ConfigError as err:
+        if err.field != "hyperparams":
+            flag = "--" + err.field.replace("_", "-")
+        raise UsageError(f"{flag}: {err}") from None
+
+
+def _store_grid(config, meta):
+    """A --t-star-s outside the store's trials is a usage error; every other
+    rule of the decision grid is the config's."""
+    t_star_s = config.t_star_s
+    if t_star_s is not None and not 1 <= round(t_star_s * meta.fs) <= meta.n_samples:
         raise UsageError(
             f"--t-star-s must span one sample to the store's {meta.n_samples / meta.fs:g} s "
             f"trials, got {t_star_s:g}"
         )
-    return window_grid(args.grid_ms, t_star_s, meta.fs)
 
 
 def cmd_calibrate(args):
@@ -200,15 +192,13 @@ def cmd_calibrate(args):
             "out_model": args.out_model,
         },
     )
-    try:
-        check_method("bds", "inner", [args.zeta])
-    except HyperparamError as err:
-        raise UsageError(f"--zeta: {err}")
+    config = _experiment_config(args, "--zeta", method="bds", hyperparams=[args.zeta])
     meta, trials = load_store(args.store)
+    _store_grid(config, meta)
     structures = _store_structures(meta, args.store)
-    grid = _store_grid(args, meta)
     model = fit_cca(trials, structures)
-    stopping = calibrate(model, trials, grid, zeta=args.zeta)
+    stopping = calibrate(model, trials, config.decision_grid(meta.fs, meta.n_samples),
+                         zeta=args.zeta)
     envelope = serialize_policy(stopping)
     with open(args.out_model, "w", newline="\n") as fh:
         json.dump(envelope, fh, indent=2, sort_keys=True)
@@ -239,25 +229,12 @@ def _run_evaluation(args, hyperparams, flag, **shown):
             "out_csv": args.out_csv,
         },
     )
+    config = _experiment_config(
+        args, flag, method=args.method, similarity=args.similarity, hyperparams=hyperparams,
+        folds=args.folds, overhead_s=args.overhead_s,
+    )
     meta, trials = load_store(args.store)
-    if not trials:
-        raise UsageError(f"{args.store}: store holds no trials")
-    _store_grid(args, meta)
-    try:
-        check_method(args.method, args.similarity, hyperparams)
-        config = ExperimentConfig(
-            method=args.method,
-            similarity=args.similarity,
-            hyperparams=hyperparams,
-            folds=args.folds,
-            grid_ms=args.grid_ms,
-            t_star_s=args.t_star_s,
-            overhead_s=args.overhead_s,
-        )
-    except HyperparamError as err:
-        raise UsageError(f"{flag}: {err}")
-    except ValueError as err:
-        raise UsageError(str(err))
+    _store_grid(config, meta)
     structures = _store_structures(meta, args.store)
     rows = evaluate_store(trials, structures, config, subject=args.subject)
     write_results_csv(args.out_csv, rows, append=True)

@@ -192,6 +192,11 @@ def modulate(codes):
     return up ^ clock
 
 
+def flash_response_samples(fs):
+    """Samples per flash kind of the modelled 0.3 s flash response at fs."""
+    return int(round(0.3 * fs))
+
+
 def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
     """Binary structure matrices placing flash responses on a sample grid.
 

@@ -4,6 +4,7 @@ and pools accuracy, timing, and decision-level metrics into result rows.
 """
 
 import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,8 +35,21 @@ METHODS = {
 }
 
 
-class HyperparamError(ValueError):
-    """A hyperparameter that is not finite or lies outside its method's domain."""
+class ConfigError(ValueError):
+    """A setting outside its domain; field names the ExperimentConfig field at fault."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
+def _check_grid(grid_ms, t_star_s):
+    """The rules of a decision grid that hold whatever the sampling rate;
+    t_star_s None stands for the whole trial."""
+    if not (math.isfinite(grid_ms) and grid_ms > 0):
+        raise ConfigError("grid_ms", f"grid step must be finite and > 0 ms, got {grid_ms!r}")
+    if t_star_s is not None and not (math.isfinite(t_star_s) and t_star_s > 0):
+        raise ConfigError("t_star_s", f"t_star must be finite and > 0 s, got {t_star_s!r}")
 
 
 def window_grid(grid_ms, t_star_s, fs):
@@ -43,13 +57,10 @@ def window_grid(grid_ms, t_star_s, fs):
 
     A step shorter than one sample gives a window at every sample.
     """
-    if not (math.isfinite(grid_ms) and grid_ms > 0):
-        raise ValueError(f"grid step must be a positive number of ms, got {grid_ms!r}")
-    if not math.isfinite(t_star_s):
-        raise ValueError(f"t_star must be finite, got {t_star_s!r}")
+    _check_grid(grid_ms, t_star_s)
     t_star = int(round(t_star_s * fs))
     if t_star < 1:
-        raise ValueError("t_star shorter than one sample")
+        raise ConfigError("t_star_s", f"t_star {t_star_s!r} s is shorter than one sample")
     step = grid_ms * fs / 1000.0
     if step <= 1.0:
         return np.arange(1, t_star + 1)
@@ -65,19 +76,54 @@ def check_method(method, similarity, hyperparams):
     """Validate a method/similarity/hyperparameter combination; every
     hyperparameter must be finite and lie in the method's domain."""
     if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+        raise ConfigError("method",
+                          f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
+    if similarity not in ("inner", "correlation"):
+        raise ConfigError("similarity", f"unknown similarity {similarity!r}")
     if method == "beta" and similarity != "correlation":
-        raise ValueError("the beta method does not support the inner product")
+        raise ConfigError("similarity", "the beta method does not support the inner product")
     if method == "bds" and similarity != "inner":
-        raise ValueError("bds scores are inner products; correlation is not supported")
+        raise ConfigError("similarity", "bds scores are inner products, not correlations")
     if METHODS[method] and not hyperparams:
-        raise ValueError(f"method {method!r} needs a hyperparameter")
+        raise ConfigError("hyperparams", f"method {method!r} needs a hyperparameter")
     if not METHODS[method] and hyperparams:
-        raise ValueError(f"method {method!r} takes no hyperparameter")
+        raise ConfigError("hyperparams", f"method {method!r} takes no hyperparameter")
     for h in hyperparams:
         domain, inside = METHODS[method]
         if not (math.isfinite(h) and inside(h)):
-            raise HyperparamError(f"{method} needs a finite value with {domain}, got {h:g}")
+            raise ConfigError("hyperparams",
+                              f"{method} needs a finite value with {domain}, got {h:g}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Evaluation settings for one method on one store, checked once on
+    construction: a setting outside its domain raises ConfigError. Whether
+    t_star_s fits the trials is left to whoever holds them."""
+
+    method: str
+    similarity: str = "inner"
+    hyperparams: tuple = ()
+    folds: int = 5
+    grid_ms: float = 100.0
+    t_star_s: float | None = None
+    overhead_s: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "hyperparams", tuple(self.hyperparams))
+        check_method(self.method, self.similarity, self.hyperparams)
+        if self.folds < 2:
+            raise ConfigError("folds", f"folds must be >= 2, got {self.folds!r}")
+        _check_grid(self.grid_ms, self.t_star_s)
+        if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0):
+            raise ConfigError(
+                "overhead_s", f"overhead_s must be finite and >= 0, got {self.overhead_s!r}"
+            )
+
+    def decision_grid(self, fs, n_samples):
+        """window_grid for trials of n_samples at fs; t_star_s None is the whole trial."""
+        t_star_s = self.t_star_s if self.t_star_s is not None else n_samples / fs
+        return window_grid(self.grid_ms, t_star_s, fs)
 
 
 def _nearest_window(grid, fs, seconds):
@@ -136,9 +182,7 @@ class _FoldPolicies:
             return FixedLengthPolicy(static_targeted_accuracy(self.curve, hyperparam))
         if self.method == "margin":
             return self.margin_candidates.table(hyperparam)
-        if self.method == "beta":
-            return BetaPolicy(hyperparam)
-        raise ValueError(f"unknown method {self.method!r}")
+        return BetaPolicy(hyperparam)  # beta: the config admits no other method
 
 
 def evaluate_store(trials, structures, config, subject="s01"):
@@ -156,8 +200,7 @@ def evaluate_store(trials, structures, config, subject="s01"):
     structures: list of np.ndarray
         Structure matrices per class, at least t_star samples long.
     config: ExperimentConfig
-        Method, similarity, hyperparameter list, folds, grid step, maximum
-        trial length (defaults to the full trial), and overhead.
+        Checked settings; a t_star_s must lie within the trials.
     subject: str
         Subject tag for the result rows.
 
@@ -168,14 +211,10 @@ def evaluate_store(trials, structures, config, subject="s01"):
     """
     if not trials:
         raise ValueError("no trials to evaluate")
-    check_method(config.method, config.similarity, config.hyperparams)
     hyperparams = list(dict.fromkeys(config.hyperparams)) or [None]
 
     fs = trials[0].fs
-    t_star_s = config.t_star_s
-    if t_star_s is None:
-        t_star_s = trials[0].data.shape[1] / fs
-    grid = window_grid(config.grid_ms, t_star_s, fs)
+    grid = config.decision_grid(fs, trials[0].data.shape[1])
     labels = np.array([t.label for t in trials])
     folds = stratified_folds(labels, config.folds)
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import make_gold_codes, modulate, select_subset, structure_matrices
+from .codes import (flash_response_samples, make_gold_codes, modulate, select_subset,
+                    structure_matrices)
 from .decoding import Trial, _templates_from_response
 
 
@@ -64,9 +65,16 @@ def default_pattern(n_channels):
 
 
 def resolve_config(cfg):
-    """Materialize codes, pattern, response, structures, and true templates."""
-    if not (math.isfinite(cfg.sigma) and cfg.sigma > 0):
-        raise ValueError(f"sigma must be finite and positive, got {cfg.sigma!r}")
+    """Materialize codes, pattern, response, structures, and true templates;
+    a setting outside its domain raises ValueError naming the field."""
+    if cfg.n_classes < 2:
+        raise ValueError(f"n_classes must be >= 2, got {cfg.n_classes!r}")
+    if cfg.n_channels < 1:
+        raise ValueError(f"n_channels must be >= 1, got {cfg.n_channels!r}")
+    for name in ("fs", "trial_seconds", "rate_hz", "sigma"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not math.isfinite(cfg.alpha):
         raise ValueError(f"alpha must be finite, got {cfg.alpha!r}")
     n_samples = int(round(cfg.trial_seconds * cfg.fs))
@@ -75,7 +83,7 @@ def resolve_config(cfg):
 
     response = cfg.response
     if response is None:
-        response = default_response(int(round(0.3 * cfg.fs)))
+        response = default_response(flash_response_samples(cfg.fs))
     response = np.asarray(response, dtype=float)
     if response.size % 2:
         raise ValueError("response length must be even (short + long block)")

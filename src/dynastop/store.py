@@ -1,5 +1,5 @@
-"""On-disk formats: the trial store (JSON manifest plus raw float32 blob),
-experiment configuration, and the results CSV.
+"""On-disk formats: the trial store (JSON manifest plus raw float32 blob)
+and the results CSV.
 
 A store is a directory holding manifest.json and eeg.f32. The blob carries
 little-endian float32 samples in trial-major, then channel-major, then sample
@@ -10,7 +10,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,19 +52,16 @@ def write_store(path, trials, n_classes, codebook=None):
     path: str
         Store directory.
     trials: list of Trial
-        Labeled trials of identical shape and sampling rate.
+        At least one labeled trial; all of identical shape and sampling rate.
     n_classes: int
         Label range; every label must lie in [0, n_classes).
     codebook: str (optional)
         Manifest reference to a codebook file, stored as given.
     """
-    os.makedirs(path, exist_ok=True)
-    if trials:
-        shape = trials[0].data.shape
-        fs = float(trials[0].fs)
-    else:
-        shape = (0, 0)
-        fs = 0.0
+    if not trials:
+        raise StoreError(f"{path}: store holds no trials")
+    shape = trials[0].data.shape
+    fs = float(trials[0].fs)
     labels = []
     for i, trial in enumerate(trials):
         if trial.data.shape != shape:
@@ -75,6 +72,7 @@ def write_store(path, trials, n_classes, codebook=None):
             raise StoreError(f"labels[{i}]={trial.label} out of range [0, {n_classes})")
         labels.append(int(trial.label))
 
+    os.makedirs(path, exist_ok=True)
     manifest = {
         "format_version": FORMAT_VERSION,
         "fs": fs,
@@ -141,13 +139,13 @@ def read_store(path):
     if byte_order != "little":
         raise StoreError(f"byte_order {byte_order!r} unsupported (little-endian v1 only)")
     n_trials = _require(manifest, "n_trials", int, lambda v: v >= 0, ">= 0")
-    # A store without trials records 0 for its sampling rate and trial shape.
-    positive, shown = (lambda v: v >= 0, ">= 0") if n_trials == 0 else (lambda v: v > 0, "> 0")
+    if n_trials == 0:
+        raise StoreError(f"{path}: store holds no trials")
     meta = StoreMeta(
-        fs=_require(manifest, "fs", float, lambda v: math.isfinite(v) and positive(v),
-                    f"finite and {shown}"),
-        n_channels=_require(manifest, "channels", int, positive, shown),
-        n_samples=_require(manifest, "samples_per_trial", int, positive, shown),
+        fs=_require(manifest, "fs", float, lambda v: math.isfinite(v) and v > 0,
+                    "finite and > 0"),
+        n_channels=_require(manifest, "channels", int, lambda v: v > 0, "> 0"),
+        n_samples=_require(manifest, "samples_per_trial", int, lambda v: v > 0, "> 0"),
         n_trials=n_trials,
         n_classes=_require(manifest, "n_classes", int, lambda v: v > 0, "> 0"),
         labels=_require(manifest, "labels", list),
@@ -187,37 +185,6 @@ def load_store(path):
     """read_store with the trials materialized into a list."""
     meta, stream = read_store(path)
     return meta, list(stream)
-
-
-@dataclass
-class ExperimentConfig:
-    """Evaluation settings for one method on one store."""
-
-    method: str
-    similarity: str = "inner"
-    hyperparams: list = field(default_factory=list)
-    folds: int = 5
-    grid_ms: float = 100.0
-    t_star_s: float | None = None
-    overhead_s: float = 0.0
-
-    def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.grid_ms <= 0:
-            raise ValueError("grid step must be positive")
-        if self.t_star_s is not None and self.t_star_s * 1000.0 < self.grid_ms:
-            raise ValueError("t_star must be at least one grid step")
-        if self.similarity not in ("inner", "correlation"):
-            raise ValueError(f"unknown similarity {self.similarity!r}")
-        if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0):
-            raise ValueError(f"overhead_s must be finite and >= 0, got {self.overhead_s!r}")
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(**doc)
 
 
 def _format_cell(value):

@@ -307,12 +307,18 @@ class TestBetaPolicy:
         assert not policy.fires(scores)
 
     def test_ties_at_maximum_excluded(self):
-        scores = np.array([0.9, 0.9, 0.1, 0.2, 0.15])
-        policy = BetaPolicy(0.5)
-        # The tied maxima are left out of the fit; a firing rule emits the
-        # lowest tied index.
-        if policy.fires(scores):
-            assert np.argmax(scores) == 0
+        # Both tied maxima (mapped 0.8) leave the fit, so the tight rest
+        # {0.5, 0.55, 0.525} puts the maximum at CDF ~1 >= 0.99. Keeping one
+        # tied maximum in the moments widens the fit to CDF 0.964 < 0.99.
+        scores = np.array([0.6, 0.6, 0.0, 0.1, 0.05])
+        kept_one = (scores[1:] + 1.0) / 2.0
+        mean, var = kept_one.mean(), kept_one.var()
+        common = mean * (1.0 - mean) / var - 1.0
+        assert beta_cdf(0.8, mean * common, (1.0 - mean) * common) < 0.99
+        policy = BetaPolicy(0.99)
+        assert policy.fires(scores)
+        # A firing rule emits the lowest tied index.
+        assert apply_policy(policy, scores[None, :]) == StopOutcome(0, 0, False)
 
     def test_invalid_target(self):
         with pytest.raises(ValueError):

@@ -168,6 +168,19 @@ class TestCalibrate:
         assert f"cannot read codebook {codebook}" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("calibrate", ["--out-model", "m.json"]),
+        ("evaluate", ["--method", "bds", "--hyperparam", "1", "--out-csv", "r.csv"]),
+    ])
+    def test_store_without_trials_exits_2(self, tiny_store, tmp_path, capsys, command, extra):
+        manifest = json.loads((tiny_store / "manifest.json").read_text())
+        manifest.update(n_trials=0, labels=[])
+        (tiny_store / "manifest.json").write_text(json.dumps(manifest))
+        (tiny_store / "eeg.f32").write_bytes(b"")
+        code, captured = run([command, "--store", str(tiny_store), *extra], capsys)
+        assert code == 2
+        assert f"{tiny_store}: store holds no trials" in captured.err
+
     def test_trials_shorter_than_response_exit_2(self, tmp_path, capsys):
         store = tmp_path / "store"
         trials = [Trial(np.zeros((1, 20)), label, 120.0) for label in (0, 1, 0, 1)]
@@ -236,6 +249,31 @@ class TestGridFlags:
             code, captured = run([command, "--store", str(tiny_store), *flags, *extra], capsys)
         assert code == 2, captured.err
         assert named in captured.err
+
+    @pytest.mark.parametrize("grid_ms, t_star_s, named", [
+        ("100", "0.05", None),  # t* below one grid step: one window at t*
+        ("5000", None, None),  # a step beyond the trial: one window at t*
+        ("100", "1.05", None),
+        ("1e-9", "0.1", None),
+        ("inf", "0.5", "--grid-ms"),
+        ("100", "0", "--t-star-s"),
+        ("100", "0.001", "--t-star-s"),  # under one sample at 120 Hz
+        ("100", "1.1", "--t-star-s"),  # beyond the 1.05 s trials
+        ("100", "inf", "--t-star-s"),
+    ])
+    def test_commands_share_one_grid_rule(self, tiny_store, tmp_path, capsys, deadline,
+                                          grid_ms, t_star_s, named):
+        flags = ["--grid-ms", grid_ms] + (["--t-star-s", t_star_s] if t_star_s else [])
+        codes = {}
+        for command in sorted(self.COMMANDS):
+            extra = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a
+                     for a in self.COMMANDS[command]]
+            with deadline(60):
+                codes[command], captured = run(
+                    [command, "--store", str(tiny_store), *flags, *extra], capsys)
+            if named:
+                assert named in captured.err, (command, captured.err)
+        assert codes == dict.fromkeys(self.COMMANDS, 2 if named else 0)
 
     def test_sub_sample_step_scores_every_sample(self, tiny_store, tmp_path, deadline):
         out = tmp_path / "model.json"
@@ -393,8 +431,19 @@ class TestOutOfDomainFlags:
         ("--alpha", "nan", "alpha"),
         ("--alpha", "-inf", "alpha"),
         ("--trials-per-class", "0", "trials_per_class"),
+        ("--config", '{"trial_seconds": Infinity}', "trial_seconds"),
+        ("--config", '{"trial_seconds": -1.05}', "trial_seconds"),
+        ("--config", '{"fs": NaN}', "fs"),
+        ("--config", '{"fs": 0}', "fs"),
+        ("--config", '{"n_classes": 0}', "n_classes"),
+        ("--config", '{"n_classes": 1}', "n_classes"),
+        ("--config", '{"n_channels": 0}', "n_channels"),
     ])
     def test_simulate(self, tmp_path, capsys, flag, value, named):
+        if flag == "--config":
+            config = tmp_path / "sim.json"
+            config.write_text(value)
+            value = str(config)
         out = tmp_path / "store"
         code, captured = run(["simulate", "--out", str(out), f"{flag}={value}"], capsys)
         assert code == 2, captured.err

@@ -22,9 +22,8 @@ from dynastop.decoding import (
     score_trace,
     score_traces,
 )
-from dynastop.evaluation import evaluate_store, window_grid
+from dynastop.evaluation import ExperimentConfig, evaluate_store, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
-from dynastop.store import ExperimentConfig
 
 
 def dense_fit_cca(trials, structures, ridge=1e-6):

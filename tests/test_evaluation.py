@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,14 @@ from dynastop import metrics
 from dynastop.baselines import apply_policy, stratified_folds
 from dynastop.decoding import TrialStatistics, fit_cca, score_trace, score_traces
 from dynastop.evaluation import (
-    HyperparamError,
+    ConfigError,
+    ExperimentConfig,
     _FoldPolicies,
     check_method,
     evaluate_store,
     window_grid,
 )
 from dynastop.metrics import count_decisions
-from dynastop.store import ExperimentConfig
 
 
 def evaluate_store_loop(trials, structures, config, subject="s01"):
@@ -102,6 +104,44 @@ class TestWindowGrid:
             window_grid(grid_ms, t_star_s, 120.0)
 
 
+class TestExperimentConfig:
+    def test_validation(self):
+        # Each rejected setting raises ConfigError naming its field.
+        for settings, field in [
+            ({"folds": 1}, "folds"),
+            ({"grid_ms": 0}, "grid_ms"),
+            ({"grid_ms": float("nan")}, "grid_ms"),
+            ({"t_star_s": 0.0}, "t_star_s"),
+            ({"t_star_s": float("inf")}, "t_star_s"),
+            ({"similarity": "cosine"}, "similarity"),
+            ({"similarity": "correlation"}, "similarity"),
+            ({"method": "telepathy"}, "method"),
+            ({"hyperparams": [0.0]}, "hyperparams"),
+            ({"hyperparams": []}, "hyperparams"),
+            ({"overhead_s": -1.0}, "overhead_s"),
+            ({"overhead_s": float("nan")}, "overhead_s"),
+        ]:
+            with pytest.raises(ConfigError) as err:
+                ExperimentConfig(**{"method": "bds", "hyperparams": [1.0], **settings})
+            assert err.value.field == field, settings
+
+    def test_frozen_with_hyperparams_as_tuple(self):
+        config = ExperimentConfig(method="fixed", hyperparams=[0.5, 0.2])
+        assert config.hyperparams == (0.5, 0.2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.folds = 3
+
+    @pytest.mark.parametrize("grid_ms, t_star_s, windows", [
+        (100, 0.05, [6]),  # t* below one grid step: the one window t*
+        (5000, None, [126]),  # a step beyond the trial: the one window t*
+        (100, None, [12, 24, 36, 48, 60, 72, 84, 96, 108, 120, 126]),
+    ])
+    def test_decision_grid(self, grid_ms, t_star_s, windows):
+        config = ExperimentConfig(method="fixed", hyperparams=[0.5], grid_ms=grid_ms,
+                                  t_star_s=t_star_s)
+        assert config.decision_grid(120.0, 126).tolist() == windows
+
+
 class TestCheckMethod:
     def test_beta_requires_correlation(self):
         with pytest.raises(ValueError, match="inner product"):
@@ -134,8 +174,9 @@ class TestCheckMethod:
     def test_hyperparameter_domain(self, method, similarity, inside, outside):
         check_method(method, similarity, inside)
         for value in outside + [float("nan"), float("inf"), -float("inf")]:
-            with pytest.raises(HyperparamError, match=method):
+            with pytest.raises(ConfigError, match=method) as err:
                 check_method(method, similarity, [*inside, value])
+            assert err.value.field == "hyperparams"
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dynastop.decoding import Trial
 from dynastop.metrics import CSV_COLUMNS, MetricsRow
 from dynastop.store import (
-    ExperimentConfig,
     StoreError,
     load_store,
     read_store,
@@ -46,11 +45,12 @@ class TestStoreRoundtrip:
             assert loaded.label == original.label
 
     def test_empty_store(self, tmp_path):
+        # A store holds at least one trial; the writer refuses an empty list
+        # and creates nothing.
         path = tmp_path / "store"
-        write_store(path, [], n_classes=4)
-        meta, back = load_store(path)
-        assert meta.n_trials == 0
-        assert back == []
+        with pytest.raises(StoreError, match="store holds no trials"):
+            write_store(path, [], n_classes=4)
+        assert not path.exists()
 
     def test_single_sample_trial(self, tmp_path):
         path = tmp_path / "store"
@@ -176,13 +176,14 @@ class TestManifestProperty:
             with pytest.raises(StoreError, match=field):
                 read_store(path)
 
-    def test_empty_store_may_record_zero_rate(self, tmp_path):
-        write_store(tmp_path, [], n_classes=4)
+    def test_manifest_without_trials_rejected(self, tmp_path, rng):
+        # n_trials 0 with a matching empty blob and label list is still no store.
+        write_store(tmp_path, make_trials(rng), n_classes=3)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["fs"] == 0.0 and manifest["channels"] == 0
-        manifest["fs"] = -1.0
+        manifest.update(n_trials=0, labels=[])
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(StoreError, match="'fs'"):
+        (tmp_path / "eeg.f32").write_bytes(b"")
+        with pytest.raises(StoreError, match="store holds no trials"):
             read_store(tmp_path)
 
 
@@ -273,28 +274,3 @@ class TestResultsCsv:
         with open(path, newline="") as fh:
             rec = next(csv.DictReader(fh))
         assert rec["hyperparam"] == ""
-
-
-class TestExperimentConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError, match="folds"):
-            ExperimentConfig(method="bds", folds=1)
-        with pytest.raises(ValueError, match="grid"):
-            ExperimentConfig(method="bds", grid_ms=0)
-        with pytest.raises(ValueError, match="t_star"):
-            ExperimentConfig(method="bds", grid_ms=100, t_star_s=0.05)
-        with pytest.raises(ValueError, match="similarity"):
-            ExperimentConfig(method="bds", similarity="cosine")
-
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(
-            json.dumps(
-                {"method": "margin", "similarity": "correlation",
-                 "hyperparams": [0.5], "folds": 3}
-            )
-        )
-        cfg = ExperimentConfig.from_json(path)
-        assert cfg.method == "margin"
-        assert cfg.folds == 3
-        assert cfg.hyperparams == [0.5]

@@ -201,11 +201,11 @@ def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
     """Binary structure matrices placing flash responses on a sample grid.
 
     Each maximal run of ones in a code is one flash: a one-bit run is a short
-    flash, a two-bit run a long one. Row blocks of response_samples rows
-    belong to the short and the long kind in that order. A flash of kind k
-    with onset sample s sets entries (k * response_samples + j, s + j) for
-    j < response_samples, truncated at the matrix edge. Onset samples are
-    round-half-up of onset_bit * fs / rate_hz.
+    flash, a two-bit run a long one. Each kind has an onset train, 1 at the
+    onset samples of its flashes, and row k * response_samples + j is the
+    train of kind k (0 short, 1 long) delayed by j samples, truncated at the
+    matrix edge. Onset samples are round-half-up of onset_bit * fs / rate_hz;
+    two onsets that round to one sample mark it once.
 
     Codes repeat cyclically until n_samples is covered. Runs are found within
     one cycle, so a code that starts and ends with a one shows two flashes at
@@ -228,8 +228,7 @@ def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
     -------
     matrices: list of np.ndarray
         One float (2 * response_samples, n_samples) matrix of 0/1 entries per
-        code. A run of more than two ones, which :func:`modulate` never makes,
-        raises ValueError.
+        code, each its own array. A run of more than two ones raises ValueError.
     """
     n_samples = int(n_samples)
     response_samples = int(response_samples)
@@ -238,31 +237,30 @@ def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
     if response_samples < 1 or response_samples > n_samples:
         raise ValueError("response_samples must be in [1, n_samples]")
     codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
-    n_bits = codes.shape[1]
+    n_codes, n_bits = codes.shape
     bits_needed = int(math.ceil(n_samples * rate_hz / fs))
     cycle_starts = n_bits * np.arange(max(1, int(math.ceil(bits_needed / n_bits))))
-    offsets = np.arange(response_samples)
-    matrices = []
-    for code in codes:
-        edges = np.diff(code.astype(np.int8), prepend=0, append=0)
-        starts = np.flatnonzero(edges == 1)
-        lengths = np.flatnonzero(edges == -1) - starts
-        if np.any(lengths > 2):
-            bad = np.argmax(lengths > 2)
-            raise ValueError(
-                f"run of {lengths[bad]} ones at bit {starts[bad]}: "
-                "not a two-duration modulated code"
-            )
-        onset_bits = (cycle_starts[:, None] + starts).ravel().astype(np.float64)
-        # Round half up in the float64 arithmetic of math.floor(x + 0.5), not np.round.
-        onsets = np.floor(onset_bits * fs / rate_hz + 0.5).astype(np.int64)
-        columns = onsets[:, None] + offsets
-        rows = np.tile((lengths - 1) * response_samples, cycle_starts.size)[:, None] + offsets
-        inside = columns < n_samples
-        matrix = np.zeros((2 * response_samples, n_samples))
-        matrix[rows[inside], columns[inside]] = 1.0
-        matrices.append(matrix)
-    return matrices
+    edges = np.diff(codes.astype(np.int8), axis=1, prepend=0, append=0)
+    owner, starts = np.nonzero(edges == 1)  # runs in code order, then bit order
+    lengths = np.nonzero(edges == -1)[1] - starts
+    if np.any(lengths > 2):
+        bad = np.argmax(lengths > 2)
+        raise ValueError(
+            f"run of {lengths[bad]} ones at bit {starts[bad]}: "
+            "not a two-duration modulated code"
+        )
+    onset_bits = (cycle_starts[:, None] + starts).ravel().astype(np.float64)
+    # Round half up in the float64 arithmetic of math.floor(x + 0.5), not np.round.
+    onsets = np.floor(onset_bits * fs / rate_hz + 0.5).astype(np.int64)
+    inside = onsets < n_samples
+    # Row 2c + k: code c's kind-k onset train, after response_samples - 1 zeros.
+    trains = np.zeros((2 * n_codes, response_samples - 1 + n_samples))
+    trains[np.tile(2 * owner + lengths - 1, cycle_starts.size)[inside],
+           onsets[inside] + response_samples - 1] = 1.0
+    # Window w of a train is the train delayed by response_samples - 1 - w.
+    lagged = np.lib.stride_tricks.sliding_window_view(trains, n_samples, axis=1)[:, ::-1]
+    # One copy per code, so a caller that keeps some codes frees the others.
+    return [lagged[k:k + 2].copy().reshape(-1, n_samples) for k in range(0, 2 * n_codes, 2)]
 
 
 def select_subset(codes, templates, k):

@@ -146,11 +146,14 @@ class TrialStatistics:
         self.means = np.empty((len(trials), n_channels))
         self.channel_gram = np.empty((len(trials), n_channels, n_channels))
         self.cross = np.empty((len(trials), n_channels, structures[classes[0]].shape[0]))
+        # One class at a time, in buffers the classes share, bounds the temporaries.
+        trial_buffer = np.empty((np.bincount(self.groups).max(), n_channels, n_samples))
+        design = np.empty((self.cross.shape[2], n_samples))
         design_means, design_grams = [], []
         for group, label in enumerate(classes):
-            # One class's trials at a time bounds the largest temporary.
             members = np.flatnonzero(self.groups == group)
-            data = np.stack([np.asarray(trials[i].data, dtype=float) for i in members])
+            data = trial_buffer[:members.size]
+            np.stack([np.asarray(trials[i].data, dtype=float) for i in members], out=data)
             finite = np.isfinite(data).all(axis=(1, 2))
             data[~finite] = 0.0  # never fitted: fit() rejects these trials
             means = data.mean(axis=2)
@@ -159,9 +162,9 @@ class TrialStatistics:
             self.means[members] = means
             self.channel_gram[members] = data @ data.transpose(0, 2, 1)
 
-            design = np.asarray(structures[label], dtype=float)[:, :n_samples]
-            design_means.append(design.mean(axis=1))
-            design = design - design_means[-1][:, None]
+            structure = np.asarray(structures[label], dtype=float)[:, :n_samples]
+            design_means.append(structure.mean(axis=1))
+            np.subtract(structure, design_means[-1][:, None], out=design)
             design_grams.append(design @ design.T)
             self.cross[members] = data @ design.T
         self.design_means = np.stack(design_means)

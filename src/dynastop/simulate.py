@@ -67,10 +67,9 @@ def default_pattern(n_channels):
 def resolve_config(cfg):
     """Materialize codes, pattern, response, structures, and true templates;
     a setting outside its domain raises ValueError naming the field."""
-    if cfg.n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {cfg.n_classes!r}")
-    if cfg.n_channels < 1:
-        raise ValueError(f"n_channels must be >= 1, got {cfg.n_channels!r}")
+    for name, low in (("n_classes", 2), ("n_channels", 1), ("seed", 0)):
+        if getattr(cfg, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(cfg, name)!r}")
     for name in ("fs", "trial_seconds", "rate_hz", "sigma"):
         value = getattr(cfg, name)
         if not (math.isfinite(value) and value > 0):
@@ -82,6 +81,8 @@ def resolve_config(cfg):
         raise ValueError("trial_seconds too short for the sampling rate")
 
     response = cfg.response
+    if response is None and flash_response_samples(cfg.fs) < 1:
+        raise ValueError(f"fs must be > 5/3 Hz to sample the 0.3 s flash response, got {cfg.fs!r}")
     if response is None:
         response = default_response(flash_response_samples(cfg.fs))
     response = np.asarray(response, dtype=float)

@@ -21,6 +21,7 @@ MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "eeg.f32"
 FORMAT_VERSION = 1
 _SAMPLE_DTYPE = np.dtype("<f4")
+_CHUNK_BYTES = 1 << 17  # blob bytes per read; a larger trial is read alone
 
 
 class StoreError(Exception):
@@ -114,7 +115,8 @@ def read_store(path):
     -------
     meta: StoreMeta
     trials: generator of Trial
-        Yields trials in stored order with O(1) memory per trial.
+        Yields trials in stored order, each its own float64 array, and holds
+        one chunk of float32 (whole trials, 128 KiB or one larger trial) at a time.
 
     Raises
     ------
@@ -172,11 +174,17 @@ def read_store(path):
 
     def trials():
         per_trial = meta.n_channels * meta.n_samples
+        per_chunk = max(1, _CHUNK_BYTES // (per_trial * _SAMPLE_DTYPE.itemsize))
+        # One chunk buffer per stream: a fresh one per read raises peak memory.
+        buffer = np.empty(min(per_chunk, meta.n_trials) * per_trial, dtype=_SAMPLE_DTYPE)
         with open(blob_path, "rb") as fh:
-            for label in meta.labels:
-                block = np.fromfile(fh, dtype=_SAMPLE_DTYPE, count=per_trial)
-                data = block.astype(float).reshape(meta.n_channels, meta.n_samples)
-                yield Trial(data=data, label=label, fs=meta.fs)
+            for first in range(0, meta.n_trials, per_chunk):
+                labels = meta.labels[first:first + per_chunk]
+                block = buffer[:len(labels) * per_trial]
+                if fh.readinto(block) != block.nbytes:
+                    raise StoreError(f"{blob_path}: blob shrank while it was read")
+                for data, label in zip(block.reshape(len(labels), meta.n_channels, -1), labels):
+                    yield Trial(data=data.astype(float), label=label, fs=meta.fs)
 
     return meta, trials()
 

@@ -438,6 +438,9 @@ class TestOutOfDomainFlags:
         ("--config", '{"n_classes": 0}', "n_classes"),
         ("--config", '{"n_classes": 1}', "n_classes"),
         ("--config", '{"n_channels": 0}', "n_channels"),
+        ("--seed", "-1", "seed"),
+        ("--config", '{"seed": -1}', "seed"),
+        ("--config", '{"fs": 1}', "fs"),
     ])
     def test_simulate(self, tmp_path, capsys, flag, value, named):
         if flag == "--config":

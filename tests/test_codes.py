@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -299,15 +300,17 @@ class TestStructureMatrix:
         n_codes=st.integers(1, 3),
         n_bits=st.integers(1, 40),
         modulated=st.booleans(),
-        rates=st.sampled_from([(1, 1), (5, 2), (120.0, 60.0), (120.0, 40.0), (250.0, 60.0)]),
+        rates=st.sampled_from([(1, 1), (5, 2), (1, 3), (120.0, 60.0), (120.0, 40.0),
+                               (250.0, 60.0)]),
         n_samples=st.integers(1, 300),
         response_samples=st.integers(1, 40),
     )
     def test_matches_event_loop(self, seed, n_codes, n_bits, modulated, rates, n_samples,
                                 response_samples):
         # Random codes, tiled cyclically, at integer and fractional samples
-        # per bit; events run past the matrix edge or start beyond it. Codes
-        # that are not modulated may hold longer runs, which both reject.
+        # per bit; events run past the matrix edge or start beyond it. Below
+        # one sample per bit (1, 3), same-kind onsets round to one sample.
+        # Codes that are not modulated may hold longer runs, which both reject.
         fs, rate_hz = rates
         response_samples = min(response_samples, n_samples)
         codes = np.random.default_rng(seed).integers(0, 2, (n_codes, n_bits)).astype(np.uint8)
@@ -341,6 +344,16 @@ class TestStructureMatrix:
             for g, w in zip(got, want):
                 assert g.dtype == np.float64
                 assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("response_samples", [1, 36])
+    def test_matrices_share_no_memory(self, modulated_gold, response_samples):
+        # A caller that keeps some codes' matrices (resolve_config keeps 36
+        # of the 65) must not keep the others' memory alive.
+        mats = structure_matrices(modulated_gold, 120.0, 120.0, 126, response_samples)
+        for a, b in itertools.combinations(mats, 2):
+            assert not np.shares_memory(a, b)
+        for m in mats:
+            assert m.base is None or m.base.nbytes == m.nbytes
 
     def test_structure_matrices_tiles_to_cover(self, modulated_gold):
         mats = structure_matrices(modulated_gold[:2], fs=120, rate_hz=120,

@@ -184,6 +184,36 @@ def stacked_statistics(trials, structures):
             "design_means": np.stack(design_means), "design_gram": np.stack(design_grams)}
 
 
+def class_loop_statistics(trials, structures):
+    """Reference statistics: one class at a time, each class's trials and
+    centred design in arrays of their own."""
+    labels = [t.label for t in trials]
+    classes, groups = np.unique(labels, return_inverse=True)
+    n_channels, n_samples = trials[0].data.shape
+    finite = np.empty(len(trials), dtype=bool)
+    means = np.empty((len(trials), n_channels))
+    channel_gram = np.empty((len(trials), n_channels, n_channels))
+    cross = np.empty((len(trials), n_channels, structures[classes[0]].shape[0]))
+    design_means, design_grams = [], []
+    for group, label in enumerate(classes):
+        members = np.flatnonzero(groups == group)
+        data = np.stack([np.asarray(trials[i].data, dtype=float) for i in members])
+        ok = np.isfinite(data).all(axis=(1, 2))
+        data[~ok] = 0.0
+        class_means = data.mean(axis=2)
+        data -= class_means[:, :, None]
+        finite[members] = ok
+        means[members] = class_means
+        channel_gram[members] = data @ data.transpose(0, 2, 1)
+        design = np.asarray(structures[label], dtype=float)[:, :n_samples]
+        design_means.append(design.mean(axis=1))
+        design = design - design_means[-1][:, None]
+        design_grams.append(design @ design.T)
+        cross[members] = data @ design.T
+    return {"finite": finite, "means": means, "channel_gram": channel_gram, "cross": cross,
+            "design_means": np.stack(design_means), "design_gram": np.stack(design_grams)}
+
+
 def assert_same_model(model, reference, rtol=1e-10):
     """Every fitted quantity within rtol of the reference, relative to the
     largest magnitude of that quantity."""
@@ -463,6 +493,23 @@ class TestTrialStatistics:
             stats = TrialStatistics(trial_set, structures)
             for name, value in stacked_statistics(trial_set, structures).items():
                 assert np.array_equal(getattr(stats, name), value), name
+
+    def test_statistics_match_class_loop_bytes(self, small_sim, paper_sim, rng):
+        # The class buffers are reused, so each class's products must see
+        # the operands, and give the bytes, of arrays made for that class.
+        _, sim, trials = paper_sim
+        bad = Trial(trials[3].data.copy(), trials[3].label, trials[3].fs)
+        bad.data[2, 7] = np.nan
+        unequal = TestDesignCache.unequal_shuffled(small_sim[2], rng)
+        assert np.unique(np.bincount([t.label for t in unequal])).size > 1
+        for trial_set, structures in ((small_sim[2], small_sim[1].structures),
+                                      (unequal, small_sim[1].structures),
+                                      (trials[:3] + [bad] + trials[4:], sim.structures)):
+            stats = TrialStatistics(trial_set, structures)
+            for name, value in class_loop_statistics(trial_set, structures).items():
+                got = getattr(stats, name)
+                assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+                assert got.tobytes() == value.tobytes(), name
 
     def test_fold_fits_match_dense_oracle(self, paper_sim):
         _, sim, trials = paper_sim

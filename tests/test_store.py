@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynastop import store
 from dynastop.decoding import Trial
 from dynastop.metrics import CSV_COLUMNS, MetricsRow
 from dynastop.store import (
@@ -69,14 +70,64 @@ class TestStoreRoundtrip:
         assert first.data.shape == (3, 20)
 
 
+def trial_loop_reader(path, meta):
+    """Reference reader: one np.fromfile call and one astype per trial."""
+    per_trial = meta.n_channels * meta.n_samples
+    trials = []
+    with open(os.path.join(path, "eeg.f32"), "rb") as fh:
+        for label in meta.labels:
+            block = np.fromfile(fh, dtype="<f4", count=per_trial)
+            data = block.astype(float).reshape(meta.n_channels, meta.n_samples)
+            trials.append(Trial(data=data, label=label, fs=meta.fs))
+    return trials
+
+
+class TestChunkedReader:
+    """load_store reads the blob in chunks of whole trials; each trial must
+    still come out as the per-trial reader made it."""
+
+    @pytest.mark.parametrize("n_trials, shape", [
+        (1, (4, 256)),
+        (store._CHUNK_BYTES // (4 * 256 * 4), (4, 256)),  # exactly one chunk
+        (store._CHUNK_BYTES // (4 * 256 * 4) + 1, (4, 256)),  # one chunk and one trial
+        (3, (2, store._CHUNK_BYTES // 8 + 1)),  # each trial larger than a chunk
+    ], ids=["one-trial", "one-chunk", "chunk-plus-one", "trial-over-chunk"])
+    def test_matches_trial_loop(self, tmp_path, rng, n_trials, shape):
+        path = tmp_path / "store"
+        write_store(path, make_trials(rng, n_trials, *shape), n_classes=3)
+        meta, got = load_store(path)
+        want = trial_loop_reader(path, meta)
+        assert len(got) == len(want) == n_trials
+        for g, w in zip(got, want):
+            assert (g.label, g.fs) == (w.label, w.fs)
+            assert g.data.dtype == w.data.dtype and g.data.shape == w.data.shape
+            assert g.data.flags.c_contiguous
+            assert g.data.tobytes() == w.data.tobytes()
+        # Every trial is an array of its own, not a view of a shared chunk.
+        assert not any(np.shares_memory(a.data, b.data) for a, b in zip(got, got[1:]))
+
+
 class TestStoreErrors:
     def test_truncated_blob(self, tmp_path, rng):
+        # Found when the store is opened, before the stream reads a sample.
         path = tmp_path / "store"
         write_store(path, make_trials(rng), n_classes=3)
         blob = path / "eeg.f32"
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(StoreError, match="size"):
             read_store(path)
+        with pytest.raises(StoreError, match="size"):
+            load_store(path)
+
+    def test_blob_truncated_while_streaming(self, tmp_path, rng):
+        # A chunk read short must not yield the previous chunk's samples.
+        path = tmp_path / "store"
+        write_store(path, make_trials(rng), n_classes=3)
+        _, stream = read_store(path)
+        blob = path / "eeg.f32"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(StoreError, match="shrank"):
+            list(stream)
 
     def test_label_out_of_range(self, tmp_path, rng):
         path = tmp_path / "store"

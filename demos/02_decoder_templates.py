@@ -7,7 +7,8 @@ Run:  python3 demos/02_decoder_templates.py
 
 import numpy as np
 
-from dynastop import SimConfig, fit_cca, make_dataset, resolve_config, score_trace
+from dynastop import SimConfig, fit_cca, make_dataset, resolve_config
+from dynastop.decoding import score_traces
 from dynastop.evaluation import window_grid
 
 # 36 classes, 8 channels, roughly one-cycle trials at 120 Hz. sigma is the
@@ -29,12 +30,11 @@ print(f"recovered event response |corr| vs planted response: {r_corr:.3f}")
 test_cfg = SimConfig(n_classes=36, n_channels=8, sigma=2.0, seed=99)
 test = make_dataset(test_cfg, 2, resolved=sim)
 grid = window_grid(100, 1.05, cfg.fs)
+labels = np.array([trial.label for trial in test])
+accuracy = {similarity: np.mean(np.argmax(score_traces(model, test, grid, similarity), axis=2)
+                                == labels[:, None], axis=0)
+            for similarity in ("inner", "correlation")}
 print(f"\n window | inner-product acc | correlation acc   ({len(test)} trials)")
 for w_idx, window in enumerate(grid):
-    hits = {"inner": 0, "correlation": 0}
-    for trial in test:
-        for similarity in hits:
-            trace = score_trace(model, trial, [window], similarity)
-            hits[similarity] += int(np.argmax(trace[0]) == trial.label)
-    print(f"  {window / cfg.fs:4.2f} s |       {hits['inner'] / len(test):5.3f}       "
-          f"|      {hits['correlation'] / len(test):5.3f}")
+    print(f"  {window / cfg.fs:4.2f} s |       {accuracy['inner'][w_idx]:5.3f}       "
+          f"|      {accuracy['correlation'][w_idx]:5.3f}")

@@ -203,9 +203,11 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner", n_folds=5):
     Parameters
     ----------
     fit: callable
-        Model-fitting procedure mapping the indices of an inner fold's
-        training trials (into `trials`) to a DecoderModel, e.g. the bound
-        :meth:`TrialStatistics.fit` of statistics built once over `trials`.
+        Model-fitting procedure mapping a list of index arrays, each the
+        training trials (into `trials`) of one inner fold, to a list of
+        DecoderModel in the same order, e.g. the bound
+        :meth:`TrialStatistics.fit_many` of statistics built once over
+        `trials`, which fits the folds together.
     trials: list of Trial
         Labeled training trials.
     grid: sequence of int
@@ -233,17 +235,13 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner", n_folds=5):
         n_folds = len(trials)
     grid = np.asarray(grid, dtype=int)
     labels = np.array([t.label for t in trials])
-    folds = stratified_folds(labels, n_folds)
+    folds = [fold for fold in stratified_folds(labels, n_folds) if fold.size]
     fs = trials[0].fs
 
+    models = fit([np.setdiff1d(np.arange(len(trials)), fold) for fold in folds])
     fold_accuracy = []
-    for fold in folds:
-        if fold.size == 0:
-            continue
-        mask = np.ones(len(trials), dtype=bool)
-        mask[fold] = False
-        traces = score_traces(fit(np.flatnonzero(mask)), [trials[i] for i in fold], grid,
-                              similarity)
+    for fold, model in zip(folds, models):
+        traces = score_traces(model, [trials[i] for i in fold], grid, similarity)
         hits = np.count_nonzero(np.argmax(traces, axis=2) == labels[fold, None], axis=0)
         fold_accuracy.append(hits / fold.size)
 

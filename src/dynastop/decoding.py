@@ -81,16 +81,22 @@ def predict_templates(model, structures):
 
 
 def _templates_from_response(response, structures):
-    response = np.asarray(response, dtype=float)
-    templates = []
+    return _templates_from_responses(np.asarray(response, dtype=float)[None], structures)[0]
+
+
+def _templates_from_responses(responses, structures):
+    """Templates of every row of `responses`, shape (n_responses,
+    len(structures), n_samples): one product per structure matrix for all
+    the responses, so each matrix is read once."""
+    templates = np.empty((responses.shape[0], len(structures), structures[0].shape[1]))
     for i, matrix in enumerate(structures):
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape[0] != response.size:
+        if matrix.shape[0] != responses.shape[1]:
             raise ValueError(
-                f"structure {i} has {matrix.shape[0]} rows, expected {response.size}"
+                f"structure {i} has {matrix.shape[0]} rows, expected {responses.shape[1]}"
             )
-        templates.append(response @ matrix)
-    return np.vstack(templates)
+        templates[:, i] = responses @ matrix
+    return templates
 
 
 class TrialStatistics:
@@ -173,7 +179,38 @@ class TrialStatistics:
 
     def fit(self, indices=None, ridge=1e-6):
         """Fit the decoder on the trials at `indices` (default: all of them),
-        as :func:`fit_cca` describes."""
+        as :func:`fit_cca` describes: :meth:`fit_many` of that one subset."""
+        return self.fit_many([indices], ridge)[0]
+
+    def fit_many(self, index_sets, ridge=1e-6):
+        """One decoder per subset of trial indices (None: all the trials).
+
+        Each subset's CCA is solved on its own, as :func:`fit_cca` describes.
+        The templates of all the models then come from one product per class,
+        the stacked responses times that class's structure matrix, so each
+        structure matrix is read once for every model. The models' templates
+        are rows of one shared array.
+
+        Returns
+        -------
+        models: list of DecoderModel
+            One per index set, in order.
+        """
+        solved = [self._solve(indices, ridge) for indices in index_sets]
+        if not solved:
+            return []
+        templates = _templates_from_responses(
+            np.stack([response for _, response, _ in solved]), self.structures
+        )
+        return [
+            DecoderModel(spatial_filter=spatial, response=response, templates=model_templates,
+                         fs=self.fs, canonical_correlation=correlation)
+            for (spatial, response, correlation), model_templates in zip(solved, templates)
+        ]
+
+    def _solve(self, indices, ridge):
+        """Spatial filter, event response and canonical correlation of the
+        fit on the trials at `indices` (None: all of them)."""
         if indices is None:
             indices = np.arange(self.groups.size)
         indices = np.asarray(indices, dtype=int)
@@ -194,7 +231,7 @@ class TrialStatistics:
         isq_x = _inverse_sqrt(cov_xx, "channel")
         spread, isq_d = self._design(np.bincount(groups, minlength=len(self.design_means)), ridge)
         m2_xd = self.cross[indices].sum(axis=0) + self.n_samples * (mean_x.T @ spread[groups])
-        return _solve_cca(isq_x, isq_d, m2_xd / (n - 1), self.structures, self.fs)
+        return _solve_cca(isq_x, isq_d, m2_xd / (n - 1))
 
     def _design(self, counts, ridge):
         """Class design means less the subset's grand mean, and the whitened
@@ -212,7 +249,10 @@ class TrialStatistics:
         return self._designs[key]
 
 
-def _solve_cca(isq_x, isq_d, cov_xd, structures, fs):
+def _solve_cca(isq_x, isq_d, cov_xd):
+    """Unit-norm spatial filter, event response and canonical correlation
+    from the whitening matrices and the cross-covariance, signed so the
+    filter's first nonzero element is positive."""
     left, singulars, right_t = np.linalg.svd(isq_x @ cov_xd @ isq_d)
     spatial = isq_x @ left[:, 0]
     response = isq_d @ right_t[0]
@@ -225,15 +265,7 @@ def _solve_cca(isq_x, isq_d, cov_xd, structures, fs):
     if lead.size and spatial[lead[0]] < 0:
         spatial = -spatial
         response = -response
-
-    templates = _templates_from_response(response, structures)
-    return DecoderModel(
-        spatial_filter=spatial,
-        response=response,
-        templates=templates,
-        fs=fs,
-        canonical_correlation=float(singulars[0]),
-    )
+    return spatial, response, float(singulars[0])
 
 
 def fit_cca(trials, structures, ridge=1e-6):

@@ -132,25 +132,26 @@ def _nearest_window(grid, fs, seconds):
 
 class _FoldPolicies:
     """Per-fold policy factory that shares the expensive calibration products
-    (decoder, training traces, decoding curve, stopping calibration) across
-    the hyperparameter sweep. Every decoder it needs, outer and inner-CV, is
-    fitted from the statistics of the whole evaluation set."""
+    (training traces, decoding curve, stopping calibration) across the
+    hyperparameter sweep. It is handed the fold's decoder; the inner-CV
+    decoders of its curve are fitted together from the statistics of the
+    whole evaluation set."""
 
-    def __init__(self, method, similarity, stats, trials, train_idx, grid):
+    def __init__(self, method, similarity, stats, trials, train_idx, model, grid):
         self.method = method
         self.similarity = similarity
         self.stats = stats
         self.train_idx = train_idx
         self.train = [trials[i] for i in train_idx]
         self.grid = grid
-        self.model = stats.fit(train_idx)
+        self.model = model
         self.fs = self.train[0].fs
         self.n_classes = len(stats.structures)
 
     @cached_property
     def curve(self):
         return decoding_curve(
-            lambda inner: self.stats.fit(self.train_idx[inner]),
+            lambda inner_sets: self.stats.fit_many([self.train_idx[i] for i in inner_sets]),
             self.train,
             self.grid,
             self.n_classes,
@@ -216,20 +217,16 @@ def evaluate_store(trials, structures, config, subject="s01"):
     fs = trials[0].fs
     grid = config.decision_grid(fs, trials[0].data.shape[1])
     labels = np.array([t.label for t in trials])
-    folds = stratified_folds(labels, config.folds)
+    folds = [fold for fold in stratified_folds(labels, config.folds) if fold.size]
 
     stats = TrialStatistics(trials, structures)
+    train_sets = [np.setdiff1d(np.arange(len(trials)), fold) for fold in folds]
     fold_stops, fold_correct = [], []
-    for fold in folds:
-        if fold.size == 0:
-            continue
-        mask = np.ones(len(trials), dtype=bool)
-        mask[fold] = False
+    for fold, train_idx, model in zip(folds, train_sets, stats.fit_many(train_sets)):
         policies = _FoldPolicies(
-            config.method, config.similarity, stats, trials, np.flatnonzero(mask), grid
+            config.method, config.similarity, stats, trials, train_idx, model, grid
         )
-        traces = score_traces(policies.model, [trials[i] for i in fold], grid,
-                              config.similarity)
+        traces = score_traces(model, [trials[i] for i in fold], grid, config.similarity)
         fold_stops.append(np.stack([policies.make(h).first_stops(traces) for h in hyperparams]))
         fold_correct.append(np.argmax(traces, axis=2) == labels[fold, None])
 

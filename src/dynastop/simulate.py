@@ -76,7 +76,17 @@ def resolve_config(cfg):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if not math.isfinite(cfg.alpha):
         raise ValueError(f"alpha must be finite, got {cfg.alpha!r}")
-    n_samples = int(round(cfg.trial_seconds * cfg.fs))
+    samples = cfg.trial_seconds * cfg.fs
+    if not math.isfinite(samples):
+        raise ValueError(f"trial_seconds must be a finite number of samples at fs={cfg.fs!r}, "
+                         f"got trial_seconds={cfg.trial_seconds!r}")
+    n_samples = int(round(samples))
+    max_bytes = np.iinfo(np.intp).max
+    if n_samples * cfg.n_channels * 8 > max_bytes:
+        longest = max_bytes / (8 * cfg.n_channels) / cfg.fs
+        raise ValueError(f"trial_seconds must be at most {longest:.6g} s, so that a trial of "
+                         f"{cfg.n_channels} channels at fs={cfg.fs!r} fits in {max_bytes} bytes, "
+                         f"got {cfg.trial_seconds!r}")
     if n_samples < 1:
         raise ValueError("trial_seconds too short for the sampling rate")
 

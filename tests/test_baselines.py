@@ -439,7 +439,7 @@ class TestDecodingCurve:
         trials = make_dataset(cfg, 5, resolved=sim)
         grid = window_grid(100, 1.05, cfg.fs)
         curve = decoding_curve(
-            TrialStatistics(trials, sim.structures).fit, trials, grid, cfg.n_classes
+            TrialStatistics(trials, sim.structures).fit_many, trials, grid, cfg.n_classes
         )
         assert np.all((0.0 <= curve.accuracy) & (curve.accuracy <= 1.0))
         assert curve.accuracy[-1] == 1.0
@@ -451,7 +451,7 @@ class TestDecodingCurve:
         trials = make_dataset(cfg, 3, resolved=sim)
         grid = window_grid(200, 1.05, cfg.fs)
         curve = decoding_curve(
-            TrialStatistics(trials, sim.structures).fit, trials, grid, cfg.n_classes
+            TrialStatistics(trials, sim.structures).fit_many, trials, grid, cfg.n_classes
         )
         # 108 trials x 6 windows of chance-level decisions.
         p = curve.accuracy.mean()
@@ -463,13 +463,24 @@ class TestDecodingCurve:
         few = trials[:3]
         with pytest.warns(RuntimeWarning, match="reducing"):
             curve = decoding_curve(
-                TrialStatistics(few, sim.structures).fit,
+                TrialStatistics(few, sim.structures).fit_many,
                 few,
                 [12, 126],
                 cfg.n_classes,
                 n_folds=5,
             )
         assert curve.accuracy.shape == (2,)
+
+    @pytest.mark.parametrize("similarity", ["inner", "correlation"])
+    def test_folds_fitted_together_match_one_fit_per_fold(self, small_sim, similarity):
+        cfg, sim, trials = small_sim
+        stats = TrialStatistics(trials, sim.structures)
+        grid = window_grid(100, 1.05, cfg.fs)
+        together = decoding_curve(stats.fit_many, trials, grid, cfg.n_classes,
+                                  similarity=similarity)
+        one_by_one = decoding_curve(lambda sets: [stats.fit(s) for s in sets], trials, grid,
+                                    cfg.n_classes, similarity=similarity)
+        assert together.accuracy.tobytes() == one_by_one.accuracy.tobytes()
 
 
 class TestStratifiedFolds:

@@ -441,6 +441,11 @@ class TestOutOfDomainFlags:
         ("--seed", "-1", "seed"),
         ("--config", '{"seed": -1}', "seed"),
         ("--config", '{"fs": 1}', "fs"),
+        # Sizes past the addressable: an infinite sample count, and a trial
+        # of more bytes than an array may hold.
+        ("--config", '{"fs": 1e300, "trial_seconds": 1e300}', "trial_seconds"),
+        ("--config", '{"fs": 1e300}', "trial_seconds"),
+        ("--config", '{"trial_seconds": 1e300}', "trial_seconds"),
     ])
     def test_simulate(self, tmp_path, capsys, flag, value, named):
         if flag == "--config":

@@ -86,10 +86,40 @@ def dense_fit_cca(trials, structures, ridge=1e-6):
     )
 
 
+def loop_templates(response, structures):
+    """Reference templates: the response times each structure matrix, one
+    vector-matrix product per class."""
+    return np.vstack([response @ np.asarray(matrix, dtype=float) for matrix in structures])
+
+
 def window_trace(model, trial, grid, similarity):
     """Reference trace: every decision window scored on its own."""
     scorer = score if similarity == "inner" else correlation_score
     return np.vstack([scorer(model, trial, w).scores for w in grid])
+
+
+def extended_correlation_trace(model, trial, grid, filter_width=None):
+    """Reference Pearson trace in np.longdouble, every window on its own.
+
+    It scores the float64 filtered signal that the path under test scores:
+    one filtering of the first filter_width samples, as score_traces makes
+    it, or (None) a filtering of each window's prefix, as correlation_score
+    makes it. At a 1e3 offset a filtered sample's rounding, near 1e-13
+    against unit-size variations, moves a short window's score by a few
+    1e-12, and the two filterings round apart; scoring each path's own
+    filtered samples compares only the windowed arithmetic.
+    """
+    templates = model.templates.astype(np.longdouble)
+    trace = np.zeros((len(grid), templates.shape[0]))
+    for k, window in enumerate(grid):
+        width = window if filter_width is None else filter_width
+        x = (model.spatial_filter @ trial.data[:, :width])[:window].astype(np.longdouble)
+        x -= x.mean()
+        t = templates[:, :window] - templates[:, :window].mean(axis=1, keepdims=True)
+        norms = np.sqrt((t * t).sum(axis=1) * (x @ x))
+        degenerate = norms == 0
+        trace[k] = np.where(degenerate, 0.0, (t @ x) / np.where(degenerate, 1.0, norms))
+    return trace
 
 
 def per_trial_score_trace(model, trial, grid, similarity):
@@ -144,8 +174,12 @@ def per_trial_fit(stats, indices, ridge=1e-6):
     cov_dd = m2_dd / (n - 1)
     cov_xx += ridge * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
     cov_dd += ridge * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
-    return _solve_cca(_inverse_sqrt(cov_xx, "channel"), _inverse_sqrt(cov_dd, "design"),
-                      m2_xd / (n - 1), stats.structures, stats.fs)
+    spatial, response, correlation = _solve_cca(
+        _inverse_sqrt(cov_xx, "channel"), _inverse_sqrt(cov_dd, "design"), m2_xd / (n - 1)
+    )
+    return DecoderModel(spatial_filter=spatial, response=response,
+                        templates=_templates_from_response(response, stats.structures),
+                        fs=stats.fs, canonical_correlation=correlation)
 
 
 def static_curve_subsets(labels, n_folds=5):
@@ -581,6 +615,9 @@ class TestTrialStatistics:
             with pytest.raises(ValueError) as fast:
                 stats.fit(subset)
             assert str(fast.value) == str(oracle.value)
+            with pytest.raises(ValueError) as together:
+                stats.fit_many([mixed, subset])
+            assert str(together.value) == str(oracle.value)
         # Folds without the broken trial still fit.
         assert_same_model(stats.fit(mixed), dense_fit_cca([bad[i] for i in mixed], sim.structures))
 
@@ -672,6 +709,40 @@ class TestDesignCache:
         assert len(stats._designs) == 1
 
 
+class TestFitMany:
+    def test_matches_one_fit_per_subset(self, small_sim, paper_sim, rng):
+        unequal = TestDesignCache.unequal_shuffled(small_sim[2], rng)
+        for trial_set, structures in ((small_sim[2], small_sim[1].structures),
+                                      (unequal, small_sim[1].structures),
+                                      (paper_sim[2], paper_sim[1].structures)):
+            stats = TrialStatistics(trial_set, structures)
+            subsets = static_curve_subsets(np.array([t.label for t in trial_set]))
+            # As the harness calls it: the five outer training splits, then
+            # the five inner splits of each.
+            calls = [subsets[::6]] + [subsets[k + 1:k + 6] for k in range(0, len(subsets), 6)]
+            for sets in calls:
+                models = stats.fit_many(sets)
+                for model, reference in zip(models, [stats.fit(s) for s in sets], strict=True):
+                    for name in ("spatial_filter", "response"):
+                        assert getattr(model, name).tobytes() == getattr(reference, name).tobytes()
+                    assert model.canonical_correlation == reference.canonical_correlation
+                    assert model.fs == reference.fs
+                    gap = np.abs(model.templates - reference.templates).max()
+                    assert gap <= 1e-14 * np.abs(reference.templates).max()
+            assert stats.fit_many([]) == []
+
+    def test_single_fit_templates_are_the_template_loop_bytes(self, small_sim, paper_sim):
+        # A model read back rebuilds its templates from the response with
+        # _templates_from_response, so a single fit must give those bytes.
+        for _, sim, trials in (small_sim, paper_sim):
+            stats = TrialStatistics(trials, sim.structures)
+            for model in (fit_cca(trials, sim.structures),
+                          stats.fit(np.arange(0, len(trials), 2))):
+                rebuilt = _templates_from_response(model.response, sim.structures)
+                assert rebuilt.tobytes() == model.templates.tobytes()
+                assert loop_templates(model.response, sim.structures).tobytes() == rebuilt.tobytes()
+
+
 class TestScoreTraceOracle:
     def test_inner_matches_window_loop(self, paper_sim):
         _, sim, trials = paper_sim
@@ -704,6 +775,9 @@ class TestScoreTraceOracle:
     # on that mean.
     @example(seed=16344578, n_samples=39, offset=0.0, similarity="correlation")
     @example(seed=2721926448, n_samples=64, offset=0.0, similarity="correlation")
+    # The two float64 paths 3.9e-12 apart, each about 2e-12 from a reference
+    # that filters in extended precision too.
+    @example(seed=2976035981, n_samples=30, offset=1e3, similarity="correlation")
     def test_random_traces_match_window_loop(self, seed, n_samples, offset, similarity):
         rng = np.random.default_rng(seed)
         templates = rng.standard_normal((5, n_samples)) + rng.normal(0.0, 3.0, (5, 1))
@@ -714,9 +788,12 @@ class TestScoreTraceOracle:
         trace = score_trace(model, trial, grid, similarity)
         if similarity == "inner":
             assert_same_inner_trace(trace, model, trial, grid)
-        else:
+            return
+        for path, filter_width in ((trace, int(grid.max())),
+                                   (window_trace(model, trial, grid, similarity), None)):
             np.testing.assert_allclose(
-                trace, window_trace(model, trial, grid, similarity), rtol=0, atol=1e-12
+                path, extended_correlation_trace(model, trial, grid, filter_width),
+                rtol=0, atol=1e-12,
             )
 
     def test_zero_variance_prefixes_score_zero(self):

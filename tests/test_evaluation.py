@@ -36,9 +36,9 @@ def evaluate_store_loop(trials, structures, config, subject="s01"):
             continue
         mask = np.ones(len(trials), dtype=bool)
         mask[fold] = False
-        policies = _FoldPolicies(
-            config.method, config.similarity, stats, trials, np.flatnonzero(mask), grid
-        )
+        train_idx = np.flatnonzero(mask)
+        policies = _FoldPolicies(config.method, config.similarity, stats, trials, train_idx,
+                                 stats.fit(train_idx), grid)
         policy_by_h = {h: policies.make(h) for h in hyperparams}
         traces = score_traces(policies.model, [trials[i] for i in fold], grid,
                               config.similarity)

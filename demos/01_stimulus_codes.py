@@ -11,10 +11,10 @@ from dynastop import (
     make_m_sequence,
     modulate,
     periodic_crosscorrelation,
+    predict_templates,
     select_subset,
     structure_matrices,
 )
-from dynastop.decoding import _templates_from_response
 from dynastop.simulate import default_response
 
 # A maximal-length sequence from the degree-6 register x^6 + x + 1: 63 bits,
@@ -45,7 +45,7 @@ print(f"\nmodulated code 7: {modulated.shape[1]} bits, {runs.size} flashes "
 # event response, then greedily drop codes from the worst-correlated pairs.
 response = default_response(36)
 structures = structure_matrices(modulated, 120, 120, 126, 36)
-templates = _templates_from_response(response, structures)
+templates = predict_templates(response, structures)
 kept = select_subset(modulated, templates, 36)
 corr = np.abs(np.corrcoef(templates))
 np.fill_diagonal(corr, 0)

@@ -9,7 +9,6 @@ evaluation harness.
 __version__ = "0.1.0"
 
 from .baselines import (
-    BetaPolicy,
     DecodingCurve,
     FixedLengthPolicy,
     MarginPolicy,
@@ -21,18 +20,14 @@ from .baselines import (
     serialize_policy,
     static_max_accuracy,
     static_max_itr,
-    static_targeted_accuracy,
-    stratified_folds,
 )
 from .bayes_stop import (
     StopOutcome,
     StoppingModel,
-    StoppingPolicy,
     WindowParams,
     calibrate,
     decision_boundary,
     estimate_scaling_and_noise,
-    log_likelihood_ratio,
     run_trial,
     window_params,
 )
@@ -52,7 +47,6 @@ from .decoding import (
     ScoreVector,
     Trial,
     TrialStatistics,
-    classify,
     correlation_score,
     fit_cca,
     predict_templates,
@@ -66,20 +60,11 @@ from .metrics import (
     count_decisions,
     f_score,
     itr,
-    metric_flags,
     precision,
     recall,
     specificity,
-    spm,
 )
-from .simulate import (
-    SimConfig,
-    default_response,
-    effective_noise_std,
-    make_dataset,
-    oracle_scores,
-    resolve_config,
-)
+from .simulate import SimConfig, default_response, make_dataset, resolve_config
 from .store import (
     StoreError,
     StoreMeta,

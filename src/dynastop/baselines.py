@@ -1,7 +1,7 @@
 """Comparison stopping strategies behind one policy interface: fixed trial
 length, three static selectors driven by a cross-validated decoding curve, the
 score-margin rule, and the Beta-distribution outlier rule; plus the JSON codec
-of every policy, the calibrated bds model included.
+of the calibrated bds model.
 """
 
 import math
@@ -11,13 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .bayes_stop import StopOutcome, StoppingModel, StoppingPolicy, WindowParams, _first
+from .bayes_stop import StopOutcome, StoppingModel, WindowParams, _first
 from .decoding import score_traces
 
 
 def apply_policy(policy, trace):
-    """Run a policy over one (n_windows, n_classes) score trace to its
-    StopOutcome; forced is True when only the final window produced it."""
+    """Run a per-trace policy (a BetaPolicy) over one (n_windows, n_classes)
+    score trace to its StopOutcome; forced is True when only the final window
+    produced it."""
     trace = np.asarray(trace, dtype=float)
     stop = policy.first_stop(trace)
     forced = stop is None
@@ -26,7 +27,7 @@ def apply_policy(policy, trace):
     return StopOutcome(stop, int(np.argmax(trace[stop])), forced)
 
 
-class FixedLengthPolicy(StoppingPolicy):
+class FixedLengthPolicy:
     """Always stop at one predeclared window with the best-scoring class."""
 
     def __init__(self, stop_window):
@@ -43,7 +44,7 @@ def _top_two_gap(traces):
     return top_two[..., 1] - top_two[..., 0]
 
 
-class MarginPolicy(StoppingPolicy):
+class MarginPolicy:
     """Stop once the margin between the two best scores reaches the window's
     learned threshold."""
 
@@ -58,7 +59,7 @@ class MarginPolicy(StoppingPolicy):
 _BETA_EPSILON = 1e-6
 
 
-class BetaPolicy(StoppingPolicy):
+class BetaPolicy:
     """Stop when the best correlation is an outlier among the others.
 
     Correlation scores are mapped from [-1, 1] into (0, 1), a Beta
@@ -71,8 +72,6 @@ class BetaPolicy(StoppingPolicy):
     """
 
     def __init__(self, target_accuracy):
-        if not 0.0 < target_accuracy < 1.0:
-            raise ValueError("target accuracy must be in (0, 1)")
         self.target_accuracy = float(target_accuracy)
 
     def first_stops(self, traces):
@@ -186,8 +185,6 @@ def stratified_folds(labels, n_folds):
         Trial indices per fold.
     """
     labels = np.asarray(labels)
-    if n_folds < 2:
-        raise ValueError("need at least two folds")
     folds = [[] for _ in range(n_folds)]
     counter = 0
     for label in np.unique(labels):
@@ -197,8 +194,9 @@ def stratified_folds(labels, n_folds):
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
-def decoding_curve(fit, trials, grid, n_classes, similarity="inner", n_folds=5):
-    """Estimate accuracy and ITR per decision window by inner cross-validation.
+def decoding_curve(fit, trials, grid, n_classes, similarity="inner"):
+    """Estimate accuracy and ITR per decision window by 5-fold inner
+    cross-validation (one fold per trial, with a warning, below five trials).
 
     Parameters
     ----------
@@ -216,8 +214,6 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner", n_folds=5):
         Number of stimulus classes (for the ITR).
     similarity: str
         Score used for classification, "inner" or "correlation".
-    n_folds: int (default: 5)
-        Reduced with a warning when fewer trials are available.
 
     Returns
     -------
@@ -226,6 +222,7 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner", n_folds=5):
     """
     if not trials:
         raise ValueError("no training trials")
+    n_folds = 5
     if len(trials) < n_folds:
         warnings.warn(
             f"only {len(trials)} trials: reducing {n_folds} folds to {len(trials)}",
@@ -263,8 +260,6 @@ def static_max_accuracy(curve):
 def static_targeted_accuracy(curve, theta):
     """Earliest window reaching the targeted accuracy, falling back to the
     maximum-accuracy window when the target is never met."""
-    if not 0.0 < theta < 1.0:
-        raise ValueError("targeted accuracy must be in (0, 1)")
     reached = np.flatnonzero(curve.accuracy >= theta)
     if reached.size:
         return int(reached[0])
@@ -337,6 +332,14 @@ class MarginCandidates:
 # The WindowParams fields a "bds" envelope carries per window, next to its eta.
 _WINDOW_FIELDS = ("b0", "b1", "s0", "s1")
 
+# The domain of each number field of a "bds" envelope, as tested and as shown.
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_DOMAINS = {"alpha": _FINITE, "b0": _FINITE, "b1": _FINITE, "sigma": _POSITIVE,
+            "s0": _POSITIVE, "s1": _POSITIVE, "zeta": _POSITIVE,
+            "eta": (lambda v: not math.isnan(v), "a number or an infinity"),
+            "n_classes": (lambda v: v >= 2, ">= 2")}
+
 
 def _encode(value):
     """A float for JSON; the infinities become the strings "inf" and "-inf"."""
@@ -346,71 +349,59 @@ def _encode(value):
 
 def _read(value, key, kind):
     """A JSON value of policy field key as kind: float (a number, or "inf" or
-    "-inf" for the infinities), int, list or dict; None is a missing field.
-    ValueError naming the field otherwise."""
+    "-inf" for the infinities), int, list or dict, in the field's domain;
+    None is a missing field. ValueError naming the field otherwise."""
     if kind is float and value in ("inf", "-inf"):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        value = float(value)
+    elif isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         problem = "is missing" if value is None else f"has type {type(value).__name__}"
         raise ValueError(f"policy field {key!r} {problem}")
-    return kind(value)
+    value = kind(value)
+    if key in _DOMAINS and not _DOMAINS[key][0](value):
+        raise ValueError(f"policy field {key!r} must be {_DOMAINS[key][1]}, got {value!r}")
+    return value
 
 
-def serialize_policy(policy):
-    """JSON-ready envelope for a stopping policy: a kind tag plus parameters.
-    Infinite boundaries and thresholds are written as "inf"/"-inf"."""
-    if isinstance(policy, StoppingModel):
-        return {
-            "kind": "bds",
-            "alpha": _encode(policy.alpha),
-            "sigma": _encode(policy.sigma),
-            "zeta": _encode(policy.zeta),
-            "n_classes": int(policy.n_classes),
-            "t_star": policy.t_star,
-            "grid": [int(w) for w in policy.grid],
-            "windows": [{**{k: _encode(getattr(p, k)) for k in _WINDOW_FIELDS}, "eta": _encode(e)}
-                        for p, e in zip(policy.windows, policy.eta)],
-        }
-    if isinstance(policy, FixedLengthPolicy):
-        return {"kind": "fixed", "stop_window": policy.stop_window}
-    if isinstance(policy, MarginPolicy):
-        return {"kind": "margin", "thresholds": [_encode(t) for t in policy.thresholds]}
-    if isinstance(policy, BetaPolicy):
-        return {"kind": "beta", "target_accuracy": policy.target_accuracy}
-    raise TypeError(f"cannot serialize {type(policy).__name__}")
+def serialize_policy(stopping):
+    """JSON-ready envelope of a calibrated StoppingModel: the kind tag "bds"
+    plus its parameters. Infinite boundaries are written as "inf"/"-inf"."""
+    return {
+        "kind": "bds",
+        "alpha": _encode(stopping.alpha),
+        "sigma": _encode(stopping.sigma),
+        "zeta": _encode(stopping.zeta),
+        "n_classes": int(stopping.n_classes),
+        "t_star": stopping.t_star,
+        "grid": [int(w) for w in stopping.grid],
+        "windows": [{**{k: _encode(getattr(p, k)) for k in _WINDOW_FIELDS}, "eta": _encode(e)}
+                    for p, e in zip(stopping.windows, stopping.eta)],
+    }
 
 
 def deserialize_policy(envelope):
-    """Rebuild a policy from :func:`serialize_policy` output; the "bds" kind
-    is the StoppingModel itself, checked for a strictly increasing grid that
-    ends at t_star and one window entry per window. A missing, mistyped or
-    inconsistent field raises ValueError naming it."""
+    """Rebuild the StoppingModel of a :func:`serialize_policy` envelope,
+    checked for a positive, strictly increasing grid that ends at t_star, one
+    window entry per window, at least two classes and each float in its
+    domain. A missing, mistyped, out-of-domain or inconsistent field raises
+    ValueError naming it."""
     if not isinstance(envelope, dict):
         raise ValueError(f"a policy envelope is a JSON object, not {type(envelope).__name__}")
     kind = envelope.get("kind")
-    if kind == "bds":
-        grid = [_read(w, "grid", int) for w in _read(envelope.get("grid"), "grid", list)]
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("grid must be non-empty and strictly increasing")
-        if grid[-1] != _read(envelope.get("t_star"), "t_star", int):
-            raise ValueError("last grid window must equal t_star")
-        entries = [_read(e, "windows", dict)
-                   for e in _read(envelope.get("windows"), "windows", list)]
-        if len(entries) != len(grid):
-            raise ValueError("one window entry per grid point required")
-        return StoppingModel(
-            **{k: _read(envelope.get(k), k, float) for k in ("alpha", "sigma", "zeta")},
-            n_classes=_read(envelope.get("n_classes"), "n_classes", int),
-            grid=np.asarray(grid, dtype=int),
-            windows=[WindowParams(**{k: _read(e.get(k), k, float) for k in _WINDOW_FIELDS},
-                                  window_samples=w) for e, w in zip(entries, grid)],
-            eta=np.array([_read(e.get("eta"), "eta", float) for e in entries]),
-        )
-    if kind == "fixed":
-        return FixedLengthPolicy(_read(envelope.get("stop_window"), "stop_window", int))
-    if kind == "margin":
-        thresholds = _read(envelope.get("thresholds"), "thresholds", list)
-        return MarginPolicy([_read(t, "thresholds", float) for t in thresholds])
-    if kind == "beta":
-        return BetaPolicy(_read(envelope.get("target_accuracy"), "target_accuracy", float))
-    raise ValueError(f"unknown policy kind {kind!r}")
+    if kind != "bds":
+        raise ValueError(f"unknown policy kind {kind!r}")
+    grid = [_read(w, "grid", int) for w in _read(envelope.get("grid"), "grid", list)]
+    if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("grid must be non-empty, positive and strictly increasing")
+    if grid[-1] != _read(envelope.get("t_star"), "t_star", int):
+        raise ValueError("last grid window must equal t_star")
+    entries = [_read(e, "windows", dict) for e in _read(envelope.get("windows"), "windows", list)]
+    if len(entries) != len(grid):
+        raise ValueError("one window entry per grid point required")
+    return StoppingModel(
+        **{k: _read(envelope.get(k), k, float) for k in ("alpha", "sigma", "zeta")},
+        n_classes=_read(envelope.get("n_classes"), "n_classes", int),
+        grid=np.asarray(grid, dtype=int),
+        windows=[WindowParams(**{k: _read(e.get(k), k, float) for k in _WINDOW_FIELDS},
+                              window_samples=w) for e, w in zip(entries, grid)],
+        eta=np.array([_read(e.get("eta"), "eta", float) for e in entries]),
+    )

@@ -50,28 +50,14 @@ def _first(fired):
     return np.where(fired.any(axis=-1), np.argmax(fired, axis=-1), -1)
 
 
-class StoppingPolicy:
-    """Stopping rule over (n_trials, n_windows, n_classes) score traces.
-
-    first_stops gives each trial's first firing window (-1: never fires), and
-    first_stop its one-trace case (None: never fires). Policies never handle
-    the forced case or choose the label themselves: baselines.apply_policy
-    emits the best-scoring class at the stop, and stops at the last window
-    when no rule fired.
-    """
-
-    def first_stop(self, trace):
-        stop = int(self.first_stops(np.asarray(trace, dtype=float)[None])[0])
-        return None if stop < 0 else stop
-
-
 @dataclass
-class StoppingModel(StoppingPolicy):
+class StoppingModel:
     """Calibrated stopping model: score scaling, noise level, per-window
     distribution parameters, and decision boundaries for one cost ratio.
 
     As a policy it stops at the first window where any score exceeds the
     window's boundary; the best-scoring class is then accepted too.
+    first_stops gives each trial's first firing window, -1 where none fires.
     """
 
     alpha: float
@@ -214,30 +200,15 @@ def _window_grams(templates, grid):
         yield running + rest @ rest.T if w > done else running
 
 
-def log_likelihood_ratio(f, params, alpha):
-    """Log ratio of the target over the non-target score density at score f.
-
-    Expanded quadratic form of the difference of the two Gaussian
-    log-densities N(alpha*b1, s1) and N(alpha*b0, s0); vectorized over f.
-    """
-    f = np.asarray(f, dtype=float)
-    v1 = params.s1 * params.s1
-    v0 = params.s0 * params.s0
-    quad = (v1 - v0) * f * f
-    lin = -2.0 * alpha * (v1 * params.b0 - v0 * params.b1) * f
-    const = -(alpha * alpha) * (v0 * params.b1 ** 2 - v1 * params.b0 ** 2)
-    out = math.log(params.s0 / params.s1) + (quad + lin + const) / (2.0 * v0 * v1)
-    return float(out) if out.ndim == 0 else out
-
-
 def decision_boundary(params, alpha, zeta, n_classes):
     """Score boundary where the likelihood ratio test switches to accept.
 
-    Solves log_likelihood_ratio(f) = log((n_classes - 1) * zeta) for the
-    crossing where the ratio rises with f, i.e. where growing scores move from
-    reject to accept; the accept region is f > eta. Returns +inf when the
-    ratio never reaches the threshold (never stop at this window) and -inf
-    when it always exceeds it.
+    Solves log(N(f; alpha*b1, s1) / N(f; alpha*b0, s0)) = log((n_classes - 1)
+    * zeta), the target over the non-target log density ratio expanded as a
+    quadratic in f, for the crossing where the ratio rises with f, i.e. where
+    growing scores move from reject to accept; the accept region is f > eta.
+    Returns +inf when the ratio never reaches the threshold (never stop at
+    this window) and -inf when it always exceeds it.
     """
     if not zeta > 0:
         raise ValueError(f"cost ratio must be positive, got {zeta!r}")
@@ -274,7 +245,6 @@ def decision_boundary(params, alpha, zeta, n_classes):
     if not math.isfinite(eta):
         return math.inf if eta > 0 else -math.inf
     # Newton polish against the exact ratio to pin the crossing tightly.
-    # The ratio is log_likelihood_ratio's quadratic, term for term in floats.
     for _ in range(2):
         gap = log_ratio + (a * eta * eta + b * eta + const) / scale - threshold
         slope = (2.0 * a * eta + b) / scale

@@ -9,6 +9,7 @@ outputs are byte-reproducible for a fixed seed.
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,7 @@ from .codes import (
     structure_matrices,
     write_codebook,
 )
-from .decoding import fit_cca, _templates_from_response
+from .decoding import fit_cca, predict_templates
 from .evaluation import METHODS, ConfigError, ExperimentConfig, evaluate_store
 from .metrics import CSV_COLUMNS
 from .simulate import SimConfig, default_response, make_dataset, resolve_config
@@ -82,7 +83,7 @@ def cmd_codes(args):
         structures = structure_matrices(
             codes, args.rate_hz, args.rate_hz, codes.shape[1], response.size // 2
         )
-        templates = _templates_from_response(response, structures)
+        templates = predict_templates(response, structures)
         try:
             kept = select_subset(codes, templates, args.subset_k)
         except ValueError as err:
@@ -264,6 +265,19 @@ def cmd_sweep(args):
     return _run_evaluation(args, values, "--hyperparam-list", hyperparam_list=values)
 
 
+def _cell_value(csv_path, record, column):
+    """A CSV cell as a finite float; any other cell is a usage error naming
+    its column."""
+    try:
+        value = float(record[column])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise UsageError(f"{csv_path}: non-numeric or non-finite cell in column {column!r}: "
+                         f"{record[column]!r}")
+    return value
+
+
 def cmd_report(args):
     _print_config(
         "report",
@@ -291,14 +305,11 @@ def cmd_report(args):
 
     series = []
     for g_idx, key in enumerate(sorted(groups)):
-        rows = groups[key]
-        try:
-            points = sorted(
-                (float(r[args.x]), float(r[args.y]), float(r.get(ci_column) or 0.0))
-                for r in rows
-            )
-        except ValueError as err:
-            raise UsageError(f"{args.csv}: non-numeric cell in {args.x}/{args.y}: {err}")
+        points = sorted(
+            (_cell_value(args.csv, r, args.x), _cell_value(args.csv, r, args.y),
+             _cell_value(args.csv, r, ci_column) if r.get(ci_column) else 0.0)
+            for r in groups[key]
+        )
         label = "/".join(part for part in key if part) or "all"
         series.append(
             {

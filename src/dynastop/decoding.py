@@ -66,21 +66,14 @@ def _inverse_sqrt(cov, name):
     return (evecs / np.sqrt(evals)) @ evecs.T
 
 
-def predict_templates(model, structures):
-    """Predict template responses for a list of structure matrices.
+def predict_templates(response, structures):
+    """Predict the template of each structure matrix from an event response
+    (a fitted model's, or a canonical one): :func:`_templates_from_responses`
+    of that one response, a matrix of shape (len(structures), n_samples).
 
     Works for stimulation sequences unseen during fitting, as long as the
-    structure matrices share the model's event-response length.
-
-    Returns
-    -------
-    templates: np.ndarray
-        Matrix of shape (len(structures), n_samples).
+    structure matrices have one row per response sample.
     """
-    return _templates_from_response(model.response, structures)
-
-
-def _templates_from_response(response, structures):
     return _templates_from_responses(np.asarray(response, dtype=float)[None], structures)[0]
 
 
@@ -338,14 +331,6 @@ def correlation_score(model, trial, window_samples):
     return ScoreVector(scores, window, degenerate=degenerate)
 
 
-def classify(scores):
-    """Class with the highest score; ties break toward the lowest index."""
-    values = scores.scores if isinstance(scores, ScoreVector) else np.asarray(scores)
-    if values.size == 0:
-        raise ValueError("empty score vector")
-    return int(np.argmax(values))
-
-
 def score_trace(model, trial, grid, similarity="inner"):
     """Scores of one trial at every decision window: :func:`score_traces` on
     that trial alone, a matrix of shape (len(grid), n_classes)."""
@@ -388,7 +373,9 @@ def score_traces(model, trials, grid, similarity="inner"):
         raise ValueError("grid must not be empty")
     if grid.min() <= 0:
         raise ValueError("window_samples must be positive")
-    longest = int(grid.max())
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("grid must be strictly increasing")
+    longest = int(grid[-1])
     if longest > model.templates.shape[1] or any(
         longest > trial.data.shape[1] for trial in trials
     ):

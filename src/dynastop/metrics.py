@@ -4,7 +4,7 @@ and the results row schema.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +23,6 @@ class DecisionCounts:
     fp: int = 0
     tn: int = 0
     fn: int = 0
-
-    def __add__(self, other):
-        return DecisionCounts(
-            self.tp + other.tp, self.fp + other.fp, self.tn + other.tn, self.fn + other.fn
-        )
-
-    @property
-    def total(self):
-        return self.tp + self.fp + self.tn + self.fn
 
 
 def tally_decisions(argmax_correct, stops, forced, include_forced=True):
@@ -84,16 +75,6 @@ def f_score(counts):
     return _ratio(2.0 * p * r, p + r)
 
 
-def metric_flags(counts):
-    """Which relevance metrics sat on a zero denominator and were reported as 0."""
-    return {
-        "precision": counts.tp + counts.fp == 0,
-        "recall": counts.tp + counts.fn == 0,
-        "specificity": counts.tn + counts.fp == 0,
-        "f_score": precision(counts) + recall(counts) == 0.0,
-    }
-
-
 def itr(p, n_classes, seconds):
     """Information transfer rate in bits per minute (Wolpaw definition).
 
@@ -120,8 +101,6 @@ def spm(select_seconds, overhead_seconds=0.0):
     """Symbols per minute for a selection time plus fixed per-trial overhead."""
     if select_seconds <= 0:
         raise ValueError("selection time must be positive")
-    if overhead_seconds < 0:
-        raise ValueError("overhead must be non-negative")
     return 60.0 / (select_seconds + overhead_seconds)
 
 
@@ -150,10 +129,10 @@ CSV_COLUMNS = (
 class MetricsRow:
     """One evaluation result: a subject/method/hyperparameter combination.
 
-    ci_* fields hold 95% confidence half-widths. The evaluation harness
-    writes single-subject rows, where they stay 0; the columns keep the CSV
-    schema fixed, and ``dynastop report`` draws a band from them when a CSV
-    carries nonzero values.
+    The CSV's ci_* columns hold 95% confidence half-widths, which a
+    single-subject row does not have: the writer fills them with 0.0, keeping
+    the schema fixed, and ``dynastop report`` draws a band from a CSV that
+    fills them.
     """
 
     subject: str
@@ -168,16 +147,3 @@ class MetricsRow:
     recall: float
     specificity: float
     f_score: float
-    ci_accuracy: float = 0.0
-    ci_mean_stop_s: float = 0.0
-    ci_itr: float = 0.0
-    ci_spm: float = 0.0
-    ci_precision: float = 0.0
-    ci_recall: float = 0.0
-    ci_specificity: float = 0.0
-    ci_f_score: float = 0.0
-
-
-def row_fields(row):
-    """Row values keyed by CSV column, in schema order."""
-    return {f.name: getattr(row, f.name) for f in fields(row)}

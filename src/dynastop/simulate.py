@@ -10,7 +10,7 @@ import numpy as np
 
 from .codes import (flash_response_samples, make_gold_codes, modulate, select_subset,
                     structure_matrices)
-from .decoding import Trial, _templates_from_response
+from .decoding import Trial, predict_templates
 
 
 @dataclass
@@ -119,7 +119,7 @@ def resolve_config(cfg):
         raise ValueError("spatial pattern must have n_channels entries and nonzero norm")
 
     structures = structure_matrices(codes, cfg.fs, cfg.rate_hz, n_samples, event_samples)
-    templates = _templates_from_response(response, structures)
+    templates = predict_templates(response, structures)
     if codes.shape[0] > cfg.n_classes:
         # Each code's rows are built on their own, so the kept ones are theirs.
         kept = select_subset(codes, templates, cfg.n_classes)
@@ -177,36 +177,3 @@ def make_dataset(cfg, trials_per_class, resolved=None):
             trials.append(Trial(data=data, label=label, fs=cfg.fs))
             index += 1
     return trials
-
-
-def effective_noise_std(cfg, resolved=None):
-    """Noise level seen by the pattern-matched projection of oracle_scores."""
-    sim = resolved or resolve_config(cfg)
-    return cfg.sigma / float(np.linalg.norm(sim.spatial_pattern))
-
-
-def oracle_scores(cfg, trials, window_samples, resolved=None):
-    """Per-trial scores against the true planted templates, bypassing decoding.
-
-    Trials are projected onto the spatial pattern (normalized so the source
-    passes with unit gain) and scored by inner product with the true templates
-    truncated to the window. Used to check the predicted score distributions
-    without decoder estimation error.
-
-    Returns
-    -------
-    scores: np.ndarray
-        Matrix of shape (n_trials, n_classes).
-    """
-    sim = resolved or resolve_config(cfg)
-    window = int(window_samples)
-    if not 1 <= window <= sim.n_samples:
-        raise ValueError("window outside the trial length")
-    pattern = sim.spatial_pattern
-    projector = pattern / float(pattern @ pattern)
-    templ = sim.templates[:, :window]
-    out = np.empty((len(trials), cfg.n_classes))
-    for i, trial in enumerate(trials):
-        virtual = projector @ trial.data[:, :window]
-        out[i] = templ @ virtual
-    return out

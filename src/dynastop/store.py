@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding import Trial
-from .metrics import CSV_COLUMNS, row_fields
+from .metrics import CSV_COLUMNS
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "eeg.f32"
@@ -207,8 +207,9 @@ def write_results_csv(path, rows, append=False):
     """Write metrics rows as RFC-4180 CSV with the fixed column schema.
 
     Rows are ordered by (subject, method, hyperparam, similarity); floats use
-    their shortest round-trip decimal form. With append=True an existing file
-    keeps its header and gains the new rows.
+    their shortest round-trip decimal form, and the ci_* columns, which a row
+    does not carry, read 0.0. With append=True an existing file keeps its
+    header and gains the new rows.
     """
     ordered = sorted(
         rows,
@@ -227,5 +228,5 @@ def write_results_csv(path, rows, append=False):
         if fresh:
             writer.writerow(CSV_COLUMNS)
         for row in ordered:
-            values = row_fields(row)
-            writer.writerow([_format_cell(values[col]) for col in CSV_COLUMNS])
+            values = vars(row)
+            writer.writerow([_format_cell(values.get(col, 0.0)) for col in CSV_COLUMNS])

@@ -1,0 +1,95 @@
+"""Reference implementations the tests check the package against: the
+likelihood ratio the boundary solver inverts, scores against the simulator's
+planted templates, and the per-window run of every stopping rule."""
+
+import math
+
+import numpy as np
+
+from dynastop.baselines import FixedLengthPolicy, MarginPolicy
+from dynastop.bayes_stop import StopOutcome, StoppingModel
+from dynastop.metrics import DecisionCounts
+from dynastop.simulate import resolve_config
+
+
+def log_likelihood_ratio(f, params, alpha):
+    """Log ratio of the target over the non-target score density at score f.
+
+    Expanded quadratic form of the difference of the two Gaussian
+    log-densities N(alpha*b1, s1) and N(alpha*b0, s0); vectorized over f.
+    """
+    f = np.asarray(f, dtype=float)
+    v1 = params.s1 * params.s1
+    v0 = params.s0 * params.s0
+    quad = (v1 - v0) * f * f
+    lin = -2.0 * alpha * (v1 * params.b0 - v0 * params.b1) * f
+    const = -(alpha * alpha) * (v0 * params.b1 ** 2 - v1 * params.b0 ** 2)
+    out = math.log(params.s0 / params.s1) + (quad + lin + const) / (2.0 * v0 * v1)
+    return float(out) if out.ndim == 0 else out
+
+
+def effective_noise_std(cfg, resolved=None):
+    """Noise level seen by the pattern-matched projection of oracle_scores."""
+    sim = resolved or resolve_config(cfg)
+    return cfg.sigma / float(np.linalg.norm(sim.spatial_pattern))
+
+
+def oracle_scores(cfg, trials, window_samples, resolved=None):
+    """Per-trial scores against the true planted templates, bypassing decoding.
+
+    Trials are projected onto the spatial pattern (normalized so the source
+    passes with unit gain) and scored by inner product with the true templates
+    truncated to the window, a matrix of shape (n_trials, n_classes). Used to
+    check the predicted score distributions without decoder estimation error.
+    """
+    sim = resolved or resolve_config(cfg)
+    window = int(window_samples)
+    if not 1 <= window <= sim.n_samples:
+        raise ValueError("window outside the trial length")
+    pattern = sim.spatial_pattern
+    projector = pattern / float(pattern @ pattern)
+    templ = sim.templates[:, :window]
+    out = np.empty((len(trials), cfg.n_classes))
+    for i, trial in enumerate(trials):
+        virtual = projector @ trial.data[:, :window]
+        out[i] = templ @ virtual
+    return out
+
+
+def window_decide(policy, scores, window_index):
+    """Reference per-window rule: the label a policy emits at one window, or
+    None to wait."""
+    if isinstance(policy, FixedLengthPolicy):
+        return int(np.argmax(scores)) if window_index >= policy.stop_window else None
+    if isinstance(policy, StoppingModel):
+        accepted = np.flatnonzero(scores > policy.eta[window_index])
+        return int(accepted[np.argmax(scores[accepted])]) if accepted.size else None
+    if isinstance(policy, MarginPolicy):
+        top_two = np.partition(scores, scores.size - 2)[-2:]
+        if top_two[1] - top_two[0] >= policy.thresholds[window_index]:
+            return int(np.argmax(scores))
+        return None
+    return int(np.argmax(scores)) if policy.fires(scores) else None
+
+
+def apply_policy_loop(policy, trace):
+    """Reference run of any stopping rule over one trace: the per-window rule
+    run window by window, forced to the last window when it never fires."""
+    trace = np.asarray(trace, dtype=float)
+    for w in range(trace.shape[0]):
+        label = window_decide(policy, trace[w], w)
+        if label is not None:
+            return StopOutcome(w, int(label), False)
+    return StopOutcome(trace.shape[0] - 1, int(np.argmax(trace[-1])), True)
+
+
+def first_stops_loop(policy, traces):
+    """Reference first_stops: each trial's window-loop stop, -1 when forced."""
+    outcomes = [apply_policy_loop(policy, trace) for trace in traces]
+    return [-1 if o.forced else o.stopped_at for o in outcomes]
+
+
+def pooled(counts):
+    """Field-wise sum of DecisionCounts."""
+    return DecisionCounts(*(sum(getattr(c, k) for c in counts)
+                            for k in ("tp", "fp", "tn", "fn")))

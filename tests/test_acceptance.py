@@ -23,7 +23,6 @@ import pytest
 import dynastop
 from dynastop.baselines import (
     DecodingCurve,
-    apply_policy,
     beta_cdf,
     fit_margin,
     static_max_accuracy,
@@ -31,23 +30,12 @@ from dynastop.baselines import (
     static_targeted_accuracy,
     stratified_folds,
 )
-from dynastop.bayes_stop import (
-    StopOutcome,
-    WindowParams,
-    calibrate,
-    decision_boundary,
-    log_likelihood_ratio,
-)
+from dynastop.bayes_stop import StopOutcome, WindowParams, calibrate, decision_boundary, run_trial
 from dynastop.decoding import fit_cca, score_trace
 from dynastop.evaluation import window_grid
-from dynastop.metrics import DecisionCounts, count_decisions, itr, precision
-from dynastop.simulate import (
-    SimConfig,
-    effective_noise_std,
-    make_dataset,
-    oracle_scores,
-    resolve_config,
-)
+from dynastop.metrics import count_decisions, itr, precision
+from dynastop.simulate import SimConfig, make_dataset, resolve_config
+from oracles import effective_noise_std, log_likelihood_ratio, oracle_scores, pooled
 
 
 def report(number, text):
@@ -82,12 +70,12 @@ def log_normal_pdf(x, mean, std):
 
 def bds_cross_validation(trials, structures, zetas, fs, folds=5, grid_ms=100.0):
     """Full pipeline per cost ratio: decoder fit and stopping calibration per
-    fold, held-out trials run to their stopping decision."""
+    fold, held-out trials run to their stopping decision by the online
+    controller."""
     t_star_s = trials[0].data.shape[1] / fs
     grid = window_grid(grid_ms, t_star_s, fs)
     labels = np.array([t.label for t in trials])
-    results = {z: {"hits": [], "stops": [], "forced": [], "counts": DecisionCounts()}
-               for z in zetas}
+    results = {z: {"hits": [], "stops": [], "forced": [], "counts": []} for z in zetas}
     for fold in stratified_folds(labels, folds):
         mask = np.ones(len(trials), dtype=bool)
         mask[fold] = False
@@ -99,12 +87,12 @@ def bds_cross_validation(trials, structures, zetas, fs, folds=5, grid_ms=100.0):
             trace = score_trace(model, trials[idx], grid, "inner")
             correct = np.argmax(trace, axis=1) == trials[idx].label
             for z in zetas:
-                outcome = apply_policy(policies[z], trace)
+                outcome = run_trial(policies[z], model, trials[idx])
                 bucket = results[z]
                 bucket["hits"].append(outcome.label == trials[idx].label)
                 bucket["stops"].append(grid[outcome.stopped_at] / fs)
                 bucket["forced"].append(outcome.forced)
-                bucket["counts"] = bucket["counts"] + count_decisions(outcome, correct)
+                bucket["counts"].append(count_decisions(outcome, correct))
     summary = {}
     for z in zetas:
         bucket = results[z]
@@ -112,7 +100,7 @@ def bds_cross_validation(trials, structures, zetas, fs, folds=5, grid_ms=100.0):
             "accuracy": float(np.mean(bucket["hits"])),
             "mean_stop_s": float(np.mean(bucket["stops"])),
             "forced_fraction": float(np.mean(bucket["forced"])),
-            "precision": precision(bucket["counts"]),
+            "precision": precision(pooled(bucket["counts"])),
         }
     return summary, grid
 
@@ -384,7 +372,7 @@ def test_criterion_11_decision_accounting():
     trials = make_dataset(cfg, 5, resolved=sim)
     summary, grid = bds_cross_validation(trials, sim.structures, [1.0], cfg.fs)
     labels = np.array([t.label for t in trials])
-    total = DecisionCounts()
+    counts = []
     for fold in stratified_folds(labels, 5):
         mask = np.ones(len(trials), dtype=bool)
         mask[fold] = False
@@ -394,7 +382,8 @@ def test_criterion_11_decision_accounting():
         for idx in fold:
             trace = score_trace(model, trials[idx], grid, "inner")
             correct = np.argmax(trace, axis=1) == trials[idx].label
-            total = total + count_decisions(apply_policy(stopping, trace), correct)
+            counts.append(count_decisions(run_trial(stopping, model, trials[idx]), correct))
+    total = pooled(counts)
     assert total.tp + total.fp == len(trials)
     report(11, f"four-outcome semantics verified; {total.tp + total.fp} positive "
                f"decisions for {len(trials)} trials")

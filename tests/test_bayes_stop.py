@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dynastop.baselines import apply_policy, deserialize_policy, serialize_policy
+from dynastop.baselines import deserialize_policy, serialize_policy
 from dynastop.bayes_stop import (
     StopOutcome,
     StoppingModel,
@@ -16,13 +16,13 @@ from dynastop.bayes_stop import (
     calibrate,
     decision_boundary,
     estimate_scaling_and_noise,
-    log_likelihood_ratio,
     run_trial,
     window_params,
 )
 from dynastop.decoding import DecoderModel, Trial, fit_cca, score, score_traces
 from dynastop.evaluation import window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
+from oracles import log_likelihood_ratio
 
 
 def window_run_trial(stopping, model, trial):
@@ -570,7 +570,8 @@ class TestRunTrialOracle:
         outcome = run_trial(stopping, model, trial)
         assert outcome == window_run_trial(stopping, model, trial)
         trace = np.array([score(model, trial, int(w)).scores for w in grid])
-        assert outcome == apply_policy(stopping, trace)
+        first = -1 if outcome.forced else outcome.stopped_at
+        assert stopping.first_stops(trace[None]).tolist() == [first]
 
     def test_paper_length_session_matches_window_loop(self):
         cfg = SimConfig(n_classes=36, n_channels=8, trial_seconds=4.2, sigma=3.0, seed=23)
@@ -641,6 +642,10 @@ class TestStoppingModelJson:
         doc["grid"] = [8, 2]
         with pytest.raises(ValueError, match="increasing"):
             deserialize_policy(doc)
+        # A 0-sample first window would stop on scores of no data.
+        doc["grid"] = [0, 8]
+        with pytest.raises(ValueError, match="positive"):
+            deserialize_policy(doc)
 
     @pytest.mark.parametrize("path, value, named", [
         (("alpha",), None, "alpha"), (("sigma",), "1.0", "sigma"), (("zeta",), True, "zeta"),
@@ -649,6 +654,14 @@ class TestStoppingModelJson:
         (("grid",), 8, "grid"), (("grid", 0), 2.5, "grid"), (("windows",), {}, "windows"),
         (("windows", 1), [0.5], "windows"), (("windows", 0, "b1"), None, "b1"),
         (("windows", 1, "s0"), False, "s0"), (("windows", 1, "eta"), "Infinity", "eta"),
+        # Out of domain: a NaN alpha would make every boundary -inf.
+        (("alpha",), math.nan, "alpha"), (("alpha",), "inf", "alpha"),
+        (("windows", 0, "b0"), math.nan, "b0"), (("windows", 1, "b1"), "-inf", "b1"),
+        (("sigma",), 0.0, "sigma"), (("sigma",), -1.0, "sigma"), (("sigma",), "inf", "sigma"),
+        (("windows", 0, "s0"), 0, "s0"), (("windows", 1, "s1"), -0.1, "s1"),
+        (("windows", 1, "s1"), math.nan, "s1"), (("zeta",), 0.0, "zeta"),
+        (("zeta",), "inf", "zeta"), (("n_classes",), 1, "n_classes"),
+        (("windows", 0, "eta"), math.nan, "eta"),
     ])
     def test_missing_or_mistyped_field_is_named(self, path, value, named):
         doc = {"kind": "bds", "alpha": 1.0, "sigma": 0.1, "zeta": 1.0, "n_classes": 2,

@@ -508,6 +508,27 @@ class TestReport:
         ) == 0
         assert "polygon" in out.read_text()
 
+    @pytest.mark.parametrize("column, cell", [
+        ("mean_stop_s", "nan"), ("accuracy", "inf"), ("accuracy", "-inf"),
+        ("mean_stop_s", "x"), ("ci_accuracy", "nan"),
+    ])
+    def test_non_finite_cell_exits_2_naming_column(self, tmp_path, capsys, column, cell):
+        header = ["subject", "method", "hyperparam", "similarity", "accuracy", "mean_stop_s",
+                  "ci_accuracy"]
+        good = ["mean", "bds", "1.0", "inner", "0.8", "0.9", "0.04"]
+        bad = dict(zip(header, good), hyperparam="10.0", **{column: cell})
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("".join(",".join(row) + "\r\n"
+                                    for row in (header, good, [bad[h] for h in header])))
+        code, captured = run(
+            ["report", "--csv", str(csv_path), "--x", "mean_stop_s",
+             "--y", "accuracy", "--out-svg", str(tmp_path / "p.svg")],
+            capsys,
+        )
+        assert code == 2
+        assert f"column '{column}'" in captured.err
+        assert not (tmp_path / "p.svg").exists()
+
     def test_unknown_column_exits_2(self, results_csv, tmp_path, capsys):
         code, captured = run(
             ["report", "--csv", str(results_csv), "--x", "mean_stop_s",

@@ -13,8 +13,6 @@ from dynastop.decoding import (
     TrialStatistics,
     _inverse_sqrt,
     _solve_cca,
-    _templates_from_response,
-    classify,
     correlation_score,
     fit_cca,
     predict_templates,
@@ -80,7 +78,7 @@ def dense_fit_cca(trials, structures, ridge=1e-6):
     return DecoderModel(
         spatial_filter=spatial,
         response=response,
-        templates=_templates_from_response(response, structures),
+        templates=predict_templates(response, structures),
         fs=trials[0].fs,
         canonical_correlation=float(singulars[0]),
     )
@@ -178,7 +176,7 @@ def per_trial_fit(stats, indices, ridge=1e-6):
         _inverse_sqrt(cov_xx, "channel"), _inverse_sqrt(cov_dd, "design"), m2_xd / (n - 1)
     )
     return DecoderModel(spatial_filter=spatial, response=response,
-                        templates=_templates_from_response(response, stats.structures),
+                        templates=predict_templates(response, stats.structures),
                         fs=stats.fs, canonical_correlation=correlation)
 
 
@@ -383,34 +381,26 @@ class TestFitCca:
 
 class TestPredictTemplates:
     def test_zero_structure_gives_zero_template(self, rng):
-        model = toy_model(np.zeros((1, 4)))
-        model.response = rng.standard_normal(6)
-        out = predict_templates(model, [np.zeros((6, 9))])
+        out = predict_templates(rng.standard_normal(6), [np.zeros((6, 9))])
         assert out.shape == (1, 9)
         assert not out.any()
 
     def test_single_short_event_selects_response_segment(self, rng):
         response = rng.standard_normal(8)
-        model = toy_model(np.zeros((1, 4)))
-        model.response = response
         structure = np.zeros((8, 4))
         for j in range(4):
             structure[j, j] = 1.0  # short event at sample 0
-        out = predict_templates(model, [structure])
+        out = predict_templates(response, [structure])
         np.testing.assert_allclose(out[0], response[:4])
 
     def test_identical_structures_identical_templates(self, rng):
-        model = toy_model(np.zeros((1, 4)))
-        model.response = rng.standard_normal(6)
         s = rng.integers(0, 2, (6, 10)).astype(float)
-        out = predict_templates(model, [s, s.copy()])
+        out = predict_templates(rng.standard_normal(6), [s, s.copy()])
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_dimension_mismatch_rejected(self, rng):
-        model = toy_model(np.zeros((1, 4)))
-        model.response = rng.standard_normal(6)
         with pytest.raises(ValueError, match="rows"):
-            predict_templates(model, [np.zeros((5, 9))])
+            predict_templates(rng.standard_normal(6), [np.zeros((5, 9))])
 
 
 class TestScores:
@@ -425,7 +415,7 @@ class TestScores:
         trial = Trial(t[1][None, :], None, 100.0)
         sv = score(self.model, trial, 4)
         assert sv.scores[1] == pytest.approx(t[1] @ t[1])
-        assert classify(sv) == 1
+        assert np.argmax(sv.scores) == 1
 
     def test_orthogonal_trial_scores_zero(self):
         x = np.array([0.0, 0.0, 0.0, 0.0])
@@ -443,7 +433,7 @@ class TestScores:
         x = rng.standard_normal(4)
         a = score(self.model, Trial(x[None, :], None, 100.0), 4)
         b = score(self.model, Trial((7.3 * x)[None, :], None, 100.0), 4)
-        assert classify(a) == classify(b)
+        assert np.argmax(a.scores) == np.argmax(b.scores)
 
     def test_window_validation(self):
         trial = Trial(np.zeros((1, 4)), None, 100.0)
@@ -481,13 +471,7 @@ class TestScores:
         for label in range(36):
             trial = Trial(sim.templates[label][None, :], label, cfg.fs)
             sv = score(model, trial, sim.templates.shape[1])
-            assert classify(sv) == label
-
-    def test_classify_examples(self):
-        assert classify(np.array([0.1, 0.9, 0.3])) == 1
-        assert classify(np.array([0.5, 0.5])) == 0
-        with pytest.raises(ValueError):
-            classify(np.array([]))
+            assert np.argmax(sv.scores) == label
 
     def test_score_trace_shapes_and_consistency(self):
         trial = Trial(np.array([[1.0, 0.5, -0.5, 2.0]]), None, 100.0)
@@ -733,12 +717,12 @@ class TestFitMany:
 
     def test_single_fit_templates_are_the_template_loop_bytes(self, small_sim, paper_sim):
         # A model read back rebuilds its templates from the response with
-        # _templates_from_response, so a single fit must give those bytes.
+        # predict_templates, so a single fit must give those bytes.
         for _, sim, trials in (small_sim, paper_sim):
             stats = TrialStatistics(trials, sim.structures)
             for model in (fit_cca(trials, sim.structures),
                           stats.fit(np.arange(0, len(trials), 2))):
-                rebuilt = _templates_from_response(model.response, sim.structures)
+                rebuilt = predict_templates(model.response, sim.structures)
                 assert rebuilt.tobytes() == model.templates.tobytes()
                 assert loop_templates(model.response, sim.structures).tobytes() == rebuilt.tobytes()
 
@@ -909,3 +893,8 @@ class TestScoreTracesBatch:
             score_traces(model, short, [2, 4], "inner")
         with pytest.raises(ValueError, match="similarity"):
             score_traces(model, short, [2], "cosine")
+        # Each window would score from the previous window's end: 30 of
+        # [60, 30, 126] would differ from 30 of [30, 60, 126].
+        for grid in ([4, 2], [2, 2, 4]):
+            with pytest.raises(ValueError, match="grid"):
+                score_traces(model, short[:1], grid, "inner")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dynastop import metrics
-from dynastop.baselines import apply_policy, stratified_folds
+from dynastop.baselines import MarginPolicy, stratified_folds
 from dynastop.decoding import TrialStatistics, fit_cca, score_trace, score_traces
 from dynastop.evaluation import (
     ConfigError,
@@ -15,11 +15,12 @@ from dynastop.evaluation import (
     window_grid,
 )
 from dynastop.metrics import count_decisions
+from oracles import apply_policy_loop, pooled
 
 
 def evaluate_store_loop(trials, structures, config, subject="s01"):
-    """Reference evaluate_store: every held-out trial run through
-    apply_policy and count_decisions one hyperparameter at a time."""
+    """Reference evaluate_store: every held-out trial run window by window
+    through each hyperparameter's rule, its decisions counted one at a time."""
     hyperparams = list(dict.fromkeys(config.hyperparams)) or [None]
     fs = trials[0].fs
     t_star_s = config.t_star_s
@@ -29,7 +30,7 @@ def evaluate_store_loop(trials, structures, config, subject="s01"):
     labels = np.array([t.label for t in trials])
     hits = {h: [] for h in hyperparams}
     stop_seconds = {h: [] for h in hyperparams}
-    counts = {h: metrics.DecisionCounts() for h in hyperparams}
+    counts = {h: [] for h in hyperparams}
     stats = TrialStatistics(trials, structures)
     for fold in stratified_folds(labels, config.folds):
         if fold.size == 0:
@@ -45,16 +46,16 @@ def evaluate_store_loop(trials, structures, config, subject="s01"):
         argmax_correct = np.argmax(traces, axis=2) == labels[fold, None]
         for trace, label, correct in zip(traces, labels[fold], argmax_correct):
             for h in hyperparams:
-                outcome = apply_policy(policy_by_h[h], trace)
+                outcome = apply_policy_loop(policy_by_h[h], trace)
                 hits[h].append(outcome.label == label)
                 stop_seconds[h].append(grid[outcome.stopped_at] / fs)
-                counts[h] = counts[h] + count_decisions(outcome, correct)
+                counts[h].append(count_decisions(outcome, correct))
 
     rows = []
     for h in hyperparams:
         accuracy = float(np.mean(hits[h]))
         mean_stop = float(np.mean(stop_seconds[h]))
-        c = counts[h]
+        c = pooled(counts[h])
         rows.append(metrics.MetricsRow(
             subject=subject, method=config.method, hyperparam=h,
             similarity=config.similarity, accuracy=accuracy, mean_stop_s=mean_stop,
@@ -260,11 +261,8 @@ class TestEvaluateStore:
         labels = np.array([t.label for t in trials])
         folds = stratified_folds(labels, 5)
         grid = window_grid(100, 1.05, cfg.fs)
-        from dynastop.baselines import MarginPolicy
-        from dynastop.metrics import DecisionCounts
-
         policy = MarginPolicy(np.full(grid.size, 2.0))
-        total = DecisionCounts()
+        counts = []
         expected_positive_windows = 0
         for fold in folds:
             mask = np.ones(len(trials), dtype=bool)
@@ -273,11 +271,12 @@ class TestEvaluateStore:
             for idx in fold:
                 trace = score_trace(model, trials[idx], grid, "inner")
                 correct = np.argmax(trace, axis=1) == trials[idx].label
-                outcome = apply_policy(policy, trace)
-                total = total + count_decisions(outcome, correct)
+                outcome = apply_policy_loop(policy, trace)
+                counts.append(count_decisions(outcome, correct))
                 expected_positive_windows += int(
                     correct[: outcome.stopped_at + 1].sum()
                 )
+        total = pooled(counts)
         assert total.tp + total.fn == expected_positive_windows
         assert total.tp + total.fp == len(trials)
 

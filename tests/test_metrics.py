@@ -6,18 +6,19 @@ import pytest
 from dynastop.bayes_stop import StopOutcome
 from dynastop.metrics import (
     CSV_COLUMNS,
+    NUMERIC_FIELDS,
     DecisionCounts,
     MetricsRow,
     count_decisions,
     f_score,
     itr,
-    metric_flags,
     precision,
     recall,
     specificity,
     spm,
     tally_decisions,
 )
+from oracles import pooled
 
 
 def outcome(stopped_at, forced=False):
@@ -42,7 +43,7 @@ class TestCountDecisions:
         counts = count_decisions(
             outcome(3, forced=True), [True] * 4, include_forced=False
         )
-        assert counts.total == 0
+        assert counts == DecisionCounts()
 
     def test_mixed_negatives(self):
         counts = count_decisions(outcome(3), [False, True, False, True])
@@ -75,10 +76,9 @@ class TestCountDecisions:
             correct = rng.random((n_trials, n_windows)) < 0.5
             stops = rng.integers(0, n_windows, n_trials)
             forced = rng.random(n_trials) < 0.3
-            want = DecisionCounts()
-            for flags, stop, was_forced in zip(correct, stops, forced):
-                want = want + count_decisions(outcome(int(stop), bool(was_forced)), flags,
-                                              include_forced)
+            want = pooled([count_decisions(outcome(int(stop), bool(was_forced)), flags,
+                                           include_forced)
+                           for flags, stop, was_forced in zip(correct, stops, forced)])
             got = tally_decisions(correct, stops, forced, include_forced)
             assert got == want
             assert all(type(v) is int for v in (got.tp, got.fp, got.tn, got.fn))
@@ -89,11 +89,6 @@ class TestCountDecisions:
     def test_tally_rejects_stop_past_flags(self):
         with pytest.raises(ValueError, match="cover"):
             tally_decisions([[True, False]], [2], [False])
-
-    def test_counts_add(self):
-        total = DecisionCounts(1, 2, 3, 4) + DecisionCounts(5, 6, 7, 8)
-        assert (total.tp, total.fp, total.tn, total.fn) == (6, 8, 10, 12)
-        assert total.total == 36
 
 
 class TestRatios:
@@ -113,10 +108,6 @@ class TestRatios:
         assert recall(empty) == 0.0
         assert specificity(empty) == 0.0
         assert f_score(empty) == 0.0
-        flags = metric_flags(empty)
-        assert all(flags.values())
-        healthy = metric_flags(DecisionCounts(tp=1, fp=1, tn=1, fn=1))
-        assert not any(healthy.values())
 
     def test_ranges(self, rng):
         for _ in range(100):
@@ -160,10 +151,11 @@ class TestSpm:
     def test_validation(self):
         with pytest.raises(ValueError):
             spm(0.0)
-        with pytest.raises(ValueError):
-            spm(1.0, -0.1)
 
 
 def test_csv_columns_cover_row_fields():
-    names = {f for f in MetricsRow.__dataclass_fields__}
-    assert set(CSV_COLUMNS) == names
+    # Every row field has its column; the rest are the ci_* columns the
+    # writer fills with 0.0.
+    names = list(MetricsRow.__dataclass_fields__)
+    assert list(CSV_COLUMNS[:len(names)]) == names
+    assert list(CSV_COLUMNS[len(names):]) == [f"ci_{n}" for n in NUMERIC_FIELDS]

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 
 from dynastop.codes import structure_matrices
-from dynastop.decoding import _templates_from_response
-from dynastop.simulate import (
-    SimConfig,
-    default_response,
-    effective_noise_std,
-    make_dataset,
-    oracle_scores,
-    resolve_config,
-)
+from dynastop.decoding import predict_templates
+from dynastop.simulate import SimConfig, default_response, make_dataset, resolve_config
+from oracles import effective_noise_std, oracle_scores
 
 
 def tiny_config(**overrides):
@@ -35,7 +29,7 @@ class TestResolveConfig:
         sim = resolve_config(cfg)
         structures = structure_matrices(sim.codes, cfg.fs, cfg.rate_hz, sim.n_samples,
                                         sim.response.size // 2)
-        templates = _templates_from_response(sim.response, structures)
+        templates = predict_templates(sim.response, structures)
         assert len(sim.structures) == n_classes
         for got, want in zip(sim.structures, structures):
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,

@@ -6,6 +6,7 @@ equal-length sequences row-wise with shape (n_codes, n_bits).
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,6 +198,42 @@ def flash_response_samples(fs):
     return int(round(0.3 * fs))
 
 
+class StructureMatrices(Sequence):
+    """Read-only sequence of structure matrices, held as onset trains.
+
+    `trains` has shape (n_codes, 2, response_samples - 1 + n_samples): code
+    c's short (k = 0) and long (k = 1) onset trains, each after
+    response_samples - 1 zeros. Item c is a fresh float64 (2 *
+    response_samples, n_samples) matrix whose row k * response_samples + j is
+    the kind-k train delayed by j samples, built on each access. A slice or an
+    index array gives the sequence over those codes' trains.
+    """
+
+    def __init__(self, trains, n_samples):
+        self.trains = trains.view()
+        self.trains.flags.writeable = False
+        self.n_samples = n_samples
+
+    @property
+    def shape(self):
+        """(n_codes, rows, columns): the shape of the matrices stacked."""
+        return len(self), 2 * (self.trains.shape[2] - self.n_samples + 1), self.n_samples
+
+    def __len__(self):
+        return self.trains.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            # Window w of a train is the train delayed by response_samples - 1 - w.
+            lagged = np.lib.stride_tricks.sliding_window_view(
+                self.trains[index], self.n_samples, axis=1)[:, ::-1]
+            return lagged.copy().reshape(-1, self.n_samples)
+        return StructureMatrices(self.trains[index], self.n_samples)
+
+
 def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
     """Binary structure matrices placing flash responses on a sample grid.
 
@@ -226,9 +263,12 @@ def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
 
     Returns
     -------
-    matrices: list of np.ndarray
-        One float (2 * response_samples, n_samples) matrix of 0/1 entries per
-        code, each its own array. A run of more than two ones raises ValueError.
+    matrices: StructureMatrices
+        A read-only sequence of one float (2 * response_samples, n_samples)
+        matrix of 0/1 entries per code. It holds only the codes' onset trains
+        and builds a matrix, as a new array, each time an item is read, so a
+        caller reads each matrix where it uses it. A run of more than two ones
+        raises ValueError.
     """
     n_samples = int(n_samples)
     response_samples = int(response_samples)
@@ -257,10 +297,7 @@ def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):
     trains = np.zeros((2 * n_codes, response_samples - 1 + n_samples))
     trains[np.tile(2 * owner + lengths - 1, cycle_starts.size)[inside],
            onsets[inside] + response_samples - 1] = 1.0
-    # Window w of a train is the train delayed by response_samples - 1 - w.
-    lagged = np.lib.stride_tricks.sliding_window_view(trains, n_samples, axis=1)[:, ::-1]
-    # One copy per code, so a caller that keeps some codes frees the others.
-    return [lagged[k:k + 2].copy().reshape(-1, n_samples) for k in range(0, 2 * n_codes, 2)]
+    return StructureMatrices(trains.reshape(n_codes, 2, -1), n_samples)
 
 
 def select_subset(codes, templates, k):
@@ -338,27 +375,31 @@ def read_codebook(path):
     """
     rate_hz = 120.0
     rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                if key.strip() == "rate_hz":
-                    try:
-                        rate_hz = float(value)
-                    except ValueError:
-                        rate_hz = math.nan
-                    if not 0 < rate_hz < math.inf:
-                        raise ValueError(
-                            f"{path}:{lineno}: rate_hz must be a positive number, "
-                            f"got {value.strip()!r}"
-                        )
-                continue
-            if set(line) - {"0", "1"}:
-                raise ValueError(f"{path}:{lineno}: invalid characters in code line")
-            rows.append(np.frombuffer(line.encode(), dtype=np.uint8) - ord("0"))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text ({err.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition("=")
+            if key.strip() == "rate_hz":
+                try:
+                    rate_hz = float(value)
+                except ValueError:
+                    rate_hz = math.nan
+                if not 0 < rate_hz < math.inf:
+                    raise ValueError(
+                        f"{path}:{lineno}: rate_hz must be a positive number, "
+                        f"got {value.strip()!r}"
+                    )
+            continue
+        if set(line) - {"0", "1"}:
+            raise ValueError(f"{path}:{lineno}: invalid characters in code line")
+        rows.append(np.frombuffer(line.encode(), dtype=np.uint8) - ord("0"))
     if len(rows) < 2:
         raise ValueError(f"{path}: a codebook needs at least two codes")
     lengths = {row.size for row in rows}

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codes import StructureMatrices
+
 
 @dataclass
 class Trial:
@@ -77,11 +79,19 @@ def predict_templates(response, structures):
     return _templates_from_responses(np.asarray(response, dtype=float)[None], structures)[0]
 
 
+def _shapes(structures):
+    """(rows, columns) of each structure matrix: the metadata of a
+    StructureMatrices, which builds none of them, or each array's shape."""
+    if isinstance(structures, StructureMatrices):
+        return [structures.shape[1:]] * len(structures)
+    return [np.shape(matrix) for matrix in structures]
+
+
 def _templates_from_responses(responses, structures):
     """Templates of every row of `responses`, shape (n_responses,
     len(structures), n_samples): one product per structure matrix for all
-    the responses, so each matrix is read once."""
-    templates = np.empty((responses.shape[0], len(structures), structures[0].shape[1]))
+    the responses, so each matrix is built and read once."""
+    templates = np.empty((responses.shape[0], len(structures), _shapes(structures)[0][1]))
     for i, matrix in enumerate(structures):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape[0] != responses.shape[1]:
@@ -111,9 +121,10 @@ class TrialStatistics:
     trials: list of Trial
         At least two labeled trials with two distinct labels, equal shapes
         and equal sampling rates.
-    structures: list of np.ndarray
+    structures: StructureMatrices or list of np.ndarray
         One structure matrix per class, all (n_rows, n_samples) and at least
-        as long as the trials.
+        as long as the trials. Each class's matrix is read once here, and
+        once per :meth:`fit_many` call.
     """
 
     def __init__(self, trials, structures):
@@ -131,8 +142,9 @@ class TrialStatistics:
         if len(rates) != 1:
             raise ValueError(f"trial sampling rates differ: {sorted(rates)}")
         n_samples = trials[0].data.shape[1]
-        for i, matrix in enumerate(structures):
-            if matrix.shape[1] < n_samples:
+        shapes = _shapes(structures)
+        for i, shape in enumerate(shapes):
+            if shape[1] < n_samples:
                 raise ValueError(f"structure {i} shorter than the trials")
 
         self.structures = structures
@@ -144,7 +156,7 @@ class TrialStatistics:
         self.finite = np.empty(len(trials), dtype=bool)
         self.means = np.empty((len(trials), n_channels))
         self.channel_gram = np.empty((len(trials), n_channels, n_channels))
-        self.cross = np.empty((len(trials), n_channels, structures[classes[0]].shape[0]))
+        self.cross = np.empty((len(trials), n_channels, shapes[classes[0]][0]))
         # One class at a time, in buffers the classes share, bounds the temporaries.
         trial_buffer = np.empty((np.bincount(self.groups).max(), n_channels, n_samples))
         design = np.empty((self.cross.shape[2], n_samples))
@@ -279,7 +291,7 @@ def fit_cca(trials, structures, ridge=1e-6):
     ----------
     trials: list of Trial
         At least two labeled trials with two distinct labels, equal shapes.
-    structures: list of np.ndarray
+    structures: StructureMatrices or list of np.ndarray
         One structure matrix per class, all (n_rows, n_samples).
     ridge: float (default: 1e-6)
         Ridge factor, scaled by the mean diagonal of each autocovariance.

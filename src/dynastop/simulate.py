@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import (flash_response_samples, make_gold_codes, modulate, select_subset,
-                    structure_matrices)
+from .codes import (StructureMatrices, flash_response_samples, make_gold_codes, modulate,
+                    select_subset, structure_matrices)
 from .decoding import Trial, predict_templates
 
 
@@ -44,7 +44,7 @@ class ResolvedSim:
     codes: np.ndarray
     spatial_pattern: np.ndarray
     response: np.ndarray
-    structures: list
+    structures: StructureMatrices
     templates: np.ndarray
     n_samples: int
 
@@ -121,10 +121,8 @@ def resolve_config(cfg):
     structures = structure_matrices(codes, cfg.fs, cfg.rate_hz, n_samples, event_samples)
     templates = predict_templates(response, structures)
     if codes.shape[0] > cfg.n_classes:
-        # Each code's rows are built on their own, so the kept ones are theirs.
         kept = select_subset(codes, templates, cfg.n_classes)
-        codes, templates = codes[kept], templates[kept]
-        structures = [structures[k] for k in kept]
+        codes, templates, structures = codes[kept], templates[kept], structures[kept]
     return ResolvedSim(
         config=cfg,
         codes=codes,

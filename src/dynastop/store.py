@@ -209,7 +209,9 @@ def write_results_csv(path, rows, append=False):
     Rows are ordered by (subject, method, hyperparam, similarity); floats use
     their shortest round-trip decimal form, and the ci_* columns, which a row
     does not carry, read 0.0. With append=True an existing file keeps its
-    header and gains the new rows.
+    header and gains the new rows, and an empty one gets the header; a file
+    whose first row is not CSV_COLUMNS raises StoreError naming it and is
+    left as it was.
     """
     ordered = sorted(
         rows,
@@ -222,6 +224,16 @@ def write_results_csv(path, rows, append=False):
         ),
     )
     fresh = not (append and os.path.exists(path))
+    if not fresh:
+        try:
+            with open(path, newline="") as fh:
+                header = next(csv.reader(fh), None)
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise StoreError(f"{path}: unreadable results header: {err}") from None
+        if header is not None and tuple(header) != CSV_COLUMNS:
+            raise StoreError(f"{path}: header {','.join(header)!r} is not the results "
+                             "header, so no rows were appended")
+        fresh = header is None
     mode = "w" if fresh else "a"
     with open(path, mode, newline="") as fh:
         writer = csv.writer(fh)

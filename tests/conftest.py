@@ -1,5 +1,6 @@
 import contextlib
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,3 +52,24 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return limit
+
+
+@pytest.fixture
+def traced_peak():
+    """Run a callable under tracemalloc: its result, and the peak bytes it
+    held above what was allocated when it started."""
+
+    def measure(fn):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return measure

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the package against: the
-likelihood ratio the boundary solver inverts, scores against the simulator's
-planted templates, and the per-window run of every stopping rule."""
+structure matrices built up front as a list, the likelihood ratio the
+boundary solver inverts, scores against the simulator's planted templates,
+and the per-window run of every stopping rule."""
 
 import math
 
@@ -10,6 +11,29 @@ from dynastop.baselines import FixedLengthPolicy, MarginPolicy
 from dynastop.bayes_stop import StopOutcome, StoppingModel
 from dynastop.metrics import DecisionCounts
 from dynastop.simulate import resolve_config
+
+
+def structure_matrices_list(codes, fs, rate_hz, n_samples, response_samples):
+    """Reference structure_matrices: every code's dense (2 * response_samples,
+    n_samples) matrix built up front, one array per code, from the same
+    zero-led onset trains."""
+    n_samples = int(n_samples)
+    response_samples = int(response_samples)
+    codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
+    n_codes, n_bits = codes.shape
+    bits_needed = int(math.ceil(n_samples * rate_hz / fs))
+    cycle_starts = n_bits * np.arange(max(1, int(math.ceil(bits_needed / n_bits))))
+    edges = np.diff(codes.astype(np.int8), axis=1, prepend=0, append=0)
+    owner, starts = np.nonzero(edges == 1)
+    lengths = np.nonzero(edges == -1)[1] - starts
+    onset_bits = (cycle_starts[:, None] + starts).ravel().astype(np.float64)
+    onsets = np.floor(onset_bits * fs / rate_hz + 0.5).astype(np.int64)
+    inside = onsets < n_samples
+    trains = np.zeros((2 * n_codes, response_samples - 1 + n_samples))
+    trains[np.tile(2 * owner + lengths - 1, cycle_starts.size)[inside],
+           onsets[inside] + response_samples - 1] = 1.0
+    lagged = np.lib.stride_tricks.sliding_window_view(trains, n_samples, axis=1)[:, ::-1]
+    return [lagged[k:k + 2].copy().reshape(-1, n_samples) for k in range(0, 2 * n_codes, 2)]
 
 
 def log_likelihood_ratio(f, params, alpha):

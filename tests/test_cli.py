@@ -361,6 +361,35 @@ class TestSweep:
         assert code == 2
 
 
+class TestResultsFileHeader:
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--method", "fixed", "--hyperparam", "0.5"],
+        ["sweep", "--method", "fixed", "--hyperparam-list", "0.5,1.0"],
+    ])
+    def test_other_header_exits_2_and_appends_nothing(self, tiny_store, tmp_path, capsys,
+                                                      command):
+        out = tmp_path / "other.csv"
+        out.write_bytes(b"subject,method,accuracy\r\ns01,bds,0.5\r\n")
+        code, captured = run(
+            command + ["--store", str(tiny_store), "--folds", "2", "--out-csv", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert f"error: {out}: header 'subject,method,accuracy'" in captured.err
+        assert "appended" not in captured.out
+        assert out.read_bytes() == b"subject,method,accuracy\r\ns01,bds,0.5\r\n"
+
+    def test_empty_file_gets_the_header(self, tiny_store, tmp_path):
+        out = tmp_path / "empty.csv"
+        out.write_bytes(b"")
+        for _ in range(2):
+            assert main(["evaluate", "--store", str(tiny_store), "--method", "fixed",
+                         "--hyperparam", "0.5", "--folds", "2", "--out-csv", str(out)]) == 0
+        with open(out, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert [r["method"] for r in records] == ["fixed", "fixed"]
+
+
 class TestHyperparamDomains:
     """A hyperparameter outside its method's domain, or not finite, is a
     usage error that names the flag and the value before any fold is fitted."""

@@ -3,6 +3,7 @@ import math
 import os
 import re
 import tempfile
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from dynastop.codes import (
     Codebook,
+    StructureMatrices,
     make_gold_codes,
     make_m_sequence,
     modulate,
@@ -20,6 +22,7 @@ from dynastop.codes import (
     structure_matrices,
     write_codebook,
 )
+from oracles import structure_matrices_list
 
 
 def lfsr_reference(taps_positions, n, seed_bits, steps):
@@ -348,12 +351,17 @@ class TestStructureMatrix:
     @pytest.mark.parametrize("response_samples", [1, 36])
     def test_matrices_share_no_memory(self, modulated_gold, response_samples):
         # A caller that keeps some codes' matrices (resolve_config keeps 36
-        # of the 65) must not keep the others' memory alive.
-        mats = structure_matrices(modulated_gold, 120.0, 120.0, 126, response_samples)
+        # of the 65) must not keep the others' memory alive. Each read is a
+        # new array, so writing to one read changes no other.
+        structures = structure_matrices(modulated_gold, 120.0, 120.0, 126, response_samples)
+        mats = list(structures) + [structures[0], structures[0]]
         for a, b in itertools.combinations(mats, 2):
             assert not np.shares_memory(a, b)
         for m in mats:
             assert m.base is None or m.base.nbytes == m.nbytes
+            assert not np.shares_memory(m, structures.trains)
+        mats[-1][:] = 7.0
+        assert structures[0].tobytes() == mats[0].tobytes()
 
     def test_structure_matrices_tiles_to_cover(self, modulated_gold):
         mats = structure_matrices(modulated_gold[:2], fs=120, rate_hz=120,
@@ -361,6 +369,40 @@ class TestStructureMatrix:
         assert all(m.shape == (12, 252) for m in mats)
         # Events from the second cycle land past sample 126.
         assert mats[0][:, 130:].any()
+
+
+class TestStructureSequence:
+    """structure_matrices holds onset trains and builds each matrix on read."""
+
+    @pytest.mark.parametrize("n_samples, fs, rate_hz",
+                             [(126, 120.0, 120.0), (504, 120.0, 60.0), (300, 250.0, 60.0)])
+    def test_items_are_the_list_oracle_bytes(self, modulated_gold, n_samples, fs, rate_hz):
+        got = structure_matrices(modulated_gold, fs, rate_hz, n_samples, 36)
+        want = structure_matrices_list(modulated_gold, fs, rate_hz, n_samples, 36)
+        assert isinstance(got, Sequence)
+        assert len(got) == len(want) == 65
+        assert got.shape == (65, 72, n_samples)
+        for i, (item, w) in enumerate(zip(got, want, strict=True)):
+            for g in (item, got[i], got[i - 65]):
+                assert (g.dtype, g.shape, g.flags.c_contiguous) == (np.float64, w.shape, True)
+                assert g.tobytes() == w.tobytes()
+        kept = np.array([40, 3, 64, 0, 17])
+        for subset, indices in ((got[kept], kept), (got[10:20:3], range(10, 20, 3))):
+            assert isinstance(subset, StructureMatrices)
+            assert len(subset) == len(indices)
+            for g, k in zip(subset, indices, strict=True):
+                assert g.tobytes() == want[k].tobytes()
+        with pytest.raises(IndexError):
+            got[65]
+
+    def test_holds_only_the_onset_trains(self, modulated_gold):
+        got = structure_matrices(modulated_gold, 120.0, 120.0, 504, 36)
+        assert got.trains.shape == (65, 2, 35 + 504)
+        assert got.trains.nbytes == 65 * 2 * 539 * 8
+        assert not got.trains.flags.writeable
+        kept = got[np.array([1, 2])]
+        assert kept.trains.shape == (2, 2, 539)
+        assert not np.shares_memory(kept.trains, got.trains)
 
 
 class TestSelectSubset:
@@ -442,6 +484,37 @@ class TestCodebookIO:
         path.write_text("010\n010\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_codebook(path)
+
+    def test_non_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_bytes(b"0101\n10\xff0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            read_codebook(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(
+        st.binary(max_size=200),
+        # Mostly codebook-like text, so the parser's later checks are reached.
+        st.lists(st.sampled_from([b"0", b"1", b"01", b"10", b"\n", b"\r\n", b" ", b"#",
+                                  b"# rate_hz=", b"60", b"-1", b"nan", b"\xff", b"\xc3\xa9",
+                                  b"\x00", b"\x0c", b"\xe2\x80\xa8"]),
+                 max_size=40).map(b"".join),
+    ))
+    def test_arbitrary_bytes_give_a_codebook_or_name_the_file(self, raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "codes.txt")
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            try:
+                book = read_codebook(path)
+            except ValueError as err:
+                assert type(err) is ValueError
+                assert str(err).startswith(path), str(err)
+                return
+        assert isinstance(book, Codebook)
+        assert book.codes.dtype == np.uint8 and book.codes.shape[0] >= 2
+        assert set(np.unique(book.codes)) <= {0, 1}
+        assert 0 < book.rate_hz < math.inf
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynastop.baselines import stratified_folds
-from dynastop.codes import modulate, structure_matrices
+from dynastop.codes import StructureMatrices, modulate, structure_matrices
 from dynastop.decoding import (
     DecoderModel,
     Trial,
@@ -725,6 +726,50 @@ class TestFitMany:
                 rebuilt = predict_templates(model.response, sim.structures)
                 assert rebuilt.tobytes() == model.templates.tobytes()
                 assert loop_templates(model.response, sim.structures).tobytes() == rebuilt.tobytes()
+
+
+class TestStructureReads:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of the matrices StructureMatrices builds, by code index."""
+        counts = collections.Counter()
+        read = StructureMatrices.__getitem__
+
+        def counted(self, index):
+            if isinstance(index, (int, np.integer)):
+                counts[int(index)] += 1
+            return read(self, index)
+
+        monkeypatch.setattr(StructureMatrices, "__getitem__", counted)
+        return counts
+
+    def test_each_matrix_built_once_per_use(self, paper_sim, small_sim, builds):
+        _, sim, trials = paper_sim
+        stats = TrialStatistics(trials, sim.structures)
+        assert builds == collections.Counter(range(36))
+        for index_sets in ([None], [None, np.arange(0, len(trials), 2), np.arange(50)]):
+            builds.clear()
+            stats.fit_many(index_sets)
+            assert builds == collections.Counter(range(36))
+        # Only the classes with trials are read for the statistics.
+        _, sim, trials = small_sim
+        builds.clear()
+        TrialStatistics([t for t in trials if t.label in (1, 4)], sim.structures)
+        assert builds == collections.Counter([1, 4])
+
+    def test_paper_length_setup_memory(self, paper_sim, traced_peak):
+        # Structures, statistics and one fit at 4.2 s: the 36 dense matrices
+        # alone would take 10.4 MB.
+        cfg, sim, trials = paper_sim
+
+        def set_up():
+            structures = structure_matrices(sim.codes, cfg.fs, cfg.rate_hz, sim.n_samples,
+                                            sim.response.size // 2)
+            return TrialStatistics(trials, structures).fit()
+
+        model, peak = traced_peak(set_up)
+        assert model.templates.shape == (36, 504)
+        assert peak < 10e6
 
 
 class TestScoreTraceOracle:

@@ -37,6 +37,14 @@ class TestResolveConfig:
         assert (sim.templates.dtype, sim.templates.shape) == (templates.dtype, templates.shape)
         assert sim.templates.tobytes() == templates.tobytes()
 
+    def test_paper_length_family_is_never_held_dense(self, traced_peak):
+        # The 65 codes' dense matrices at 4.2 s would take 18.9 MB; their
+        # onset trains take 0.56 MB, and one matrix is built at a time.
+        sim, peak = traced_peak(lambda: resolve_config(SimConfig(n_classes=36,
+                                                                 trial_seconds=4.2)))
+        assert len(sim.structures) == 36
+        assert peak < 4e6
+
     def test_custom_response_length_must_be_even(self):
         with pytest.raises(ValueError, match="even"):
             resolve_config(tiny_config(response=np.ones(7)))

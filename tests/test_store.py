@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import tempfile
 import types
 
@@ -312,6 +313,28 @@ class TestResultsCsv:
         with open(path, newline="") as fh:
             records = list(csv.DictReader(fh))
         assert [r["subject"] for r in records] == ["s01", "s02"]
+
+    def test_append_to_empty_file_writes_header(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"")
+        write_results_csv(path, [sample_row("s01")], append=True)
+        with open(path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        assert [r["subject"] for r in records] == ["s01"]
+        assert path.read_text().startswith(",".join(CSV_COLUMNS))
+
+    @pytest.mark.parametrize("content", [
+        b"subject,method,accuracy\r\ns01,bds,0.5\r\n",
+        b"\r\n",
+        ",".join(reversed(CSV_COLUMNS)).encode() + b"\r\n",
+        b"\xff\xfe,not text\r\n",
+    ])
+    def test_append_under_other_header_raises(self, tmp_path, content):
+        path = tmp_path / "out.csv"
+        path.write_bytes(content)
+        with pytest.raises(StoreError, match=f"^{re.escape(str(path))}: "):
+            write_results_csv(path, [sample_row("s01")], append=True)
+        assert path.read_bytes() == content
 
     def test_crlf_line_endings(self, tmp_path):
         path = tmp_path / "out.csv"

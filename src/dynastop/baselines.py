@@ -194,6 +194,20 @@ def stratified_folds(labels, n_folds):
     return [np.array(sorted(f), dtype=int) for f in folds]
 
 
+def held_out_traces(fit, trials, n_folds, grid, similarity):
+    """Cross-validated score traces over the :func:`stratified_folds` of
+    `trials`. One call fit(train_sets) maps the training indices of every
+    non-empty fold to its DecoderModel, in order; per fold this yields
+    (fold, train_idx, model, traces), the traces being the :func:`score_traces`
+    of the fold's trials at every window of `grid`."""
+    labels = np.array([t.label for t in trials])
+    folds = [fold for fold in stratified_folds(labels, n_folds) if fold.size]
+    train_sets = [np.setdiff1d(np.arange(len(trials)), fold) for fold in folds]
+    for fold, train_idx, model in zip(folds, train_sets, fit(train_sets)):
+        yield fold, train_idx, model, score_traces(model, [trials[i] for i in fold], grid,
+                                                   similarity)
+
+
 def decoding_curve(fit, trials, grid, n_classes, similarity="inner"):
     """Estimate accuracy and ITR per decision window by 5-fold inner
     cross-validation (one fold per trial, with a warning, below five trials).
@@ -201,10 +215,8 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner"):
     Parameters
     ----------
     fit: callable
-        Model-fitting procedure mapping a list of index arrays, each the
-        training trials (into `trials`) of one inner fold, to a list of
-        DecoderModel in the same order, e.g. the bound
-        :meth:`TrialStatistics.fit_many` of statistics built once over
+        The fit of :func:`held_out_traces`, which gives the folds, e.g. the
+        bound :meth:`TrialStatistics.fit_many` of statistics built once over
         `trials`, which fits the folds together.
     trials: list of Trial
         Labeled training trials.
@@ -232,18 +244,13 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner"):
         n_folds = len(trials)
     grid = np.asarray(grid, dtype=int)
     labels = np.array([t.label for t in trials])
-    folds = [fold for fold in stratified_folds(labels, n_folds) if fold.size]
-    fs = trials[0].fs
-
-    models = fit([np.setdiff1d(np.arange(len(trials)), fold) for fold in folds])
-    fold_accuracy = []
-    for fold, model in zip(folds, models):
-        traces = score_traces(model, [trials[i] for i in fold], grid, similarity)
-        hits = np.count_nonzero(np.argmax(traces, axis=2) == labels[fold, None], axis=0)
-        fold_accuracy.append(hits / fold.size)
+    fold_accuracy = [
+        np.count_nonzero(np.argmax(traces, axis=2) == labels[fold, None], axis=0) / fold.size
+        for fold, _, _, traces in held_out_traces(fit, trials, n_folds, grid, similarity)
+    ]
 
     accuracy = np.mean(fold_accuracy, axis=0)
-    window_seconds = grid / fs
+    window_seconds = grid / trials[0].fs
     itr = np.array(
         [metrics.itr(acc, n_classes, sec) for acc, sec in zip(accuracy, window_seconds)]
     )

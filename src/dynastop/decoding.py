@@ -9,6 +9,9 @@ import numpy as np
 
 from .codes import StructureMatrices
 
+# Ridge factor of both CCA autocovariances, relative to their mean diagonal.
+RIDGE = 1e-6
+
 
 @dataclass
 class Trial:
@@ -182,12 +185,12 @@ class TrialStatistics:
         self.design_gram = np.stack(design_grams)
         self._designs = {}
 
-    def fit(self, indices=None, ridge=1e-6):
+    def fit(self, indices=None):
         """Fit the decoder on the trials at `indices` (default: all of them),
         as :func:`fit_cca` describes: :meth:`fit_many` of that one subset."""
-        return self.fit_many([indices], ridge)[0]
+        return self.fit_many([indices])[0]
 
-    def fit_many(self, index_sets, ridge=1e-6):
+    def fit_many(self, index_sets):
         """One decoder per subset of trial indices (None: all the trials).
 
         Each subset's CCA is solved on its own, as :func:`fit_cca` describes.
@@ -201,7 +204,7 @@ class TrialStatistics:
         models: list of DecoderModel
             One per index set, in order.
         """
-        solved = [self._solve(indices, ridge) for indices in index_sets]
+        solved = [self._solve(indices) for indices in index_sets]
         if not solved:
             return []
         templates = _templates_from_responses(
@@ -213,7 +216,7 @@ class TrialStatistics:
             for (spatial, response, correlation), model_templates in zip(solved, templates)
         ]
 
-    def _solve(self, indices, ridge):
+    def _solve(self, indices):
         """Spatial filter, event response and canonical correlation of the
         fit on the trials at `indices` (None: all of them)."""
         if indices is None:
@@ -232,24 +235,24 @@ class TrialStatistics:
         mean_x = mean_x - mean_x.mean(axis=0)
         m2_xx = self.channel_gram[indices].sum(axis=0) + self.n_samples * (mean_x.T @ mean_x)
         cov_xx = m2_xx / (n - 1)
-        cov_xx += ridge * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
+        cov_xx += RIDGE * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
         isq_x = _inverse_sqrt(cov_xx, "channel")
-        spread, isq_d = self._design(np.bincount(groups, minlength=len(self.design_means)), ridge)
+        spread, isq_d = self._design(np.bincount(groups, minlength=len(self.design_means)))
         m2_xd = self.cross[indices].sum(axis=0) + self.n_samples * (mean_x.T @ spread[groups])
         return _solve_cca(isq_x, isq_d, m2_xd / (n - 1))
 
-    def _design(self, counts, ridge):
+    def _design(self, counts):
         """Class design means less the subset's grand mean, and the whitened
         design covariance: functions of the class counts alone, so computed
-        once per (ridge, counts) and shared by every fit with those counts."""
-        key = (ridge, counts.tobytes())
+        once per count vector and shared by every fit with those counts."""
+        key = counts.tobytes()
         if key not in self._designs:
             weights = counts.astype(float)
             spread = self.design_means - weights @ self.design_means / weights.sum()
             m2_dd = (np.tensordot(weights, self.design_gram, axes=1)
                      + self.n_samples * (spread.T @ (weights[:, None] * spread)))
             cov_dd = m2_dd / (weights.sum() * self.n_samples - 1)
-            cov_dd += ridge * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
+            cov_dd += RIDGE * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
             self._designs[key] = spread, _inverse_sqrt(cov_dd, "design")
         return self._designs[key]
 
@@ -273,14 +276,14 @@ def _solve_cca(isq_x, isq_d, cov_xd):
     return spatial, response, float(singulars[0])
 
 
-def fit_cca(trials, structures, ridge=1e-6):
+def fit_cca(trials, structures):
     """Fit the reconvolution CCA decoder on labeled trials.
 
     Treats the trials as one recording, concatenated channel-wise, against
     their label's structure matrices concatenated column-wise, and finds the
     spatial filter and event response whose projections correlate maximally.
-    Solved by whitening both autocovariances (with a relative ridge term for
-    rank safety) and taking the leading singular pair of the whitened
+    Solved by whitening both autocovariances (with the relative ridge term
+    RIDGE for rank safety) and taking the leading singular pair of the whitened
     cross-covariance. The covariances come from :class:`TrialStatistics`, so
     this is the fit of that class on all the given trials.
 
@@ -293,14 +296,12 @@ def fit_cca(trials, structures, ridge=1e-6):
         At least two labeled trials with two distinct labels, equal shapes.
     structures: StructureMatrices or list of np.ndarray
         One structure matrix per class, all (n_rows, n_samples).
-    ridge: float (default: 1e-6)
-        Ridge factor, scaled by the mean diagonal of each autocovariance.
 
     Returns
     -------
     model: DecoderModel
     """
-    return TrialStatistics(trials, structures).fit(ridge=ridge)
+    return TrialStatistics(trials, structures).fit()
 
 
 def score(model, trial, window_samples):

@@ -5,7 +5,6 @@ and pools accuracy, timing, and decision-level metrics into result rows.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -15,10 +14,10 @@ from .baselines import (
     FixedLengthPolicy,
     MarginCandidates,
     decoding_curve,
+    held_out_traces,
     static_max_accuracy,
     static_max_itr,
     static_targeted_accuracy,
-    stratified_folds,
 )
 from .bayes_stop import calibrate
 from .decoding import TrialStatistics, score_traces
@@ -126,64 +125,30 @@ class ExperimentConfig:
         return window_grid(self.grid_ms, t_star_s, fs)
 
 
-def _nearest_window(grid, fs, seconds):
-    return int(np.argmin(np.abs(grid / fs - seconds)))
-
-
-class _FoldPolicies:
-    """Per-fold policy factory that shares the expensive calibration products
-    (training traces, decoding curve, stopping calibration) across the
-    hyperparameter sweep. It is handed the fold's decoder; the inner-CV
-    decoders of its curve are fitted together from the statistics of the
-    whole evaluation set."""
-
-    def __init__(self, method, similarity, stats, trials, train_idx, model, grid):
-        self.method = method
-        self.similarity = similarity
-        self.stats = stats
-        self.train_idx = train_idx
-        self.train = [trials[i] for i in train_idx]
-        self.grid = grid
-        self.model = model
-        self.fs = self.train[0].fs
-        self.n_classes = len(stats.structures)
-
-    @cached_property
-    def curve(self):
-        return decoding_curve(
-            lambda inner_sets: self.stats.fit_many([self.train_idx[i] for i in inner_sets]),
-            self.train,
-            self.grid,
-            self.n_classes,
-            similarity=self.similarity,
-        )
-
-    @cached_property
-    def train_traces(self):
-        return score_traces(self.model, self.train, self.grid, self.similarity)
-
-    @cached_property
-    def margin_candidates(self):
-        return MarginCandidates(self.train_traces, [t.label for t in self.train])
-
-    @cached_property
-    def base_stopping(self):
-        return calibrate(self.model, self.train, self.grid, zeta=1.0)
-
-    def make(self, hyperparam):
-        if self.method == "bds":
-            return self.base_stopping.with_cost_ratio(hyperparam)
-        if self.method == "fixed":
-            return FixedLengthPolicy(_nearest_window(self.grid, self.fs, hyperparam))
-        if self.method == "static_max_accuracy":
-            return FixedLengthPolicy(static_max_accuracy(self.curve))
-        if self.method == "static_max_itr":
-            return FixedLengthPolicy(static_max_itr(self.curve))
-        if self.method == "static_targeted_accuracy":
-            return FixedLengthPolicy(static_targeted_accuracy(self.curve, hyperparam))
-        if self.method == "margin":
-            return self.margin_candidates.table(hyperparam)
-        return BetaPolicy(hyperparam)  # beta: the config admits no other method
+def _fold_rule(config, stats, trials, train_idx, model, grid):
+    """The fold's policy per hyperparameter of config's method, as a callable.
+    The product a method's sweep shares (the stopping calibration, the margin
+    candidates or the decoding curve, whose inner decoders are fitted from
+    `stats`) is computed here, once per fold."""
+    train = [trials[i] for i in train_idx]
+    if config.method == "bds":
+        return calibrate(model, train, grid, zeta=1.0).with_cost_ratio
+    if config.method == "margin":
+        traces = score_traces(model, train, grid, config.similarity)
+        return MarginCandidates(traces, [t.label for t in train]).table
+    if config.method == "beta":
+        return BetaPolicy
+    if config.method == "fixed":
+        seconds = grid / train[0].fs
+        return lambda h: FixedLengthPolicy(int(np.argmin(np.abs(seconds - h))))
+    curve = decoding_curve(
+        lambda inner_sets: stats.fit_many([train_idx[i] for i in inner_sets]),
+        train, grid, len(stats.structures), similarity=config.similarity,
+    )
+    if config.method == "static_targeted_accuracy":
+        return lambda theta: FixedLengthPolicy(static_targeted_accuracy(curve, theta))
+    select = static_max_accuracy if config.method == "static_max_accuracy" else static_max_itr
+    return lambda _: FixedLengthPolicy(select(curve))
 
 
 def evaluate_store(trials, structures, config, subject="s01"):
@@ -217,17 +182,14 @@ def evaluate_store(trials, structures, config, subject="s01"):
     fs = trials[0].fs
     grid = config.decision_grid(fs, trials[0].data.shape[1])
     labels = np.array([t.label for t in trials])
-    folds = [fold for fold in stratified_folds(labels, config.folds) if fold.size]
 
     stats = TrialStatistics(trials, structures)
-    train_sets = [np.setdiff1d(np.arange(len(trials)), fold) for fold in folds]
     fold_stops, fold_correct = [], []
-    for fold, train_idx, model in zip(folds, train_sets, stats.fit_many(train_sets)):
-        policies = _FoldPolicies(
-            config.method, config.similarity, stats, trials, train_idx, model, grid
-        )
-        traces = score_traces(model, [trials[i] for i in fold], grid, config.similarity)
-        fold_stops.append(np.stack([policies.make(h).first_stops(traces) for h in hyperparams]))
+    for fold, train_idx, model, traces in held_out_traces(
+        stats.fit_many, trials, config.folds, grid, config.similarity
+    ):
+        rule = _fold_rule(config, stats, trials, train_idx, model, grid)
+        fold_stops.append(np.stack([rule(h).first_stops(traces) for h in hyperparams]))
         fold_correct.append(np.argmax(traces, axis=2) == labels[fold, None])
 
     # One column per trial in fold order; a trial no rule stopped is forced

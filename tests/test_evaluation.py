@@ -9,7 +9,7 @@ from dynastop.decoding import TrialStatistics, fit_cca, score_trace, score_trace
 from dynastop.evaluation import (
     ConfigError,
     ExperimentConfig,
-    _FoldPolicies,
+    _fold_rule,
     check_method,
     evaluate_store,
     window_grid,
@@ -38,11 +38,10 @@ def evaluate_store_loop(trials, structures, config, subject="s01"):
         mask = np.ones(len(trials), dtype=bool)
         mask[fold] = False
         train_idx = np.flatnonzero(mask)
-        policies = _FoldPolicies(config.method, config.similarity, stats, trials, train_idx,
-                                 stats.fit(train_idx), grid)
-        policy_by_h = {h: policies.make(h) for h in hyperparams}
-        traces = score_traces(policies.model, [trials[i] for i in fold], grid,
-                              config.similarity)
+        model = stats.fit(train_idx)
+        rule = _fold_rule(config, stats, trials, train_idx, model, grid)
+        policy_by_h = {h: rule(h) for h in hyperparams}
+        traces = score_traces(model, [trials[i] for i in fold], grid, config.similarity)
         argmax_correct = np.argmax(traces, axis=2) == labels[fold, None]
         for trace, label, correct in zip(traces, labels[fold], argmax_correct):
             for h in hyperparams:

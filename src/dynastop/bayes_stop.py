@@ -110,10 +110,12 @@ def estimate_scaling_and_noise(pairs):
     template = np.concatenate([np.asarray(t, dtype=float).ravel() for _, t in pairs])
     if signal.shape != template.shape:
         raise ValueError("signals and templates must align sample by sample")
-    energy = float(template @ template)
+    # Not BLAS dot products: a long one is split over the BLAS threads, and
+    # its last bits would then depend on the thread count.
+    energy = float(np.sum(template * template))
     if energy == 0.0:
         raise ValueError("template concatenation is all zero")
-    alpha = float(template @ signal) / energy
+    alpha = float(np.sum(template * signal)) / energy
     residual = signal - alpha * template
     sigma = float(residual.std())
     floor = 1e-9 * math.sqrt(energy / template.size)

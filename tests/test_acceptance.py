@@ -413,15 +413,22 @@ CLI_OUTPUTS = {
 }
 
 
+def cli_env(**overrides):
+    """The environment of a `python -m dynastop` child, plus overrides.
+
+    The children run from tmp_path, where a relative PYTHONPATH entry such as
+    ``src`` does not resolve; the directory holding the package this process
+    imported goes first, so the CLI runs the code under test."""
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(dynastop.__file__)))
+    inherited = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])),
+                **overrides)
+
+
 def test_criterion_12_cli_determinism(tmp_path):
     sim_config = {"n_classes": 6, "n_channels": 2, "trials_per_class": 3,
                   "sigma": 1.5, "seed": 17}
-    # The subprocesses run from tmp_path, where a relative PYTHONPATH entry
-    # such as ``src`` does not resolve; put the directory holding the package
-    # this process imported first, so the CLI runs the code under test.
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(dynastop.__file__)))
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+    env = cli_env()
     captured = {}
     for run_name in ("run_a", "run_b"):
         workdir = tmp_path / run_name
@@ -447,3 +454,23 @@ def test_criterion_12_cli_determinism(tmp_path):
         for key in a:
             assert a[key] == b[key], f"{command}: {key} differs between runs"
     report(12, f"{len(CLI_SCRIPT)} subcommands byte-identical across two runs")
+
+
+def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # The default store (108 trials of 126 samples) is long enough that
+    # OpenBLAS splits a dot product of all its samples over two threads.
+    # Only the children's environment sets the thread count.
+    def run(threads, *args):
+        proc = subprocess.run([sys.executable, "-m", "dynastop", *args], cwd=tmp_path,
+                              env=cli_env(OPENBLAS_NUM_THREADS=str(threads)),
+                              capture_output=True, timeout=240)
+        assert proc.returncode == 0, proc.stderr.decode()
+
+    run(1, "simulate", "--out", "store")
+    for threads in (1, 2):
+        run(threads, "calibrate", "--store", "store", "--out-model", f"model{threads}.json")
+        run(threads, "sweep", "--store", "store", "--method", "bds",
+            "--hyperparam-list", "0.1,1,10", "--out-csv", f"sweep{threads}.csv")
+    for name in ("model{}.json", "sweep{}.csv"):
+        one, two = ((tmp_path / name.format(t)).read_bytes() for t in (1, 2))
+        assert one == two, f"{name.format('')} differs between one and two BLAS threads"

@@ -7,6 +7,7 @@ outputs are byte-reproducible for a fixed seed.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -51,6 +52,8 @@ def _parse_poly(text):
 
 
 def cmd_codes(args):
+    if not (math.isfinite(args.rate_hz) and args.rate_hz > 0):
+        raise UsageError(f"--rate-hz must be finite and > 0, got {args.rate_hz!r}")
     if args.poly_a is None or args.poly_b is None:
         if args.degree not in PREFERRED_PAIRS:
             raise UsageError(
@@ -160,26 +163,16 @@ def _store_structures(meta, store_path):
         raise UsageError(message if message.startswith(path) else f"{path}: {message}")
 
 
-def _experiment_config(args, flag, **settings):
-    """The checked settings of a store command whose hyperparameters come from
-    flag; a setting ExperimentConfig rejects is a usage error naming its flag."""
+@contextlib.contextmanager
+def _named_flags(flag):
+    """A setting the library rejects inside the block (a ConfigError) is a
+    usage error naming its flag; flag is the command's hyperparameter flag."""
     try:
-        return ExperimentConfig(grid_ms=args.grid_ms, t_star_s=args.t_star_s, **settings)
+        yield
     except ConfigError as err:
         if err.field != "hyperparams":
             flag = "--" + err.field.replace("_", "-")
         raise UsageError(f"{flag}: {err}") from None
-
-
-def _store_grid(config, meta):
-    """A --t-star-s outside the store's trials is a usage error; every other
-    rule of the decision grid is the config's."""
-    t_star_s = config.t_star_s
-    if t_star_s is not None and not 1 <= round(t_star_s * meta.fs) <= meta.n_samples:
-        raise UsageError(
-            f"--t-star-s must span one sample to the store's {meta.n_samples / meta.fs:g} s "
-            f"trials, got {t_star_s:g}"
-        )
 
 
 def cmd_calibrate(args):
@@ -193,13 +186,14 @@ def cmd_calibrate(args):
             "out_model": args.out_model,
         },
     )
-    config = _experiment_config(args, "--zeta", method="bds", hyperparams=[args.zeta])
-    meta, trials = load_store(args.store)
-    _store_grid(config, meta)
+    with _named_flags("--zeta"):
+        config = ExperimentConfig(method="bds", hyperparams=[args.zeta], grid_ms=args.grid_ms,
+                                  t_star_s=args.t_star_s)
+        meta, trials = load_store(args.store)
+        grid = config.decision_grid(meta.fs, meta.n_samples)
     structures = _store_structures(meta, args.store)
     model = fit_cca(trials, structures)
-    stopping = calibrate(model, trials, config.decision_grid(meta.fs, meta.n_samples),
-                         zeta=args.zeta)
+    stopping = calibrate(model, trials, grid, zeta=args.zeta)
     envelope = serialize_policy(stopping)
     with open(args.out_model, "w", newline="\n") as fh:
         json.dump(envelope, fh, indent=2, sort_keys=True)
@@ -230,14 +224,15 @@ def _run_evaluation(args, hyperparams, flag, **shown):
             "out_csv": args.out_csv,
         },
     )
-    config = _experiment_config(
-        args, flag, method=args.method, similarity=args.similarity, hyperparams=hyperparams,
-        folds=args.folds, overhead_s=args.overhead_s,
-    )
-    meta, trials = load_store(args.store)
-    _store_grid(config, meta)
-    structures = _store_structures(meta, args.store)
-    rows = evaluate_store(trials, structures, config, subject=args.subject)
+    with _named_flags(flag):
+        config = ExperimentConfig(
+            method=args.method, similarity=args.similarity, hyperparams=hyperparams,
+            folds=args.folds, grid_ms=args.grid_ms, t_star_s=args.t_star_s,
+            overhead_s=args.overhead_s,
+        )
+        meta, trials = load_store(args.store)
+        structures = _store_structures(meta, args.store)
+        rows = evaluate_store(trials, structures, config, subject=args.subject)
     write_results_csv(args.out_csv, rows, append=True)
     for row in rows:
         tag = "" if row.hyperparam is None else f" h={row.hyperparam:g}"

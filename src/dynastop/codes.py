@@ -352,11 +352,13 @@ def select_subset(codes, templates, k):
 
 def write_codebook(path, codes, rate_hz=None):
     """Write a codebook as text: one code per line of '0'/'1' characters,
-    LF-terminated, with an optional leading "# rate_hz=<int>" header."""
+    LF-terminated, with an optional leading "# rate_hz=<rate>" header: an
+    integral rate without a decimal point, any other in full."""
     codes = np.atleast_2d(np.asarray(codes, dtype=np.uint8))
     lines = []
     if rate_hz is not None:
-        lines.append(f"# rate_hz={int(rate_hz)}")
+        rate_hz = float(rate_hz)
+        lines.append(f"# rate_hz={int(rate_hz) if rate_hz.is_integer() else rate_hz!r}")
     for code in codes:
         lines.append("".join("1" if b else "0" for b in code))
     with open(path, "w", newline="\n") as fh:

@@ -63,6 +63,8 @@ def window_grid(grid_ms, t_star_s, fs):
     step = grid_ms * fs / 1000.0
     if step <= 1.0:
         return np.arange(1, t_star + 1)
+    if step >= t_star:  # also an infinite step, which round() cannot take
+        return np.array([t_star])
     windows = []
     k = 1
     while (w := int(round(k * step))) < t_star:
@@ -98,7 +100,7 @@ def check_method(method, similarity, hyperparams):
 class ExperimentConfig:
     """Evaluation settings for one method on one store, checked once on
     construction: a setting outside its domain raises ConfigError. Whether
-    t_star_s fits the trials is left to whoever holds them."""
+    t_star_s fits the trials is checked by decision_grid."""
 
     method: str
     similarity: str = "inner"
@@ -120,9 +122,16 @@ class ExperimentConfig:
             )
 
     def decision_grid(self, fs, n_samples):
-        """window_grid for trials of n_samples at fs; t_star_s None is the whole trial."""
-        t_star_s = self.t_star_s if self.t_star_s is not None else n_samples / fs
-        return window_grid(self.grid_ms, t_star_s, fs)
+        """window_grid for trials of n_samples at fs; t_star_s None is the
+        whole trial, and a t_star_s past the trials raises ConfigError before
+        any window is built."""
+        if self.t_star_s is None:
+            return window_grid(self.grid_ms, n_samples / fs, fs)
+        # Clipped before rounding, so a product that overflows to inf is past too.
+        if round(min(self.t_star_s * fs, n_samples + 1.0)) > n_samples:
+            raise ConfigError("t_star_s", f"t_star must lie within the {n_samples / fs:g} s "
+                                          f"trials, got {self.t_star_s!r}")
+        return window_grid(self.grid_ms, self.t_star_s, fs)
 
 
 def _fold_rule(config, stats, trials, train_idx, model, grid):

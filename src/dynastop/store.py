@@ -100,7 +100,10 @@ def _require(manifest, key, kind, valid=None, domain=""):
         raise StoreError(f"manifest field {key!r} is missing")
     value = manifest[key]
     if kind is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise StoreError(f"manifest field {key!r} must be {domain}, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, kind):
         raise StoreError(f"manifest field {key!r} has type {type(value).__name__}")
     if valid is not None and not valid(value):
@@ -130,7 +133,7 @@ def read_store(path):
             manifest = json.load(fh)
     except FileNotFoundError:
         raise StoreError(f"{manifest_path}: no manifest") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # not JSON, not UTF-8, or a number too long to convert
         raise StoreError(f"{manifest_path}: unreadable manifest: {err}") from None
     if not isinstance(manifest, dict):
         raise StoreError(f"{manifest_path}: manifest is not a JSON object")
@@ -154,6 +157,8 @@ def read_store(path):
         codebook=manifest.get("codebook"),
         byte_order=byte_order,
     )
+    if not isinstance(meta.codebook, (str, type(None))):
+        raise StoreError(f"manifest field 'codebook' has type {type(meta.codebook).__name__}")
     if len(meta.labels) != meta.n_trials:
         raise StoreError(f"labels length {len(meta.labels)} != n_trials {meta.n_trials}")
     for i, label in enumerate(meta.labels):

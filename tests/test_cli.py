@@ -66,6 +66,23 @@ class TestCodes:
             main(["codes", "--frobnicate", "--out", str(tmp_path / "c.txt")])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
+    def test_bad_rate_exits_2(self, tmp_path, capsys, rate):
+        out = tmp_path / "codes.txt"
+        code, captured = run(["codes", "--rate-hz", rate, "--subset-k", "8", "--out", str(out)],
+                             capsys)
+        assert code == 2
+        assert "--rate-hz" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate, header", [("120", "120"), ("60.5", "60.5"),
+                                              ("59.94", "59.94")])
+    def test_rate_written_exactly(self, tmp_path, rate, header):
+        out = tmp_path / "codes.txt"
+        assert main(["codes", "--rate-hz", rate, "--out", str(out)]) == 0
+        assert out.read_text().startswith(f"# rate_hz={header}\n")
+        assert read_codebook(out).rate_hz == float(rate)
+
 
 class TestSimulate:
     def test_default_trial_count(self, tiny_store):
@@ -256,10 +273,12 @@ class TestGridFlags:
         ("100", "1.05", None),
         ("1e-9", "0.1", None),
         ("inf", "0.5", "--grid-ms"),
+        ("1e307", None, None),  # grid_ms * fs overflows: still the one window t*
         ("100", "0", "--t-star-s"),
         ("100", "0.001", "--t-star-s"),  # under one sample at 120 Hz
         ("100", "1.1", "--t-star-s"),  # beyond the 1.05 s trials
         ("100", "inf", "--t-star-s"),
+        ("100", "1e307", "--t-star-s"),  # t_star_s * fs overflows
     ])
     def test_commands_share_one_grid_rule(self, tiny_store, tmp_path, capsys, deadline,
                                           grid_ms, t_star_s, named):

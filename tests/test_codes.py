@@ -524,7 +524,8 @@ class TestCodebookIO:
                 min_size=2, max_size=8, unique_by=tuple,
             )
         ),
-        rate_hz=st.one_of(st.none(), st.integers(1, 10_000)),
+        rate_hz=st.one_of(st.none(), st.integers(1, 10_000),
+                          st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)),
     )
     def test_write_read_round_trip(self, rows, rate_hz):
         codes = np.array(rows, dtype=np.uint8)

@@ -3,9 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dynastop import metrics
+from dynastop import evaluation, metrics
 from dynastop.baselines import MarginPolicy, stratified_folds
-from dynastop.decoding import TrialStatistics, fit_cca, score_trace, score_traces
+from dynastop.decoding import (
+    TrialStatistics,
+    _inverse_sqrt,
+    fit_cca,
+    score_trace,
+    score_traces,
+)
 from dynastop.evaluation import (
     ConfigError,
     ExperimentConfig,
@@ -134,12 +140,23 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("grid_ms, t_star_s, windows", [
         (100, 0.05, [6]),  # t* below one grid step: the one window t*
         (5000, None, [126]),  # a step beyond the trial: the one window t*
+        (1e307, 0.5, [60]),  # a step whose product with fs overflows to inf
         (100, None, [12, 24, 36, 48, 60, 72, 84, 96, 108, 120, 126]),
     ])
     def test_decision_grid(self, grid_ms, t_star_s, windows):
         config = ExperimentConfig(method="fixed", hyperparams=[0.5], grid_ms=grid_ms,
                                   t_star_s=t_star_s)
         assert config.decision_grid(120.0, 126).tolist() == windows
+
+    @pytest.mark.parametrize("t_star_s", [1.06, 1e7, 1e307])
+    def test_t_star_past_the_trials_rejected_before_any_window(self, sim_setup, deadline,
+                                                                t_star_s):
+        # At 1e7 s the grid would hold 1.2e8 windows; 1e307 s overflows to inf.
+        _, sim, trials = sim_setup
+        config = ExperimentConfig(method="fixed", hyperparams=[0.5], t_star_s=t_star_s)
+        with deadline(1), pytest.raises(ConfigError) as err:
+            evaluate_store(trials, sim.structures, config)
+        assert err.value.field == "t_star_s"
 
 
 class TestCheckMethod:
@@ -297,6 +314,41 @@ class TestEvaluateStore:
                                   overhead_s=0.5)
         assert (evaluate_store(trials, sim.structures, config)
                 == evaluate_store_loop(trials, sim.structures, config))
+
+    @pytest.mark.parametrize("method, hyperparams, shared", [
+        ("bds", [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3], "calibrate"),
+        # The training traces: the held-out ones are scored in baselines.
+        ("margin", [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], "score_traces"),
+    ])
+    def test_sweep_builds_shared_product_once_per_fold(self, small_sim, monkeypatch, method,
+                                                       hyperparams, shared):
+        cfg, sim, trials = small_sim
+        original = getattr(evaluation, shared)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, shared, counting)
+        config = ExperimentConfig(method=method, hyperparams=hyperparams, folds=5)
+        assert len(evaluate_store(trials, sim.structures, config)) == len(hyperparams)
+        assert len(calls) == 5
+
+    def test_static_sweep_builds_one_curve_per_fold(self, small_sim, monkeypatch):
+        # Five outer fits, and five inner fits for each fold's decoding curve.
+        cfg, sim, trials = small_sim
+        names = []
+
+        def counting(cov, name):
+            names.append(name)
+            return _inverse_sqrt(cov, name)
+
+        monkeypatch.setattr("dynastop.decoding._inverse_sqrt", counting)
+        config = ExperimentConfig(method="static_targeted_accuracy",
+                                  hyperparams=[0.2, 0.4, 0.6, 0.8], folds=5)
+        assert len(evaluate_store(trials, sim.structures, config)) == 4
+        assert names.count("channel") == 30
 
     def test_rejects_empty(self, sim_setup):
         cfg, sim, trials = sim_setup

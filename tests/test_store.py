@@ -198,14 +198,23 @@ BAD_MANIFEST_VALUES = {
     "format_version": [MISSING, 2, 0, 1.0, "1", True, None],
     "byte_order": [MISSING, "big", 1, None],
     "n_trials": [MISSING, -1, 5, 7, 6.0, "6", True, NAN, None],
-    "fs": [MISSING, NAN, INF, -INF, 0, -120.0, "120", True, None, [120.0]],
+    "fs": [MISSING, NAN, INF, -INF, 0, -120.0, "120", True, None, [120.0], 10**400],
     "channels": [MISSING, 0, -3, 3.0, "3", True, INF, None],
     "samples_per_trial": [MISSING, 0, -20, 20.5, "20", False, NAN, None],
     "n_classes": [MISSING, 0, -1, 3.0, "3", True, None],
     "labels": [MISSING, "0,1,2", 3, None, {"0": 0}, [0, 1, 2, 0, 1, True],
                [0, 1, 2, 0, 1, 3], [0, 1, 2, 0, 1, -1], [0, 1, 2, 0, 1, 1.0],
                [0, 1, 2, 0, 1, NAN]],
+    "codebook": [5, 1.5, True, ["codes.txt"], {"path": "codes.txt"}],
 }
+
+# Any JSON value, for manifest fields the property test below rewrites.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
 
 
 class TestManifestProperty:
@@ -227,6 +236,46 @@ class TestManifestProperty:
                 json.dump(manifest, fh)
             with pytest.raises(StoreError, match=field):
                 read_store(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=st.dictionaries(st.sampled_from(sorted(BAD_MANIFEST_VALUES)),
+                              st.one_of(st.just(MISSING), JSON_VALUES), max_size=3),
+        samples=st.integers(1, 4),
+        blob_bytes=st.one_of(st.none(), st.integers(0, 6 * 3 * 4 * 4 + 8)),
+        raw=st.one_of(st.none(), st.binary(max_size=40)),
+    )
+    def test_mutated_store_reads_or_raises_store_error(self, edits, samples, blob_bytes, raw):
+        # A store of 6 trials of 3 x `samples`; some manifest fields rewritten
+        # or deleted, the blob cut or padded to blob_bytes, or the manifest
+        # replaced by raw bytes.
+        rng = np.random.default_rng(5)
+        with tempfile.TemporaryDirectory() as path:
+            write_store(path, make_trials(rng, samples=samples), n_classes=3,
+                        codebook="codes.txt")
+            manifest_path = os.path.join(path, "manifest.json")
+            with open(manifest_path) as fh:
+                manifest = json.load(fh)
+            for field, value in edits.items():
+                if value is MISSING:
+                    del manifest[field]
+                else:
+                    manifest[field] = value
+            with open(manifest_path, "wb") as fh:
+                fh.write(json.dumps(manifest).encode() if raw is None else raw)
+            if blob_bytes is not None:
+                blob_path = os.path.join(path, "eeg.f32")
+                blob = open(blob_path, "rb").read()
+                with open(blob_path, "wb") as fh:
+                    fh.write(blob[:blob_bytes].ljust(blob_bytes, b"\0"))
+            try:
+                meta, stream = read_store(path)
+                trials = list(stream)
+            except StoreError:
+                return
+        assert meta.codebook is None or isinstance(meta.codebook, str)
+        assert len(trials) == meta.n_trials == len(meta.labels)
+        assert all(t.data.shape == (meta.n_channels, meta.n_samples) for t in trials)
 
     def test_manifest_without_trials_rejected(self, tmp_path, rng):
         # n_trials 0 with a matching empty blob and label list is still no store.

@@ -175,7 +175,7 @@ def evaluate_store(trials, structures, config, subject="s01"):
     structures: list of np.ndarray
         Structure matrices per class, at least t_star samples long.
     config: ExperimentConfig
-        Checked settings; a t_star_s must lie within the trials.
+        Checked settings; a t_star_s past the trials raises ConfigError.
     subject: str
         Subject tag for the result rows.
 

@@ -140,8 +140,8 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("grid_ms, t_star_s, windows", [
         (100, 0.05, [6]),  # t* below one grid step: the one window t*
         (5000, None, [126]),  # a step beyond the trial: the one window t*
-        (1e307, 0.5, [60]),  # a step whose product with fs overflows to inf
         (100, None, [12, 24, 36, 48, 60, 72, 84, 96, 108, 120, 126]),
+        (1e307, 0.5, [60]),  # a step whose product with fs overflows to inf
     ])
     def test_decision_grid(self, grid_ms, t_star_s, windows):
         config = ExperimentConfig(method="fixed", hyperparams=[0.5], grid_ms=grid_ms,

@@ -264,10 +264,7 @@ class TestManifestProperty:
             with open(manifest_path, "wb") as fh:
                 fh.write(json.dumps(manifest).encode() if raw is None else raw)
             if blob_bytes is not None:
-                blob_path = os.path.join(path, "eeg.f32")
-                blob = open(blob_path, "rb").read()
-                with open(blob_path, "wb") as fh:
-                    fh.write(blob[:blob_bytes].ljust(blob_bytes, b"\0"))
+                os.truncate(os.path.join(path, "eeg.f32"), blob_bytes)  # pads with zeros
             try:
                 meta, stream = read_store(path)
                 trials = list(stream)

@@ -82,7 +82,11 @@ def cmd_codes(args):
     if args.subset_k is not None:
         # No recorded responses at hand: rank code similarity through the
         # canonical response model at the presentation rate.
-        response = default_response(flash_response_samples(args.rate_hz))
+        response_samples = flash_response_samples(args.rate_hz)
+        if not 1 <= response_samples <= codes.shape[1]:
+            raise UsageError(f"--rate-hz {args.rate_hz!r}: with --subset-k the 0.3 s flash "
+                             f"response must span 1 to {codes.shape[1]} samples")
+        response = default_response(response_samples)
         structures = structure_matrices(
             codes, args.rate_hz, args.rate_hz, codes.shape[1], response.size // 2
         )
@@ -292,7 +296,6 @@ def cmd_report(args):
     if not records:
         raise UsageError(f"{args.csv}: no data rows")
 
-    ci_column = f"ci_{args.y}"
     groups = {}
     for record in records:
         key = (record.get("method", ""), record.get("similarity", ""))
@@ -301,8 +304,7 @@ def cmd_report(args):
     series = []
     for g_idx, key in enumerate(sorted(groups)):
         points = sorted(
-            (_cell_value(args.csv, r, args.x), _cell_value(args.csv, r, args.y),
-             _cell_value(args.csv, r, ci_column) if r.get(ci_column) else 0.0)
+            (_cell_value(args.csv, r, args.x), _cell_value(args.csv, r, args.y))
             for r in groups[key]
         )
         label = "/".join(part for part in key if part) or "all"
@@ -311,7 +313,6 @@ def cmd_report(args):
                 "label": label,
                 "x": [p[0] for p in points],
                 "y": [p[1] for p in points],
-                "ci": [p[2] for p in points],
                 "color": PALETTE[g_idx % len(PALETTE)],
             }
         )

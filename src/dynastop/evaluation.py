@@ -57,6 +57,8 @@ def window_grid(grid_ms, t_star_s, fs):
     A step shorter than one sample gives a window at every sample.
     """
     _check_grid(grid_ms, t_star_s)
+    if not math.isfinite(t_star_s * fs):
+        raise ConfigError("t_star_s", f"t_star {t_star_s!r} s at {fs!r} Hz is too long")
     t_star = int(round(t_star_s * fs))
     if t_star < 1:
         raise ConfigError("t_star_s", f"t_star {t_star_s!r} s is shorter than one sample")
@@ -172,7 +174,7 @@ def evaluate_store(trials, structures, config, subject="s01"):
     ----------
     trials: list of Trial
         Labeled trials; every trial is tested in exactly one fold.
-    structures: list of np.ndarray
+    structures: StructureMatrices or list of np.ndarray
         Structure matrices per class, at least t_star samples long.
     config: ExperimentConfig
         Checked settings; a t_star_s past the trials raises ConfigError.

@@ -4,7 +4,7 @@ and the results row schema.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,36 +104,10 @@ def spm(select_seconds, overhead_seconds=0.0):
     return 60.0 / (select_seconds + overhead_seconds)
 
 
-NUMERIC_FIELDS = (
-    "accuracy",
-    "mean_stop_s",
-    "itr",
-    "spm",
-    "precision",
-    "recall",
-    "specificity",
-    "f_score",
-)
-
-CSV_COLUMNS = (
-    "subject",
-    "method",
-    "hyperparam",
-    "similarity",
-    *NUMERIC_FIELDS,
-    *(f"ci_{name}" for name in NUMERIC_FIELDS),
-)
-
-
 @dataclass
 class MetricsRow:
-    """One evaluation result: a subject/method/hyperparameter combination.
-
-    The CSV's ci_* columns hold 95% confidence half-widths, which a
-    single-subject row does not have: the writer fills them with 0.0, keeping
-    the schema fixed, and ``dynastop report`` draws a band from a CSV that
-    fills them.
-    """
+    """One evaluation result of a subject/method/hyperparameter combination;
+    its fields, in order, are the results CSV's columns."""
 
     subject: str
     method: str
@@ -147,3 +121,6 @@ class MetricsRow:
     recall: float
     specificity: float
     f_score: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))

@@ -211,12 +211,11 @@ def _format_cell(value):
 def write_results_csv(path, rows, append=False):
     """Write metrics rows as RFC-4180 CSV with the fixed column schema.
 
-    Rows are ordered by (subject, method, hyperparam, similarity); floats use
-    their shortest round-trip decimal form, and the ci_* columns, which a row
-    does not carry, read 0.0. With append=True an existing file keeps its
-    header and gains the new rows, and an empty one gets the header; a file
-    whose first row is not CSV_COLUMNS raises StoreError naming it and is
-    left as it was.
+    Rows are ordered by (subject, method, hyperparam, similarity), and floats
+    use their shortest round-trip decimal form. With append=True an existing
+    file keeps its header and gains the new rows, and an empty one gets the
+    header; a file whose first row is not CSV_COLUMNS raises StoreError naming
+    it and is left as it was.
     """
     ordered = sorted(
         rows,
@@ -245,5 +244,4 @@ def write_results_csv(path, rows, append=False):
         if fresh:
             writer.writerow(CSV_COLUMNS)
         for row in ordered:
-            values = vars(row)
-            writer.writerow([_format_cell(values.get(col, 0.0)) for col in CSV_COLUMNS])
+            writer.writerow([_format_cell(getattr(row, col)) for col in CSV_COLUMNS])

@@ -1,6 +1,6 @@
 """Minimal hand-rolled SVG line charts: one polyline per series, labeled axes
-with 1-2-5 ticks, and translucent confidence bands. Output bytes are a pure
-function of the input, so plots diff cleanly.
+with 1-2-5 ticks, and a legend. Output bytes are a pure function of the
+input, so plots diff cleanly.
 """
 
 import math
@@ -46,8 +46,7 @@ def line_chart(series, x_label, y_label, width=720, height=480):
     Parameters
     ----------
     series: list of dict
-        Each with keys "label", "x", "y", optional "ci" (half-widths matching
-        y) and optional "color".
+        Each with keys "label", "x", "y" and optional "color".
     x_label, y_label: str
         Axis captions.
     """
@@ -58,13 +57,7 @@ def line_chart(series, x_label, y_label, width=720, height=480):
     plot_h = height - margin_t - margin_b
 
     xs = [v for s in series for v in s["x"]]
-    ys = []
-    for s in series:
-        ci = s.get("ci")
-        for i, v in enumerate(s["y"]):
-            ys.append(v)
-            if ci is not None:
-                ys.extend([v - ci[i], v + ci[i]])
+    ys = [v for s in series for v in s["y"]]
     if not xs or not ys:
         raise ValueError("series contain no points")
     x_lo, x_hi = min(xs), max(xs)
@@ -132,19 +125,6 @@ def line_chart(series, x_label, y_label, width=720, height=480):
 
     for s_idx, s in enumerate(series):
         color = s.get("color") or PALETTE[s_idx % len(PALETTE)]
-        ci = s.get("ci")
-        if ci is not None and any(c > 0 for c in ci):
-            upper = [
-                f"{sx(x):.2f},{sy(y + c):.2f}" for x, y, c in zip(s["x"], s["y"], ci)
-            ]
-            lower = [
-                f"{sx(x):.2f},{sy(y - c):.2f}"
-                for x, y, c in zip(reversed(s["x"]), reversed(s["y"]), reversed(ci))
-            ]
-            parts.append(
-                f'<polygon points="{" ".join(upper + lower)}" fill="{color}" '
-                'fill-opacity="0.18" stroke="none"/>'
-            )
         points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s["x"], s["y"]))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'

@@ -66,7 +66,7 @@ class TestCodes:
             main(["codes", "--frobnicate", "--out", str(tmp_path / "c.txt")])
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("rate", ["0", "-5", "nan", "inf", "1e-300", "1e300"])
     def test_bad_rate_exits_2(self, tmp_path, capsys, rate):
         out = tmp_path / "codes.txt"
         code, captured = run(["codes", "--rate-hz", rate, "--subset-k", "8", "--out", str(out)],
@@ -540,30 +540,13 @@ class TestReport:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_ci_band_rendered(self, tmp_path):
-        csv_path = tmp_path / "agg.csv"
-        header = "subject,method,hyperparam,similarity,accuracy,mean_stop_s,ci_accuracy\r\n"
-        rows = [
-            "mean,bds,0.1,inner,0.5,0.4,0.05\r\n",
-            "mean,bds,1.0,inner,0.8,0.9,0.04\r\n",
-            "mean,bds,10.0,inner,0.9,1.3,0.02\r\n",
-        ]
-        csv_path.write_text(header + "".join(rows))
-        out = tmp_path / "plot.svg"
-        assert main(
-            ["report", "--csv", str(csv_path), "--x", "mean_stop_s",
-             "--y", "accuracy", "--out-svg", str(out)]
-        ) == 0
-        assert "polygon" in out.read_text()
-
     @pytest.mark.parametrize("column, cell", [
         ("mean_stop_s", "nan"), ("accuracy", "inf"), ("accuracy", "-inf"),
-        ("mean_stop_s", "x"), ("ci_accuracy", "nan"),
+        ("mean_stop_s", "x"),
     ])
     def test_non_finite_cell_exits_2_naming_column(self, tmp_path, capsys, column, cell):
-        header = ["subject", "method", "hyperparam", "similarity", "accuracy", "mean_stop_s",
-                  "ci_accuracy"]
-        good = ["mean", "bds", "1.0", "inner", "0.8", "0.9", "0.04"]
+        header = ["subject", "method", "hyperparam", "similarity", "accuracy", "mean_stop_s"]
+        good = ["mean", "bds", "1.0", "inner", "0.8", "0.9"]
         bad = dict(zip(header, good), hyperparam="10.0", **{column: cell})
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("".join(",".join(row) + "\r\n"

@@ -104,6 +104,7 @@ class TestWindowGrid:
         (float("inf"), 1.05, "grid step"),
         (100.0, float("nan"), "t_star"),
         (100.0, -1.0, "t_star"),
+        (100.0, 1e307, "t_star"),
     ])
     def test_rejects_bad_step_or_length(self, deadline, grid_ms, t_star_s, match):
         with deadline(10), pytest.raises(ValueError, match=match):

@@ -6,7 +6,6 @@ import pytest
 from dynastop.bayes_stop import StopOutcome
 from dynastop.metrics import (
     CSV_COLUMNS,
-    NUMERIC_FIELDS,
     DecisionCounts,
     MetricsRow,
     count_decisions,
@@ -154,8 +153,5 @@ class TestSpm:
 
 
 def test_csv_columns_cover_row_fields():
-    # Every row field has its column; the rest are the ci_* columns the
-    # writer fills with 0.0.
-    names = list(MetricsRow.__dataclass_fields__)
-    assert list(CSV_COLUMNS[:len(names)]) == names
-    assert list(CSV_COLUMNS[len(names):]) == [f"ci_{n}" for n in NUMERIC_FIELDS]
+    # The row's fields, in order, are the CSV's columns, and nothing else is.
+    assert CSV_COLUMNS == tuple(MetricsRow.__dataclass_fields__)

@@ -374,6 +374,10 @@ class TestResultsCsv:
         b"\r\n",
         ",".join(reversed(CSV_COLUMNS)).encode() + b"\r\n",
         b"\xff\xfe,not text\r\n",
+        # The header of results files written while the schema carried eight
+        # ci_* half-width columns, which no row filled.
+        ",".join(CSV_COLUMNS).encode() + b",ci_accuracy,ci_mean_stop_s,ci_itr,ci_spm,"
+        b"ci_precision,ci_recall,ci_specificity,ci_f_score\r\n",
     ])
     def test_append_under_other_header_raises(self, tmp_path, content):
         path = tmp_path / "out.csv"

@@ -65,14 +65,20 @@ class BetaPolicy:
     Correlation scores are mapped from [-1, 1] into (0, 1), a Beta
     distribution is fit by method of moments on all mapped scores except the
     maximum (ties at the maximum excluded), and the trial stops when the Beta
-    CDF at the mapped maximum reaches the target accuracy. Only meaningful for
-    bounded (correlation) scores. Windows are tested one at a time, because
+    CDF at the mapped maximum, the window's outlier probability, reaches the
+    target accuracy. Only meaningful for bounded (correlation) scores.
+
+    The outlier probability does not depend on the target, so the policies
+    of a sweep may share one dict `table` from a window's score bytes to it,
+    filled as windows are first met; without a table every window is
+    computed and nothing is kept. Windows are tested one at a time, because
     the rule usually fires at the first, and first_stops runs apply_policy on
     each trace.
     """
 
-    def __init__(self, target_accuracy):
+    def __init__(self, target_accuracy, table=None):
         self.target_accuracy = float(target_accuracy)
+        self.table = table
 
     def first_stops(self, traces):
         outcomes = [apply_policy(self, trace) for trace in traces]
@@ -83,25 +89,39 @@ class BetaPolicy:
 
     def fires(self, scores):
         """Whether the rule fires on one window's scores."""
-        mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, _BETA_EPSILON, 1.0 - _BETA_EPSILON)
-        top = mapped.max()
-        rest = mapped[mapped < top]
-        if rest.size < 2:
-            return False
-        mean = rest.mean()
-        var = rest.var()
-        if var <= 0.0 or var >= mean * (1.0 - mean):
-            return False
-        common = mean * (1.0 - mean) / var - 1.0
-        a = mean * common
-        b = (1.0 - mean) * common
-        if a <= 0.0 or b <= 0.0:
-            return False
-        return beta_cdf(top, a, b) >= self.target_accuracy
+        if self.table is None:
+            return _outlier_probability(scores) >= self.target_accuracy
+        key = np.asarray(scores, dtype=float).tobytes()
+        if (probability := self.table.get(key)) is None:
+            probability = self.table[key] = _outlier_probability(scores)
+        return probability >= self.target_accuracy
 
 
-def _betacf(a, b, x, max_iter=300, eps=1e-15):
+def _outlier_probability(scores):
+    """The Beta CDF at one window's mapped top score under the fit to the
+    rest; -inf where no Beta fits the rest."""
+    mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, _BETA_EPSILON, 1.0 - _BETA_EPSILON)
+    top = mapped.max()
+    rest = mapped[mapped < top]
+    if rest.size < 2:
+        return -math.inf
+    mean = rest.mean()
+    var = rest.var()
+    if var <= 0.0 or var >= mean * (1.0 - mean):
+        return -math.inf
+    common = mean * (1.0 - mean) / var - 1.0
+    a = mean * common
+    b = (1.0 - mean) * common
+    if a <= 0.0 or b <= 0.0:
+        return -math.inf
+    return beta_cdf(top, a, b)
+
+
+def _betacf(a, b, x, eps=1e-15):
     # Continued fraction for the incomplete beta (modified Lentz iteration).
+    # Near the mean it needs more terms as a + b grows (about 820 at
+    # a = b = 4e6), so the cap grows as the root of a + b.
+    max_iter = 300 + int(math.sqrt(a + b))
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -143,7 +163,9 @@ def beta_cdf(x, a, b):
 
     Continued-fraction evaluation with a log-gamma prefactor, using the
     symmetry I_x(a, b) = 1 - I_(1-x)(b, a) on the slow-converging side.
-    Absolute error is well below 1e-10 across sane shape parameters.
+    Absolute error is below 1e-10 for 0.01 <= a, b with a + b <= 3e4. For
+    larger shapes the log-gamma prefactor loses digits to cancellation and
+    the error grows about as a + b: near 1e-8 at a = b = 4e6.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")

@@ -139,8 +139,10 @@ class ExperimentConfig:
 def _fold_rule(config, stats, trials, train_idx, model, grid):
     """The fold's policy per hyperparameter of config's method, as a callable.
     The product a method's sweep shares (the stopping calibration, the margin
-    candidates or the decoding curve, whose inner decoders are fitted from
-    `stats`) is computed here, once per fold."""
+    candidates, the decoding curve, whose inner decoders are fitted from
+    `stats`, or the table of Beta outlier probabilities) is made here, once
+    per fold; the Beta table fills as the fold's policies first meet each
+    held-out window."""
     train = [trials[i] for i in train_idx]
     if config.method == "bds":
         return calibrate(model, train, grid, zeta=1.0).with_cost_ratio
@@ -148,7 +150,8 @@ def _fold_rule(config, stats, trials, train_idx, model, grid):
         traces = score_traces(model, train, grid, config.similarity)
         return MarginCandidates(traces, [t.label for t in train]).table
     if config.method == "beta":
-        return BetaPolicy
+        table = {}
+        return lambda h: BetaPolicy(h, table)
     if config.method == "fixed":
         seconds = grid / train[0].fs
         return lambda h: FixedLengthPolicy(int(np.argmin(np.abs(seconds - h))))

@@ -341,6 +341,28 @@ class TestBetaCdf:
         assert values[0] == 0.0 and values[-1] == 1.0
         assert all(v2 >= v1 - 1e-14 for v1, v2 in zip(values, values[1:]))
 
+    def test_against_scipy_in_stated_range(self, rng):
+        # The docstring's bound, 1e-10 for 0.01 <= a, b with a + b <= 3e4,
+        # with x mostly within three standard deviations of the mean, where
+        # the continued fraction needs the most terms.
+        from scipy.special import betainc
+
+        for _ in range(500):
+            a, b = np.exp(rng.uniform(math.log(0.01), math.log(1.5e4), 2))
+            sd = math.sqrt(a * b / (a + b + 1)) / (a + b)
+            x = float(np.clip(a / (a + b) + rng.normal(0.0, 3.0 * sd), 1e-9, 1 - 1e-9))
+            assert beta_cdf(x, a, b) == pytest.approx(betainc(a, b, x), abs=1e-10), (a, b, x)
+
+    @pytest.mark.parametrize("x", [0.4999, 0.5, 0.5001])
+    def test_large_shapes_converge(self, deadline, x):
+        # Near the mean at a = b = 4e6 the continued fraction needs about 820
+        # terms; the log-gamma prefactor leaves an error of a few 1e-9.
+        from scipy.special import betainc
+
+        with deadline(10):
+            value = beta_cdf(x, 4e6, 4e6)
+        assert value == pytest.approx(betainc(4e6, 4e6, x), abs=1e-8)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             beta_cdf(0.5, 0.0, 1.0)

@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dynastop import evaluation, metrics
-from dynastop.baselines import MarginPolicy, stratified_folds
+from dynastop import baselines, evaluation, metrics
+from dynastop.baselines import BetaPolicy, MarginPolicy, stratified_folds
 from dynastop.decoding import (
     TrialStatistics,
     _inverse_sqrt,
@@ -45,8 +45,12 @@ def evaluate_store_loop(trials, structures, config, subject="s01"):
         mask[fold] = False
         train_idx = np.flatnonzero(mask)
         model = stats.fit(train_idx)
-        rule = _fold_rule(config, stats, trials, train_idx, model, grid)
-        policy_by_h = {h: rule(h) for h in hyperparams}
+        if config.method == "beta":
+            # Each θ computes every window afresh, sharing no table.
+            policy_by_h = {h: BetaPolicy(h) for h in hyperparams}
+        else:
+            rule = _fold_rule(config, stats, trials, train_idx, model, grid)
+            policy_by_h = {h: rule(h) for h in hyperparams}
         traces = score_traces(model, [trials[i] for i in fold], grid, config.similarity)
         argmax_correct = np.argmax(traces, axis=2) == labels[fold, None]
         for trace, label, correct in zip(traces, labels[fold], argmax_correct):
@@ -306,6 +310,7 @@ class TestEvaluateStore:
         ("static_targeted_accuracy", "inner", [0.1, 0.5, 0.98, 0.1]),
         ("static_max_accuracy", "inner", []),
         ("static_max_itr", "correlation", []),
+        ("beta", "correlation", [0.98, 0.9, 0.5, 0.1, 0.9]),
     ])
     @pytest.mark.parametrize("t_star_s", [None, 0.55])
     def test_rows_match_trial_loop(self, small_sim, method, similarity, hyperparams, t_star_s):
@@ -313,6 +318,18 @@ class TestEvaluateStore:
         config = ExperimentConfig(method=method, similarity=similarity,
                                   hyperparams=hyperparams, folds=5, t_star_s=t_star_s,
                                   overhead_s=0.5)
+        assert (evaluate_store(trials, sim.structures, config)
+                == evaluate_store_loop(trials, sim.structures, config))
+
+    def test_beta_rows_match_trial_loop_at_paper_length(self):
+        # The bench's θ list on the paper's 4.2 s trials (42 windows).
+        from dynastop.simulate import SimConfig, make_dataset, resolve_config
+
+        cfg = SimConfig(n_classes=36, n_channels=8, trial_seconds=4.2, sigma=3.0, seed=3)
+        sim = resolve_config(cfg)
+        trials = make_dataset(cfg, 3, resolved=sim)
+        config = ExperimentConfig(method="beta", similarity="correlation",
+                                  hyperparams=[0.1, 0.3, 0.5, 0.7, 0.9, 0.98], folds=5)
         assert (evaluate_store(trials, sim.structures, config)
                 == evaluate_store_loop(trials, sim.structures, config))
 
@@ -335,6 +352,44 @@ class TestEvaluateStore:
         config = ExperimentConfig(method=method, hyperparams=hyperparams, folds=5)
         assert len(evaluate_store(trials, sim.structures, config)) == len(hyperparams)
         assert len(calls) == 5
+
+    def test_beta_sweep_computes_each_window_once_per_fold(self, small_sim, monkeypatch):
+        # Every θ stops at or before the largest θ's stop, so the sweep meets
+        # no window that the largest θ alone does not.
+        cfg, sim, trials = small_sim
+        original = baselines.beta_cdf
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(baselines, "beta_cdf", counting)
+        counts = []
+        for hyperparams in ([0.1, 0.3, 0.5, 0.7, 0.9, 0.98], [0.98]):
+            calls.clear()
+            config = ExperimentConfig(method="beta", similarity="correlation",
+                                      hyperparams=hyperparams, folds=5)
+            evaluate_store(trials, sim.structures, config)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_beta_sweep_runs_each_trace_through_apply_policy(self, small_sim, monkeypatch):
+        # Per-trace runs of the whole grid are what a traced pass counts.
+        cfg, sim, trials = small_sim
+        original = baselines.apply_policy
+        spans = []
+
+        def counting(policy, trace):
+            spans.append(len(trace))
+            return original(policy, trace)
+
+        monkeypatch.setattr(baselines, "apply_policy", counting)
+        config = ExperimentConfig(method="beta", similarity="correlation",
+                                  hyperparams=[0.5, 0.9, 0.5, 0.99], folds=5, t_star_s=0.55)
+        evaluate_store(trials, sim.structures, config)
+        grid = config.decision_grid(cfg.fs, trials[0].data.shape[1])
+        assert spans == [grid.size] * (len(trials) * 3)
 
     def test_static_sweep_builds_one_curve_per_fold(self, small_sim, monkeypatch):
         # Five outer fits, and five inner fits for each fold's decoding curve.

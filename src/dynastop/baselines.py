@@ -117,11 +117,17 @@ def _outlier_probability(scores):
     return beta_cdf(top, a, b)
 
 
+# Past this a + b, beta_cdf takes the large-shape path (_large_shape_cdf).
+_LARGE_SHAPES = 3e4
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
 def _betacf(a, b, x, eps=1e-15):
     # Continued fraction for the incomplete beta (modified Lentz iteration).
-    # Near the mean it needs more terms as a + b grows (about 820 at
-    # a = b = 4e6), so the cap grows as the root of a + b.
-    max_iter = 300 + int(math.sqrt(a + b))
+    # Near the mean it needs more terms as a + b grows, so the cap grows as
+    # the root of a + b up to _LARGE_SHAPES. Past that it runs only away from
+    # the mean or with a shape of at most 100, where tens of terms do.
+    max_iter = 300 + int(math.sqrt(min(a + b, _LARGE_SHAPES)))
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -163,9 +169,9 @@ def beta_cdf(x, a, b):
 
     Continued-fraction evaluation with a log-gamma prefactor, using the
     symmetry I_x(a, b) = 1 - I_(1-x)(b, a) on the slow-converging side.
-    Absolute error is below 1e-10 for 0.01 <= a, b with a + b <= 3e4. For
-    larger shapes the log-gamma prefactor loses digits to cancellation and
-    the error grows about as a + b: near 1e-8 at a = b = 4e6.
+    Absolute error is below 1e-10 for 0.01 <= a, b with a + b <= 3e4.
+    Larger shapes take :func:`_large_shape_cdf`, whose work is bounded and
+    whose absolute error stays below 1e-12 up to a + b = 2e16.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")
@@ -175,6 +181,8 @@ def beta_cdf(x, a, b):
         return 0.0
     if x == 1.0:
         return 1.0
+    if a + b > _LARGE_SHAPES:
+        return _large_shape_cdf(x, a, b)
     ln_front = (
         math.lgamma(a + b)
         - math.lgamma(a)
@@ -185,6 +193,133 @@ def beta_cdf(x, a, b):
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(ln_front) * _betacf(a, b, x) / a
     return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - x) / b
+
+
+def _large_shape_cdf(x, a, b):
+    """beta_cdf past a + b = _LARGE_SHAPES, where lgamma(a + b) - lgamma(a) -
+    lgamma(b) would cancel away the prefactor's digits.
+
+    The prefactor x^a (1-x)^b / B(a, b) comes from Stirling-series
+    differences instead (DiDonato and Morris, ACM TOMS 708, brcomp), through
+    lam = a - (a + b) x, (a + b) times the distance of x below the mean,
+    correctly rounded. Near the mean with both shapes above 100 the
+    asymptotic expansion :func:`_basym` gives the tail; elsewhere the
+    continued fraction does, in tens of terms.
+    """
+    lam = _distance_below_mean(x, a, b)
+    # f = -ln((x / x0)^a (y / y0)^b) for the mean x0 = a / (a + b), y0 = 1 - x0.
+    f = a * _rlog1(-lam / a) + b * _rlog1(lam / b)
+    if f > 700.0:  # the nearer tail is below 1e-290
+        return 0.0 if lam > 0.0 else 1.0
+    if min(a, b) > 100.0 and abs(lam) <= 0.03 * min(a, b):
+        return _basym(a, b, f) if lam >= 0.0 else 1.0 - _basym(b, a, f)
+    front = math.exp(-_HALF_LN_2PI + 0.5 * math.log(a * b / (a + b)) - f - _bcorr(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _betacf(a, b, x) / a
+    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+
+
+def _distance_below_mean(x, a, b):
+    """a - (a + b) x, correctly rounded: the products are split exactly
+    (Dekker) after scaling the shapes by a power of two, so the splits
+    cannot overflow."""
+    scale = math.frexp(max(a, b))[1]
+    a, b = math.ldexp(a, -scale), math.ldexp(b, -scale)
+    xh, xl = _split(x)
+    terms = [a]
+    for shape in (a, b):
+        product = shape * x
+        sh, sl = _split(shape)
+        terms += [-product, -(((sh * xh - product) + sh * xl + sl * xh) + sl * xl)]
+    return math.ldexp(math.fsum(terms), scale)
+
+
+def _split(u):
+    """u as high + low, each with at most 26 significant bits."""
+    c = 134217729.0 * u
+    high = c - (c - u)
+    return high, u - high
+
+
+def _rlog1(e):
+    """e - ln(1 + e), without cancellation for small e."""
+    if abs(e) > 0.1:
+        return e - math.log1p(e)
+    # ln(1 + e) = 2 atanh(t) with t = e / (2 + e), and e - 2t = e^2 / (2 + e).
+    t = e / (2.0 + e)
+    t2 = t * t
+    series = 0.0
+    for k in range(17, 1, -2):
+        series = series * t2 + 1.0 / k
+    return e * e / (2.0 + e) - 2.0 * t * t2 * series
+
+
+def _stirling_rest(z):
+    """lgamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2)."""
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LN_2PI
+    w = 1.0 / (z * z)
+    return (1 / 12 + w * (-1 / 360 + w * (1 / 1260 + w * (-1 / 1680 + w * (
+        1 / 1188 - w * 691 / 360360))))) / z
+
+
+def _bcorr(a, b):
+    """ln B(a, b) less its Stirling approximation."""
+    return _stirling_rest(a) + _stirling_rest(b) - _stirling_rest(a + b)
+
+
+def _basym(a, b, f, terms=20):
+    """I_x(a, b) for x below the mean and large a and b, from f (see
+    :func:`_large_shape_cdf`): the asymptotic expansion of DiDonato and
+    Morris (ACM TOMS 708, basym), a normal tail plus terms in powers of
+    1 / min(a, b), summed to a relative 1e-15."""
+    e0 = 2.0 / math.sqrt(math.pi)
+    e1 = 2.0 ** -1.5
+    z0 = math.sqrt(f)
+    z = z0 / e1 * 0.5
+    z2 = f + f
+    if a < b:
+        h = a / b
+        r1 = (b - a) / b
+        w0 = 1.0 / math.sqrt(a * (h + 1.0))
+    else:
+        h = b / a
+        r1 = (b - a) / a
+        w0 = 1.0 / math.sqrt(b * (h + 1.0))
+    r0 = 1.0 / (h + 1.0)
+    a0, b0, c, d = ([0.0] * (terms + 1) for _ in range(4))
+    a0[0] = r1 * 2.0 / 3.0
+    c[0] = -0.5 * a0[0]
+    d[0] = -c[0]
+    j0 = 0.5 / e0 * math.exp(f) * math.erfc(z0)
+    j1 = e1
+    total = j0 + d[0] * w0 * j1
+    s, h2, hn, w, znm1, zn = 1.0, h * h, 1.0, w0, z, z2
+    for n in range(2, terms + 1, 2):
+        hn *= h2
+        a0[n - 1] = 2.0 * r0 * (h * hn + 1.0) / (n + 2.0)
+        s += hn
+        a0[n] = 2.0 * r1 * s / (n + 3.0)
+        for i in (n, n + 1):
+            r = -0.5 * (i + 1.0)
+            b0[0] = r * a0[0]
+            for m in range(2, i + 1):
+                bsum = sum((j * r - (m - j)) * a0[j - 1] * b0[m - j - 1] for j in range(1, m))
+                b0[m - 1] = r * a0[m - 1] + bsum / m
+            c[i - 1] = b0[i - 1] / (i + 1.0)
+            d[i - 1] = -(sum(d[i - j - 1] * c[j - 1] for j in range(1, i)) + c[i - 1])
+        j0 = e1 * znm1 + (n - 1.0) * j0
+        j1 = e1 * zn + n * j1
+        znm1 *= z2
+        zn *= z2
+        w *= w0
+        t0 = d[n - 1] * w * j0
+        w *= w0
+        t1 = d[n] * w * j1
+        total += t0 + t1
+        if abs(t0) + abs(t1) <= 1e-15 * total:
+            break
+    return e0 * math.exp(-f - _bcorr(a, b)) * total
 
 
 @dataclass
@@ -206,40 +341,54 @@ def stratified_folds(labels, n_folds):
     folds: list of np.ndarray
         Trial indices per fold.
     """
+    # The trials by class, then index: the k-th of them goes to fold k % n_folds.
+    order = np.argsort(np.asarray(labels), kind="stable")
+    return [np.sort(order[k::n_folds]) for k in range(n_folds)]
+
+
+def fold_splits(labels, n_folds):
+    """(fold, train_idx) of every non-empty :func:`stratified_folds` fold of
+    `labels`: the fold's trial indices and the indices of all the others."""
     labels = np.asarray(labels)
-    folds = [[] for _ in range(n_folds)]
-    counter = 0
-    for label in np.unique(labels):
-        for idx in np.flatnonzero(labels == label):
-            folds[counter % n_folds].append(int(idx))
-            counter += 1
-    return [np.array(sorted(f), dtype=int) for f in folds]
+    splits = []
+    for fold in stratified_folds(labels, n_folds):
+        if fold.size:
+            train = np.ones(labels.size, dtype=bool)
+            train[fold] = False
+            splits.append((fold, np.flatnonzero(train)))
+    return splits
+
+
+def curve_folds(n_trials):
+    """Folds of a :func:`decoding_curve` over n_trials: five, or one per
+    trial below five trials."""
+    return min(5, n_trials)
 
 
 def held_out_traces(fit, trials, n_folds, grid, similarity):
-    """Cross-validated score traces over the :func:`stratified_folds` of
+    """Cross-validated score traces over the :func:`fold_splits` of
     `trials`. One call fit(train_sets) maps the training indices of every
     non-empty fold to its DecoderModel, in order; per fold this yields
     (fold, train_idx, model, traces), the traces being the :func:`score_traces`
     of the fold's trials at every window of `grid`."""
-    labels = np.array([t.label for t in trials])
-    folds = [fold for fold in stratified_folds(labels, n_folds) if fold.size]
-    train_sets = [np.setdiff1d(np.arange(len(trials)), fold) for fold in folds]
-    for fold, train_idx, model in zip(folds, train_sets, fit(train_sets)):
+    splits = fold_splits([t.label for t in trials], n_folds)
+    for (fold, train_idx), model in zip(splits, fit([train_idx for _, train_idx in splits])):
         yield fold, train_idx, model, score_traces(model, [trials[i] for i in fold], grid,
                                                    similarity)
 
 
 def decoding_curve(fit, trials, grid, n_classes, similarity="inner"):
     """Estimate accuracy and ITR per decision window by 5-fold inner
-    cross-validation (one fold per trial, with a warning, below five trials).
+    cross-validation (one fold per trial, with a warning, below five trials:
+    :func:`curve_folds`).
 
     Parameters
     ----------
     fit: callable
         The fit of :func:`held_out_traces`, which gives the folds, e.g. the
         bound :meth:`TrialStatistics.fit_many` of statistics built once over
-        `trials`, which fits the folds together.
+        `trials`, which fits the folds together, or a lookup of models fitted
+        before.
     trials: list of Trial
         Labeled training trials.
     grid: sequence of int
@@ -256,14 +405,10 @@ def decoding_curve(fit, trials, grid, n_classes, similarity="inner"):
     """
     if not trials:
         raise ValueError("no training trials")
-    n_folds = 5
-    if len(trials) < n_folds:
-        warnings.warn(
-            f"only {len(trials)} trials: reducing {n_folds} folds to {len(trials)}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        n_folds = len(trials)
+    n_folds = curve_folds(len(trials))
+    if n_folds < 5:
+        warnings.warn(f"only {len(trials)} trials: reducing 5 folds to {n_folds}",
+                      RuntimeWarning, stacklevel=2)
     grid = np.asarray(grid, dtype=int)
     labels = np.array([t.label for t in trials])
     fold_accuracy = [

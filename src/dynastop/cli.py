@@ -107,8 +107,13 @@ def cmd_simulate(args):
                 for name in ("n_classes", "n_channels", "fs", "trial_seconds", "alpha", "seed")}
     settings.update(sigma=3.0, trials_per_class=3)
     if args.config:
-        with open(args.config) as fh:
-            loaded = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                loaded = json.load(fh)
+        except OSError as err:
+            raise UsageError(f"--config: cannot read {args.config}: {err.strerror or err}")
+        except ValueError as err:  # also bytes that are not UTF-8
+            raise UsageError(f"--config: {args.config} is not a JSON file: {err}")
         if not isinstance(loaded, dict):
             raise UsageError(f"{args.config}: simulate config is not a JSON object")
         unknown = set(loaded) - set(settings)

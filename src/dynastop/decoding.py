@@ -60,15 +60,24 @@ class ScoreVector:
     degenerate: np.ndarray | None = None
 
 
-def _inverse_sqrt(cov, name):
-    evals, evecs = np.linalg.eigh(cov)
-    tol = max(evals[-1], 0.0) * 1e-12
-    if evals[0] <= tol:
+def _inverse_sqrt(covs, name):
+    """Symmetric inverse square root of each covariance of a (..., n, n)
+    stack, from one stacked eigendecomposition. ValueError naming the
+    covariance when one's smallest eigenvalue is not above 1e-12 of its
+    largest (the first such one's is shown)."""
+    evals, evecs = np.linalg.eigh(covs)
+    deficient = evals[..., 0] <= np.maximum(evals[..., -1], 0.0) * 1e-12
+    if deficient.any():
         raise ValueError(
             f"{name} covariance is rank deficient after regularization "
-            f"(min eigenvalue {evals[0]:.3e})"
+            f"(min eigenvalue {evals[..., 0][deficient].flat[0]:.3e})"
         )
-    return (evecs / np.sqrt(evals)) @ evecs.T
+    return (evecs / np.sqrt(evals)[..., None, :]) @ np.swapaxes(evecs, -1, -2)
+
+
+def _regularised(cov):
+    """A covariance plus RIDGE times its mean diagonal on the diagonal."""
+    return cov + RIDGE * np.mean(np.diag(cov)) * np.eye(cov.shape[0])
 
 
 def predict_templates(response, structures):
@@ -191,89 +200,109 @@ class TrialStatistics:
         return self.fit_many([indices])[0]
 
     def fit_many(self, index_sets):
-        """One decoder per subset of trial indices (None: all the trials).
+        """One decoder per subset of trial indices (None: all the trials),
+        each the fit :func:`fit_cca` describes, all solved in one pass.
 
-        Each subset's CCA is solved on its own, as :func:`fit_cca` describes.
-        The templates of all the models then come from one product per class,
+        Each subset sums its own trials' moments, so its model does not
+        depend on the other subsets of the call. The canonical pair is the
+        leading eigenpair of the (channels, channels) matrix
+        M = C_xx^-1/2 C_xd C_dd^-1 C_dx C_xx^-1/2: its eigenvalue is the
+        squared canonical correlation rho^2, the filter is C_xx^-1/2 u for its
+        eigenvector u, and the response is C_dd^-1 C_dx w / rho for that
+        filter w. The channel whitenings and the eigenproblems of all the
+        subsets are one stacked eigendecomposition each. C_dd depends only
+        on the class counts, so C_dd^-1 C_dx comes from one solve per count
+        vector, the right-hand sides of its subsets side by side. The
+        templates of all the models then come from one product per class,
         the stacked responses times that class's structure matrix, so each
-        structure matrix is read once for every model. The models' templates
-        are rows of one shared array.
+        structure matrix is read once for every model. The models'
+        responses, like their templates, are rows of one shared array.
 
         Returns
         -------
         models: list of DecoderModel
             One per index set, in order.
         """
-        solved = [self._solve(indices) for indices in index_sets]
-        if not solved:
+        subsets = [self._members(indices) for indices in index_sets]
+        if not subsets:
             return []
-        templates = _templates_from_responses(
-            np.stack([response for _, response, _ in solved]), self.structures
-        )
+        covs_xx, covs_xd, by_counts = [], [], {}
+        for k, indices in enumerate(subsets):
+            groups = self.groups[indices]
+            counts = np.bincount(groups, minlength=len(self.design_means))
+            spread, cov_dd = self._design(counts)
+            by_counts.setdefault(counts.tobytes(), (cov_dd, []))[1].append(k)
+            n = indices.size * self.n_samples
+            mean_x = self.means[indices]
+            mean_x = mean_x - mean_x.mean(axis=0)
+            m2_xx = self.channel_gram[indices].sum(axis=0) + self.n_samples * (mean_x.T @ mean_x)
+            m2_xd = self.cross[indices].sum(axis=0) + self.n_samples * (mean_x.T @ spread[groups])
+            covs_xx.append(_regularised(m2_xx / (n - 1)))
+            covs_xd.append(m2_xd / (n - 1))
+        isq_x = _inverse_sqrt(np.stack(covs_xx), "channel")
+        cov_xd = np.stack(covs_xd)
+        n_rows = cov_xd.shape[2]
+        projected = np.empty((len(subsets), n_rows, cov_xd.shape[1]))  # C_dd^-1 C_dx
+        for cov_dd, members in by_counts.values():
+            rhs = cov_xd[members].transpose(2, 0, 1).reshape(n_rows, -1)
+            solution = np.linalg.solve(cov_dd, rhs).reshape(n_rows, len(members), -1)
+            projected[members] = solution.transpose(1, 0, 2)
+        evals, evecs = np.linalg.eigh(isq_x @ (cov_xd @ projected) @ isq_x)
+        if not np.all(evals[:, -1] > 0.0):
+            raise ValueError("the trials do not correlate with their design")
+        correlations = np.sqrt(evals[:, -1])
+        filters = isq_x @ evecs[:, :, -1:]
+        responses = (projected @ filters)[:, :, 0] / correlations[:, None]
+
+        spatials = []
+        for spatial, response in zip(filters[:, :, 0], responses):
+            spatial = spatial / np.linalg.norm(spatial)
+            # Signed so the filter's first nonzero element is positive.
+            lead = np.flatnonzero(np.abs(spatial) > 1e-12 * np.abs(spatial).max())[0]
+            if spatial[lead] < 0:
+                spatial = -spatial
+                response *= -1.0
+            spatials.append(spatial)
+        templates = _templates_from_responses(responses, self.structures)
         return [
             DecoderModel(spatial_filter=spatial, response=response, templates=model_templates,
-                         fs=self.fs, canonical_correlation=correlation)
-            for (spatial, response, correlation), model_templates in zip(solved, templates)
+                         fs=self.fs, canonical_correlation=float(correlation))
+            for spatial, response, model_templates, correlation
+            in zip(spatials, responses, templates, correlations)
         ]
 
-    def _solve(self, indices):
-        """Spatial filter, event response and canonical correlation of the
-        fit on the trials at `indices` (None: all of them)."""
+    def _members(self, indices):
+        """The trial indices of one subset (None: all the trials) as an
+        integer array, checked for two trials, two labels and finite data."""
         if indices is None:
             indices = np.arange(self.groups.size)
         indices = np.asarray(indices, dtype=int)
         if indices.size < 2:
             raise ValueError("need at least two training trials")
-        groups = self.groups[indices]
-        if np.unique(groups).size < 2:
+        if np.unique(self.groups[indices]).size < 2:
             raise ValueError("need at least two distinct labels")
         if not self.finite[indices].all():
             raise ValueError("trial data contains non-finite values")
-
-        n = indices.size * self.n_samples
-        mean_x = self.means[indices]
-        mean_x = mean_x - mean_x.mean(axis=0)
-        m2_xx = self.channel_gram[indices].sum(axis=0) + self.n_samples * (mean_x.T @ mean_x)
-        cov_xx = m2_xx / (n - 1)
-        cov_xx += RIDGE * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
-        isq_x = _inverse_sqrt(cov_xx, "channel")
-        spread, isq_d = self._design(np.bincount(groups, minlength=len(self.design_means)))
-        m2_xd = self.cross[indices].sum(axis=0) + self.n_samples * (mean_x.T @ spread[groups])
-        return _solve_cca(isq_x, isq_d, m2_xd / (n - 1))
+        return indices
 
     def _design(self, counts):
-        """Class design means less the subset's grand mean, and the whitened
-        design covariance: functions of the class counts alone, so computed
-        once per count vector and shared by every fit with those counts."""
+        """Class design means less the subset's grand mean, and the
+        ridge-regularised design covariance: functions of the class counts
+        alone, so computed once per count vector and shared by every fit
+        with those counts. The ridge makes the covariance positive definite
+        unless no design row varies, which raises ValueError."""
         key = counts.tobytes()
         if key not in self._designs:
             weights = counts.astype(float)
             spread = self.design_means - weights @ self.design_means / weights.sum()
             m2_dd = (np.tensordot(weights, self.design_gram, axes=1)
                      + self.n_samples * (spread.T @ (weights[:, None] * spread)))
-            cov_dd = m2_dd / (weights.sum() * self.n_samples - 1)
-            cov_dd += RIDGE * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
-            self._designs[key] = spread, _inverse_sqrt(cov_dd, "design")
+            cov_dd = _regularised(m2_dd / (weights.sum() * self.n_samples - 1))
+            if not np.trace(cov_dd) > 0.0:
+                raise ValueError("design covariance is rank deficient after regularization "
+                                 "(no design row varies)")
+            self._designs[key] = spread, cov_dd
         return self._designs[key]
-
-
-def _solve_cca(isq_x, isq_d, cov_xd):
-    """Unit-norm spatial filter, event response and canonical correlation
-    from the whitening matrices and the cross-covariance, signed so the
-    filter's first nonzero element is positive."""
-    left, singulars, right_t = np.linalg.svd(isq_x @ cov_xd @ isq_d)
-    spatial = isq_x @ left[:, 0]
-    response = isq_d @ right_t[0]
-
-    norm = np.linalg.norm(spatial)
-    if norm == 0.0:
-        raise ValueError("degenerate spatial filter")
-    spatial = spatial / norm
-    lead = np.flatnonzero(np.abs(spatial) > 1e-12 * np.abs(spatial).max())
-    if lead.size and spatial[lead[0]] < 0:
-        spatial = -spatial
-        response = -response
-    return spatial, response, float(singulars[0])
 
 
 def fit_cca(trials, structures):
@@ -282,10 +311,12 @@ def fit_cca(trials, structures):
     Treats the trials as one recording, concatenated channel-wise, against
     their label's structure matrices concatenated column-wise, and finds the
     spatial filter and event response whose projections correlate maximally.
-    Solved by whitening both autocovariances (with the relative ridge term
-    RIDGE for rank safety) and taking the leading singular pair of the whitened
-    cross-covariance. The covariances come from :class:`TrialStatistics`, so
-    this is the fit of that class on all the given trials.
+    Both autocovariances carry the relative ridge term RIDGE for rank
+    safety, and the pair is the leading eigenpair of the whitened channel-side
+    problem (:meth:`TrialStatistics.fit_many`), which is the leading singular
+    pair of the whitened cross-covariance. The covariances come from
+    :class:`TrialStatistics`, so this is the fit of that class on all the
+    given trials.
 
     The solution is normalized so the spatial filter has unit norm and its
     first nonzero element is positive; the templates follow that convention.

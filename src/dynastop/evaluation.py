@@ -13,7 +13,9 @@ from .baselines import (
     BetaPolicy,
     FixedLengthPolicy,
     MarginCandidates,
+    curve_folds,
     decoding_curve,
+    fold_splits,
     held_out_traces,
     static_max_accuracy,
     static_max_itr,
@@ -136,13 +138,13 @@ class ExperimentConfig:
         return window_grid(self.grid_ms, self.t_star_s, fs)
 
 
-def _fold_rule(config, stats, trials, train_idx, model, grid):
+def _fold_rule(config, fit, trials, train_idx, model, grid):
     """The fold's policy per hyperparameter of config's method, as a callable.
     The product a method's sweep shares (the stopping calibration, the margin
-    candidates, the decoding curve, whose inner decoders are fitted from
-    `stats`, or the table of Beta outlier probabilities) is made here, once
-    per fold; the Beta table fills as the fold's policies first meet each
-    held-out window."""
+    candidates, the decoding curve, whose inner decoders `fit` gives from
+    index sets into `trials`, or the table of Beta outlier probabilities) is
+    made here, once per fold; the Beta table fills as the fold's policies
+    first meet each held-out window."""
     train = [trials[i] for i in train_idx]
     if config.method == "bds":
         return calibrate(model, train, grid, zeta=1.0).with_cost_ratio
@@ -156,13 +158,27 @@ def _fold_rule(config, stats, trials, train_idx, model, grid):
         seconds = grid / train[0].fs
         return lambda h: FixedLengthPolicy(int(np.argmin(np.abs(seconds - h))))
     curve = decoding_curve(
-        lambda inner_sets: stats.fit_many([train_idx[i] for i in inner_sets]),
-        train, grid, len(stats.structures), similarity=config.similarity,
+        lambda inner_sets: fit([train_idx[i] for i in inner_sets]),
+        train, grid, model.templates.shape[0], similarity=config.similarity,
     )
     if config.method == "static_targeted_accuracy":
         return lambda theta: FixedLengthPolicy(static_targeted_accuracy(curve, theta))
     select = static_max_accuracy if config.method == "static_max_accuracy" else static_max_itr
     return lambda _: FixedLengthPolicy(select(curve))
+
+
+def _static_fits(stats, labels, n_folds):
+    """The decoders of a static method's two levels of cross-validation,
+    fitted in one :meth:`TrialStatistics.fit_many` call: the training split
+    of every outer fold, and the :func:`decoding_curve` training splits
+    inside each. Returns a fit that looks the models up by index set."""
+    index_sets = []
+    for _, train_idx in fold_splits(labels, n_folds):
+        index_sets.append(train_idx)
+        index_sets += [train_idx[inner] for _, inner
+                       in fold_splits(labels[train_idx], curve_folds(train_idx.size))]
+    models = dict(zip((s.tobytes() for s in index_sets), stats.fit_many(index_sets)))
+    return lambda sets: [models[np.asarray(s, dtype=int).tobytes()] for s in sets]
 
 
 def evaluate_store(trials, structures, config, subject="s01"):
@@ -198,11 +214,15 @@ def evaluate_store(trials, structures, config, subject="s01"):
     labels = np.array([t.label for t in trials])
 
     stats = TrialStatistics(trials, structures)
+    # Every method fits all its decoders in one fit_many call.
+    fit = stats.fit_many
+    if config.method.startswith("static"):
+        fit = _static_fits(stats, labels, config.folds)
     fold_stops, fold_correct = [], []
     for fold, train_idx, model, traces in held_out_traces(
-        stats.fit_many, trials, config.folds, grid, config.similarity
+        fit, trials, config.folds, grid, config.similarity
     ):
-        rule = _fold_rule(config, stats, trials, train_idx, model, grid)
+        rule = _fold_rule(config, fit, trials, train_idx, model, grid)
         fold_stops.append(np.stack([rule(h).first_stops(traces) for h in hyperparams]))
         fold_correct.append(np.argmax(traces, axis=2) == labels[fold, None])
 

@@ -1,7 +1,8 @@
 """Reference implementations the tests check the package against: the
-structure matrices built up front as a list, the likelihood ratio the
-boundary solver inverts, scores against the simulator's planted templates,
-and the per-window run of every stopping rule."""
+structure matrices built up front as a list, the per-subset SVD fit of the
+decoder, the likelihood ratio the boundary solver inverts, scores against the
+simulator's planted templates, and the per-window run of every stopping
+rule."""
 
 import math
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from dynastop.baselines import FixedLengthPolicy, MarginPolicy
 from dynastop.bayes_stop import StopOutcome, StoppingModel
+from dynastop.decoding import RIDGE, DecoderModel, predict_templates
 from dynastop.metrics import DecisionCounts
 from dynastop.simulate import resolve_config
 
@@ -34,6 +36,83 @@ def structure_matrices_list(codes, fs, rate_hz, n_samples, response_samples):
            onsets[inside] + response_samples - 1] = 1.0
     lagged = np.lib.stride_tricks.sliding_window_view(trains, n_samples, axis=1)[:, ::-1]
     return [lagged[k:k + 2].copy().reshape(-1, n_samples) for k in range(0, 2 * n_codes, 2)]
+
+
+def inverse_sqrt(cov, name):
+    """Symmetric inverse square root of one covariance by eigendecomposition;
+    ValueError naming it when rank deficient."""
+    evals, evecs = np.linalg.eigh(cov)
+    tol = max(evals[-1], 0.0) * 1e-12
+    if evals[0] <= tol:
+        raise ValueError(
+            f"{name} covariance is rank deficient after regularization "
+            f"(min eigenvalue {evals[0]:.3e})"
+        )
+    return (evecs / np.sqrt(evals)) @ evecs.T
+
+
+def solve_cca(isq_x, isq_d, cov_xd):
+    """Unit-norm spatial filter, event response and canonical correlation
+    from the whitening matrices and the cross-covariance: the leading
+    singular pair of the whitened cross-covariance, signed so the filter's
+    first nonzero element is positive."""
+    left, singulars, right_t = np.linalg.svd(isq_x @ cov_xd @ isq_d)
+    spatial = isq_x @ left[:, 0]
+    response = isq_d @ right_t[0]
+
+    norm = np.linalg.norm(spatial)
+    if norm == 0.0:
+        raise ValueError("degenerate spatial filter")
+    spatial = spatial / norm
+    lead = np.flatnonzero(np.abs(spatial) > 1e-12 * np.abs(spatial).max())
+    if lead.size and spatial[lead[0]] < 0:
+        spatial = -spatial
+        response = -response
+    return spatial, response, float(singulars[0])
+
+
+def svd_fit(stats, indices=None):
+    """Reference subset fit of a TrialStatistics: the subset's moments summed
+    on their own, both covariances whitened by eigendecomposition on every
+    call, and the pair from the SVD of the whitened cross-covariance
+    (:func:`solve_cca`)."""
+    if indices is None:
+        indices = np.arange(stats.groups.size)
+    indices = np.asarray(indices, dtype=int)
+    groups = stats.groups[indices]
+    n_samples = stats.n_samples
+    n = indices.size * n_samples
+    weights = np.bincount(groups, minlength=len(stats.design_means)).astype(float)
+    spread = stats.design_means - weights @ stats.design_means / weights.sum()
+    mean_x = stats.means[indices]
+    mean_x = mean_x - mean_x.mean(axis=0)
+    m2_xx = stats.channel_gram[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_x)
+    m2_dd = (np.tensordot(weights, stats.design_gram, axes=1)
+             + n_samples * (spread.T @ (weights[:, None] * spread)))
+    m2_xd = stats.cross[indices].sum(axis=0) + n_samples * (mean_x.T @ spread[groups])
+    cov_xx = m2_xx / (n - 1)
+    cov_dd = m2_dd / (n - 1)
+    cov_xx += RIDGE * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
+    cov_dd += RIDGE * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
+    spatial, response, correlation = solve_cca(
+        inverse_sqrt(cov_xx, "channel"), inverse_sqrt(cov_dd, "design"), m2_xd / (n - 1)
+    )
+    return DecoderModel(spatial_filter=spatial, response=response,
+                        templates=predict_templates(response, stats.structures),
+                        fs=stats.fs, canonical_correlation=correlation)
+
+
+def stratified_folds_loop(labels, n_folds):
+    """Reference stratified_folds: each class's trials dealt round-robin
+    over the folds in index order, one trial at a time."""
+    labels = np.asarray(labels)
+    folds = [[] for _ in range(n_folds)]
+    counter = 0
+    for label in np.unique(labels):
+        for idx in np.flatnonzero(labels == label):
+            folds[counter % n_folds].append(int(idx))
+            counter += 1
+    return [np.array(sorted(f), dtype=int) for f in folds]
 
 
 def log_likelihood_ratio(f, params, alpha):

@@ -17,6 +17,7 @@ from dynastop.baselines import (
     decoding_curve,
     deserialize_policy,
     fit_margin,
+    fold_splits,
     serialize_policy,
     static_max_accuracy,
     static_max_itr,
@@ -27,7 +28,7 @@ from dynastop.bayes_stop import StopOutcome, StoppingModel, WindowParams, calibr
 from dynastop.decoding import TrialStatistics, fit_cca, score_traces
 from dynastop.evaluation import window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
-from oracles import apply_policy_loop, first_stops_loop
+from oracles import apply_policy_loop, first_stops_loop, stratified_folds_loop
 
 
 def simpson_beta_cdf(x, a, b, n=20001):
@@ -363,6 +364,50 @@ class TestBetaCdf:
             value = beta_cdf(x, 4e6, 4e6)
         assert value == pytest.approx(betainc(4e6, 4e6, x), abs=1e-8)
 
+    @pytest.mark.parametrize("shape", [1e8, 1e12, 1e14, 1e16])
+    def test_large_symmetric_shapes_against_scipy(self, deadline, shape):
+        # Within three standard deviations of the mean, where the log-gamma
+        # prefactor cancelled to 0.7998 at x = 0.5, a = b = 1e14. Checked
+        # against high-precision quadrature, scipy's error reaches about 1e-9
+        # above the mean at these shapes, hence the bound; below it scipy is
+        # read through the reflection, since its direct value is off there
+        # (0.0364 for 0.1587 at x = 0.5 - sd, a = b = 1e16).
+        from scipy.special import betainc
+
+        sd = 0.5 / math.sqrt(2.0 * shape + 1.0)
+        with deadline(2):
+            for k in (-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0):
+                x = 0.5 + k * sd
+                want = betainc(shape, shape, x) if x >= 0.5 else 1 - betainc(shape, shape, 1 - x)
+                assert beta_cdf(x, shape, shape) == pytest.approx(want, abs=1e-8), (k, x)
+            assert beta_cdf(0.5, shape, shape) == pytest.approx(0.5, abs=1e-15)
+        if shape == 1e16:
+            assert beta_cdf(0.5 + 1e-8, shape, shape) == pytest.approx(0.99766113261, abs=1e-10)
+
+    @pytest.mark.parametrize("shape", [1e12, 1e14, 1e16])
+    def test_large_symmetric_shapes_match_normal_limit(self, shape):
+        # Beta(v, v) has mean 1/2, variance 1 / (4 (2v + 1)) and excess
+        # kurtosis below 1e-11 here, so its CDF is the normal one to 1e-12.
+        sd = 0.5 / math.sqrt(2.0 * shape + 1.0)
+        for k in (-4.0, -2.5, -1.0, -0.2, 0.7, 1.5, 3.0):
+            x = 0.5 + k * sd
+            normal = 0.5 * math.erfc(-(x - 0.5) / (sd * math.sqrt(2.0)))
+            assert beta_cdf(x, shape, shape) == pytest.approx(normal, abs=1e-12), (k, x)
+
+    def test_large_asymmetric_shapes_against_scipy(self, rng, deadline):
+        # Past a + b = 3e4: near the mean with both shapes large, away from
+        # it, and with one shape small; every call does bounded work.
+        from scipy.special import betainc
+
+        with deadline(10):
+            for _ in range(300):
+                total = 10 ** rng.uniform(4.5, 16.3)
+                p = 10 ** rng.uniform(-6, 0) if rng.random() < 0.3 else rng.uniform(0.01, 0.99)
+                a, b = total * p, total * (1 - p)
+                sd = math.sqrt(a * b / (total + 1)) / total
+                x = float(np.clip(p + rng.normal(0.0, 4.0 * sd), 1e-12, 1 - 1e-12))
+                assert beta_cdf(x, a, b) == pytest.approx(betainc(a, b, x), abs=1e-8), (a, b, x)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             beta_cdf(0.5, 0.0, 1.0)
@@ -475,6 +520,24 @@ class TestStratifiedFolds:
         a = stratified_folds(labels, 2)
         b = stratified_folds(labels, 2)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.integers(-3, 40), min_size=1, max_size=200),
+           n_folds=st.integers(2, 12))
+    def test_matches_round_robin_loop(self, labels, n_folds):
+        # The folds, and fold_splits' training splits, of the one-trial-at-a-
+        # time deal, empty folds included.
+        expected = stratified_folds_loop(labels, n_folds)
+        folds = stratified_folds(labels, n_folds)
+        assert len(folds) == n_folds
+        for got, want in zip(folds, expected):
+            assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+        everyone = np.arange(len(labels))
+        splits = fold_splits(labels, n_folds)
+        assert [fold.tolist() for fold, _ in splits] == [f.tolist() for f in expected if f.size]
+        for fold, train in splits:
+            want = np.setdiff1d(everyone, fold)
+            assert (train.dtype, train.tolist()) == (want.dtype, want.tolist())
 
 
 class TestPolicySerialization:

@@ -151,6 +151,24 @@ class TestSimulate:
         assert "simulate config is not a JSON object" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"seed": 2 "sigma": 1}', "is not a JSON file: Expecting ',' delimiter"),
+        (b"", "is not a JSON file: Expecting value"),
+        (b'{"seed": 2}\n}', "is not a JSON file: Extra data"),
+        (b'{"sigma": "\xff"}', "is not a JSON file: 'utf-8' codec can't decode"),
+        (None, "cannot read"),
+    ])
+    def test_config_not_json_exits_2(self, tmp_path, capsys, content, message):
+        config = tmp_path / "sim.json"
+        if content is not None:
+            config.write_bytes(content)
+        out = tmp_path / "s"
+        code, captured = run(["simulate", "--config", str(config), "--out", str(out)], capsys)
+        assert code == 2, captured.err
+        assert f"--config: {'cannot read ' if content is None else ''}{config}" in captured.err
+        assert message in captured.err
+        assert not out.exists()
+
 
 class TestCalibrate:
     def test_writes_model_json(self, tiny_store, tmp_path):

@@ -14,7 +14,6 @@ from dynastop.decoding import (
     Trial,
     TrialStatistics,
     _inverse_sqrt,
-    _solve_cca,
     correlation_score,
     fit_cca,
     predict_templates,
@@ -24,6 +23,7 @@ from dynastop.decoding import (
 )
 from dynastop.evaluation import ExperimentConfig, evaluate_store, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
+from oracles import solve_cca, svd_fit
 
 
 def dense_fit_cca(trials, structures):
@@ -174,7 +174,7 @@ def per_trial_fit(stats, indices):
     cov_dd = m2_dd / (n - 1)
     cov_xx += RIDGE * np.mean(np.diag(cov_xx)) * np.eye(cov_xx.shape[0])
     cov_dd += RIDGE * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
-    spatial, response, correlation = _solve_cca(
+    spatial, response, correlation = solve_cca(
         _inverse_sqrt(cov_xx, "channel"), _inverse_sqrt(cov_dd, "design"), m2_xd / (n - 1)
     )
     return DecoderModel(spatial_filter=spatial, response=response,
@@ -379,6 +379,16 @@ class TestFitCca:
         trials = [Trial(np.zeros((2, 60)), label, 100.0) for label in (0, 1)]
         with pytest.raises(ValueError, match="rank deficient"):
             fit_cca(trials, structures)
+
+    def test_data_uncorrelated_with_design_rejected(self):
+        # The design varies only where the data is zero, so the cross
+        # covariance is exactly zero and no canonical pair exists.
+        design = np.zeros((2, 6))
+        design[0, :2] = [1.0, -1.0]
+        trials = [Trial(np.array([[0.0, 0.0, 1.0, -1.0, 0.0, 0.0]]) * scale, label, 100.0)
+                  for label, scale in ((0, 1.0), (1, 2.0), (0, 3.0))]
+        with pytest.raises(ValueError, match="do not correlate with their design"):
+            fit_cca(trials, [design, design])
 
 
 class TestPredictTemplates:
@@ -658,20 +668,28 @@ class TestDesignCache:
                                                    method, designs, channels):
         # Five trials of each of six classes over five folds: every outer
         # training split has the same counts, and the inner splits of one
-        # have five different count vectors.
+        # have five different count vectors. The design covariance is
+        # factored by one solve per count vector, and each fit's channel
+        # covariance is whitened as one matrix of a stack.
         _, sim, trials = small_sim
-        names = []
+        names, solves = [], []
+        solve = np.linalg.solve
 
-        def counting(cov, name):
-            names.append(name)
-            return _inverse_sqrt(cov, name)
+        def whitening(covs, name):
+            names.extend([name] * len(covs))
+            return _inverse_sqrt(covs, name)
 
-        monkeypatch.setattr("dynastop.decoding._inverse_sqrt", counting)
+        def solving(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr("dynastop.decoding._inverse_sqrt", whitening)
+        monkeypatch.setattr(np.linalg, "solve", solving)
         hyperparams = [0.5] if method == "fixed" else []
         config = ExperimentConfig(method=method, hyperparams=hyperparams, folds=5)
         evaluate_store(trials, sim.structures, config)
-        assert names.count("design") == designs
-        assert names.count("channel") == channels
+        assert solves == [(sim.structures.shape[1],) * 2] * designs
+        assert names == ["channel"] * channels
 
     def test_zero_data_with_cached_design_is_rank_deficient(self, small_sim):
         # The same classes twice, once with all-zero data: the zero copy's
@@ -720,6 +738,50 @@ class TestFitMany:
                 assert loop_templates(model.response, sim.structures).tobytes() == rebuilt.tobytes()
 
 
+class TestBatchedSolve:
+    @staticmethod
+    def draw_subsets(groups, n_subsets, rng):
+        """n_subsets random subsets of at least two trials of two classes;
+        they share a few class-count vectors, so one solve serves several."""
+        members = [np.flatnonzero(groups == g) for g in range(groups.max() + 1)]
+        vectors = []
+        while len(vectors) < rng.integers(1, n_subsets + 1):
+            counts = [rng.integers(0, m.size + 1) for m in members]
+            if np.count_nonzero(counts) >= 2:
+                vectors.append(counts)
+        return [np.concatenate([rng.choice(m, size=c, replace=False)
+                                for m, c in zip(members, vectors[rng.integers(len(vectors))])])
+                for _ in range(n_subsets)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        offset=st.sampled_from([0.0, -3.0, 1e3]),
+        n_subsets=st.integers(1, 30),
+    )
+    @example(seed=0, offset=1e3, n_subsets=30)
+    def test_matches_svd_oracle_and_single_fits(self, small_sim, seed, offset, n_subsets):
+        _, sim, trials = small_sim
+        rng = np.random.default_rng(seed)
+        trials = with_offset(TestDesignCache.unequal_shuffled(trials, rng), offset)
+        stats = TrialStatistics(trials, sim.structures)
+        assert np.unique(np.bincount(stats.groups)).size > 1
+        subsets = self.draw_subsets(stats.groups, n_subsets, rng)
+        models = stats.fit_many(subsets)
+        for subset, model in zip(subsets, models, strict=True):
+            assert_same_model(model, svd_fit(stats, subset), rtol=1e-12)
+            single = stats.fit(subset)
+            for name in ("spatial_filter", "response"):
+                assert getattr(model, name).tobytes() == getattr(single, name).tobytes()
+            assert model.canonical_correlation == single.canonical_correlation
+
+    def test_zero_structures_name_the_design(self, small_sim):
+        _, sim, trials = small_sim
+        zeros = [np.zeros(sim.structures.shape[1:]) for _ in range(len(sim.structures))]
+        with pytest.raises(ValueError, match="design covariance is rank deficient"):
+            fit_cca(trials, zeros)
+
+
 class TestStructureReads:
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -748,6 +810,17 @@ class TestStructureReads:
         builds.clear()
         TrialStatistics([t for t in trials if t.label in (1, 4)], sim.structures)
         assert builds == collections.Counter([1, 4])
+
+    @pytest.mark.parametrize("method, hyperparams", [
+        ("static_max_accuracy", []), ("static_targeted_accuracy", [0.5, 0.9]), ("fixed", [0.5]),
+    ])
+    def test_command_builds_each_matrix_twice(self, small_sim, builds, method, hyperparams):
+        # Once for the statistics and once for the templates of the one
+        # fit_many call, which fits a static method's 30 decoders together.
+        _, sim, trials = small_sim
+        config = ExperimentConfig(method=method, hyperparams=hyperparams, folds=5)
+        evaluate_store(trials, sim.structures, config)
+        assert builds == collections.Counter(2 * list(range(len(sim.structures))))
 
     def test_paper_length_setup_memory(self, paper_sim, traced_peak):
         # Structures, statistics and one fit at 4.2 s: the 36 dense matrices

@@ -49,7 +49,7 @@ def evaluate_store_loop(trials, structures, config, subject="s01"):
             # Each θ computes every window afresh, sharing no table.
             policy_by_h = {h: BetaPolicy(h) for h in hyperparams}
         else:
-            rule = _fold_rule(config, stats, trials, train_idx, model, grid)
+            rule = _fold_rule(config, stats.fit_many, trials, train_idx, model, grid)
             policy_by_h = {h: rule(h) for h in hyperparams}
         traces = score_traces(model, [trials[i] for i in fold], grid, config.similarity)
         argmax_correct = np.argmax(traces, axis=2) == labels[fold, None]
@@ -392,19 +392,46 @@ class TestEvaluateStore:
         assert spans == [grid.size] * (len(trials) * 3)
 
     def test_static_sweep_builds_one_curve_per_fold(self, small_sim, monkeypatch):
-        # Five outer fits, and five inner fits for each fold's decoding curve.
+        # Five outer fits, and five inner fits for each fold's decoding curve,
+        # each fit's channel covariance whitened as one matrix of a stack.
         cfg, sim, trials = small_sim
         names = []
 
-        def counting(cov, name):
-            names.append(name)
-            return _inverse_sqrt(cov, name)
+        def counting(covs, name):
+            names.extend([name] * len(covs))
+            return _inverse_sqrt(covs, name)
 
         monkeypatch.setattr("dynastop.decoding._inverse_sqrt", counting)
         config = ExperimentConfig(method="static_targeted_accuracy",
                                   hyperparams=[0.2, 0.4, 0.6, 0.8], folds=5)
         assert len(evaluate_store(trials, sim.structures, config)) == 4
         assert names.count("channel") == 30
+
+    @pytest.mark.parametrize("method, similarity, hyperparams", [
+        ("bds", "inner", [0.1, 1.0]),
+        ("margin", "inner", [0.5, 0.9]),
+        ("beta", "correlation", [0.5, 0.9]),
+        ("fixed", "inner", [0.3, 0.6]),
+        ("static_targeted_accuracy", "inner", [0.5, 0.9]),
+        ("static_max_accuracy", "inner", []),
+        ("static_max_itr", "correlation", []),
+    ])
+    def test_one_fit_call_per_evaluation(self, small_sim, monkeypatch, method, similarity,
+                                         hyperparams):
+        # A static method's outer and inner decoders are fitted together too.
+        cfg, sim, trials = small_sim
+        original = TrialStatistics.fit_many
+        sizes = []
+
+        def counting(self, index_sets):
+            sizes.append(len(index_sets))
+            return original(self, index_sets)
+
+        monkeypatch.setattr(TrialStatistics, "fit_many", counting)
+        config = ExperimentConfig(method=method, similarity=similarity,
+                                  hyperparams=hyperparams, folds=5)
+        evaluate_store(trials, sim.structures, config)
+        assert sizes == [30 if method.startswith("static") else 5]
 
     def test_rejects_empty(self, sim_setup):
         cfg, sim, trials = sim_setup

@@ -16,7 +16,6 @@ from .baselines import (
     beta_cdf,
     decoding_curve,
     deserialize_policy,
-    fit_margin,
     serialize_policy,
     static_max_accuracy,
     static_max_itr,
@@ -29,7 +28,6 @@ from .bayes_stop import (
     decision_boundary,
     estimate_scaling_and_noise,
     run_trial,
-    window_params,
 )
 from .codes import (
     Codebook,
@@ -44,20 +42,15 @@ from .codes import (
 )
 from .decoding import (
     DecoderModel,
-    ScoreVector,
     Trial,
     TrialStatistics,
-    correlation_score,
     fit_cca,
     predict_templates,
-    score,
-    score_trace,
 )
 from .evaluation import ConfigError, ExperimentConfig, check_method, evaluate_store, window_grid
 from .metrics import (
     DecisionCounts,
     MetricsRow,
-    count_decisions,
     f_score,
     itr,
     precision,

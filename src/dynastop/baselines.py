@@ -348,10 +348,12 @@ def stratified_folds(labels, n_folds):
 
 def fold_splits(labels, n_folds):
     """(fold, train_idx) of every non-empty :func:`stratified_folds` fold of
-    `labels`: the fold's trial indices and the indices of all the others."""
+    `labels`: the fold's trial indices and the indices of all the others.
+    Past one fold per trial every further fold is empty, so the deal stops
+    at labels.size folds and any fold count costs at most leave-one-out."""
     labels = np.asarray(labels)
     splits = []
-    for fold in stratified_folds(labels, n_folds):
+    for fold in stratified_folds(labels, min(n_folds, labels.size)):
         if fold.size:
             train = np.ones(labels.size, dtype=bool)
             train[fold] = False
@@ -447,6 +449,7 @@ def static_max_itr(curve):
     return int(np.argmax(curve.itr))
 
 
+# perfbench/run.py traces this name (PASS_LAYERS); nothing in the package calls it.
 def fit_margin(traces, labels, theta):
     """Learn per-window margin thresholds reaching a targeted accuracy.
 

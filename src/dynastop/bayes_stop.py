@@ -129,6 +129,7 @@ def estimate_scaling_and_noise(pairs):
     return alpha, sigma
 
 
+# perfbench/run.py traces this name (PASS_LAYERS); nothing in the package calls it.
 def window_params(templates, alpha, sigma):
     """Target and non-target score-distribution parameters for one window.
 

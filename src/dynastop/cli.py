@@ -40,8 +40,11 @@ class UsageError(Exception):
     pass
 
 
-def _print_config(command, settings):
-    print(f"config[{command}]: {json.dumps(settings, sort_keys=True)}")
+def _print_config(args, **resolved):
+    """Print a command's parsed arguments, with the values it resolved from
+    them in their place."""
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    print(f"config[{args.command}]: {json.dumps({**settings, **resolved}, sort_keys=True)}")
 
 
 def _parse_poly(text):
@@ -64,17 +67,7 @@ def cmd_codes(args):
     else:
         poly_a = _parse_poly(args.poly_a)
         poly_b = _parse_poly(args.poly_b)
-    _print_config(
-        "codes",
-        {
-            "degree": args.degree,
-            "poly_a": poly_a,
-            "poly_b": poly_b,
-            "subset_k": args.subset_k,
-            "rate_hz": args.rate_hz,
-            "out": args.out,
-        },
-    )
+    _print_config(args, poly_a=poly_a, poly_b=poly_b)
     try:
         codes = modulate(make_gold_codes(poly_a, poly_b))
     except ValueError as err:
@@ -129,7 +122,7 @@ def cmd_simulate(args):
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
-    _print_config("simulate", {**settings, "out": args.out})
+    print(f"config[simulate]: {json.dumps({**settings, 'out': args.out}, sort_keys=True)}")
 
     trials_per_class = settings.pop("trials_per_class")
     cfg = SimConfig(**settings)
@@ -185,16 +178,7 @@ def _named_flags(flag):
 
 
 def cmd_calibrate(args):
-    _print_config(
-        "calibrate",
-        {
-            "store": args.store,
-            "zeta": args.zeta,
-            "grid_ms": args.grid_ms,
-            "t_star_s": args.t_star_s,
-            "out_model": args.out_model,
-        },
-    )
+    _print_config(args)
     with _named_flags("--zeta"):
         config = ExperimentConfig(method="bds", hyperparams=[args.zeta], grid_ms=args.grid_ms,
                                   t_star_s=args.t_star_s)
@@ -217,22 +201,8 @@ def cmd_calibrate(args):
     return 0
 
 
-def _run_evaluation(args, hyperparams, flag, **shown):
-    _print_config(
-        args.command,
-        {
-            "store": args.store,
-            "method": args.method,
-            **shown,
-            "similarity": args.similarity,
-            "folds": args.folds,
-            "grid_ms": args.grid_ms,
-            "t_star_s": args.t_star_s,
-            "overhead_s": args.overhead_s,
-            "subject": args.subject,
-            "out_csv": args.out_csv,
-        },
-    )
+def _run_evaluation(args, hyperparams, flag, **resolved):
+    _print_config(args, **resolved)
     with _named_flags(flag):
         config = ExperimentConfig(
             method=args.method, similarity=args.similarity, hyperparams=hyperparams,
@@ -255,7 +225,7 @@ def _run_evaluation(args, hyperparams, flag, **shown):
 
 def cmd_evaluate(args):
     hyperparams = [args.hyperparam] if args.hyperparam is not None else []
-    return _run_evaluation(args, hyperparams, "--hyperparam", hyperparam=args.hyperparam)
+    return _run_evaluation(args, hyperparams, "--hyperparam")
 
 
 def cmd_sweep(args):
@@ -283,10 +253,7 @@ def _cell_value(csv_path, record, column):
 
 
 def cmd_report(args):
-    _print_config(
-        "report",
-        {"csv": args.csv, "x": args.x, "y": args.y, "out_svg": args.out_svg},
-    )
+    _print_config(args)
     try:
         with open(args.csv, newline="") as fh:
             reader = csv.DictReader(fh)

@@ -47,19 +47,6 @@ class DecoderModel:
     canonical_correlation: float
 
 
-@dataclass
-class ScoreVector:
-    """Per-class similarity scores over a fixed decision window.
-
-    degenerate marks entries where a zero-variance window or template made a
-    correlation undefined (the score is reported as 0 there).
-    """
-
-    scores: np.ndarray
-    window_samples: int
-    degenerate: np.ndarray | None = None
-
-
 def _inverse_sqrt(covs, name):
     """Symmetric inverse square root of each covariance of a (..., n, n)
     stack, from one stacked eigendecomposition. ValueError naming the
@@ -335,46 +322,21 @@ def fit_cca(trials, structures):
     return TrialStatistics(trials, structures).fit()
 
 
+# perfbench/run.py traces this name (PASS_LAYERS); nothing in the package calls it.
 def score(model, trial, window_samples):
-    """Inner-product similarity of a trial prefix with every class template.
-
-    Entry i is the inner product of the spatially filtered first
-    window_samples samples with template i truncated to the same window.
-    """
-    window = int(window_samples)
-    if window <= 0:
-        raise ValueError("window_samples must be positive")
-    if window > trial.data.shape[1] or window > model.templates.shape[1]:
-        raise ValueError(f"window of {window} samples exceeds the available data")
-    filtered = model.spatial_filter @ trial.data[:, :window]
-    return ScoreVector(model.templates[:, :window] @ filtered, window)
+    """Inner-product similarity of a trial prefix with every class template:
+    :func:`score_traces` of that trial at that one window, shape (n_classes,)."""
+    return score_traces(model, [trial], [window_samples], "inner")[0, 0]
 
 
+# perfbench/run.py traces this name (PASS_LAYERS); nothing in the package calls it.
 def correlation_score(model, trial, window_samples):
-    """Pearson-correlation similarity of a trial prefix with every template.
-
-    Zero-variance windows or templates yield a 0 score with the degenerate
-    flag set for that entry.
-    """
-    window = int(window_samples)
-    if window <= 0:
-        raise ValueError("window_samples must be positive")
-    if window > trial.data.shape[1] or window > model.templates.shape[1]:
-        raise ValueError(f"window of {window} samples exceeds the available data")
-    filtered = model.spatial_filter @ trial.data[:, :window]
-    filtered = filtered - filtered.mean()
-    x_norm = np.linalg.norm(filtered)
-
-    templ = model.templates[:, :window]
-    templ = templ - templ.mean(axis=1, keepdims=True)
-    t_norms = np.linalg.norm(templ, axis=1)
-
-    degenerate = (t_norms == 0.0) | (x_norm == 0.0)
-    denom = np.where(degenerate, 1.0, t_norms * x_norm)
-    scores = np.where(degenerate, 0.0, (templ @ filtered) / denom)
-    return ScoreVector(scores, window, degenerate=degenerate)
+    """Pearson-correlation similarity of a trial prefix with every template:
+    :func:`score_traces` of that trial at that one window, shape (n_classes,)."""
+    return score_traces(model, [trial], [window_samples], "correlation")[0, 0]
 
 
+# perfbench/run.py traces this name (PASS_LAYERS); nothing in the package calls it.
 def score_trace(model, trial, grid, similarity="inner"):
     """Scores of one trial at every decision window: :func:`score_traces` on
     that trial alone, a matrix of shape (len(grid), n_classes)."""
@@ -395,7 +357,7 @@ def score_traces(model, trials, grid, similarity="inner"):
     from its row's overall level does not cancel away its variance. The
     template terms depend only on the model and the grid, so they are
     computed once. A window whose filtered prefix or template prefix is
-    constant scores 0, as in :func:`correlation_score`.
+    constant scores 0.
 
     Parameters
     ----------

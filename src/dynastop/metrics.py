@@ -43,6 +43,7 @@ def tally_decisions(argmax_correct, stops, forced, include_forced=True):
                           tn=int(stops[kept].sum()) - fn, fn=fn)
 
 
+# perfbench/run.py traces this name (PASS_LAYERS); nothing in the package calls it.
 def count_decisions(outcome, argmax_correct, include_forced=True):
     """One trial's :func:`tally_decisions`, from its StopOutcome and flags."""
     return tally_decisions([argmax_correct], [outcome.stopped_at], [outcome.forced],

@@ -40,7 +40,6 @@ class SimConfig:
 class ResolvedSim:
     """Concrete arrays derived from a SimConfig."""
 
-    config: SimConfig
     codes: np.ndarray
     spatial_pattern: np.ndarray
     response: np.ndarray
@@ -124,7 +123,6 @@ def resolve_config(cfg):
         kept = select_subset(codes, templates, cfg.n_classes)
         codes, templates, structures = codes[kept], templates[kept], structures[kept]
     return ResolvedSim(
-        config=cfg,
         codes=codes,
         spatial_pattern=pattern,
         response=response,

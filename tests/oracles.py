@@ -1,8 +1,8 @@
 """Reference implementations the tests check the package against: the
 structure matrices built up front as a list, the per-subset SVD fit of the
-decoder, the likelihood ratio the boundary solver inverts, scores against the
-simulator's planted templates, and the per-window run of every stopping
-rule."""
+decoder, one window's scores from its own prefix, the likelihood ratio the
+boundary solver inverts, scores against the simulator's planted templates,
+and the per-window run of every stopping rule."""
 
 import math
 
@@ -100,6 +100,32 @@ def svd_fit(stats, indices=None):
     return DecoderModel(spatial_filter=spatial, response=response,
                         templates=predict_templates(response, stats.structures),
                         fs=stats.fs, canonical_correlation=correlation)
+
+
+def prefix_scores(model, trial, window, similarity):
+    """Reference scores of one decision window, shape (n_classes,): the
+    trial's first `window` samples filtered and scored against every template
+    truncated to them, by inner product ("inner") or Pearson correlation
+    ("correlation"; 0 where the filtered prefix or a template prefix has zero
+    variance)."""
+    window = int(window)
+    if window <= 0:
+        raise ValueError("window_samples must be positive")
+    if window > trial.data.shape[1] or window > model.templates.shape[1]:
+        raise ValueError(f"window of {window} samples exceeds the available data")
+    filtered = model.spatial_filter @ trial.data[:, :window]
+    if similarity == "inner":
+        return model.templates[:, :window] @ filtered
+    filtered = filtered - filtered.mean()
+    x_norm = np.linalg.norm(filtered)
+
+    templ = model.templates[:, :window]
+    templ = templ - templ.mean(axis=1, keepdims=True)
+    t_norms = np.linalg.norm(templ, axis=1)
+
+    degenerate = (t_norms == 0.0) | (x_norm == 0.0)
+    denom = np.where(degenerate, 1.0, t_norms * x_norm)
+    return np.where(degenerate, 0.0, (templ @ filtered) / denom)
 
 
 def stratified_folds_loop(labels, n_folds):

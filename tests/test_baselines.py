@@ -539,6 +539,13 @@ class TestStratifiedFolds:
             want = np.setdiff1d(everyone, fold)
             assert (train.dtype, train.tolist()) == (want.dtype, want.tolist())
 
+    def test_fold_count_past_the_trials_is_leave_one_out(self, deadline):
+        labels = np.repeat(np.arange(36), 5)
+        with deadline(1):
+            splits = fold_splits(labels, 10**6)
+        assert [fold.tolist() for fold, _ in splits] == [[i] for i in range(180)]
+        assert all(train.size == 179 for _, train in splits)
+
 
 class TestPolicySerialization:
     def test_bds_roundtrip(self, small_sim):

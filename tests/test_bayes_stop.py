@@ -19,10 +19,10 @@ from dynastop.bayes_stop import (
     run_trial,
     window_params,
 )
-from dynastop.decoding import DecoderModel, Trial, fit_cca, score, score_traces
+from dynastop.decoding import DecoderModel, Trial, fit_cca, score_traces
 from dynastop.evaluation import window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
-from oracles import log_likelihood_ratio
+from oracles import log_likelihood_ratio, prefix_scores
 
 
 def window_run_trial(stopping, model, trial):
@@ -31,7 +31,7 @@ def window_run_trial(stopping, model, trial):
         raise ValueError("trial shorter than the maximum trial length")
     last = stopping.grid.size - 1
     for idx, w in enumerate(stopping.grid):
-        scores = score(model, trial, int(w)).scores
+        scores = prefix_scores(model, trial, w, "inner")
         accepted = np.flatnonzero(scores > stopping.eta[idx])
         if accepted.size:
             label = int(accepted[np.argmax(scores[accepted])])
@@ -569,7 +569,7 @@ class TestRunTrialOracle:
         trial = Trial(rng.integers(-2, 3, (2, n_samples + 2)).astype(float), None, 10.0)
         outcome = run_trial(stopping, model, trial)
         assert outcome == window_run_trial(stopping, model, trial)
-        trace = np.array([score(model, trial, int(w)).scores for w in grid])
+        trace = np.array([prefix_scores(model, trial, w, "inner") for w in grid])
         first = -1 if outcome.forced else outcome.stopped_at
         assert stopping.first_stops(trace[None]).tolist() == [first]
 

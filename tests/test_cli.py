@@ -337,6 +337,17 @@ class TestEvaluate:
         assert records[0]["subject"] == "store"
         assert 0.0 <= float(records[0]["accuracy"]) <= 1.0
 
+    def test_folds_past_the_trial_count_are_leave_one_out(self, tiny_store, tmp_path, deadline):
+        rows = []
+        for folds in ("24", "1000000"):  # the store holds 6 x 4 trials
+            out = tmp_path / f"folds{folds}.csv"
+            with deadline(10):
+                assert main(["evaluate", "--store", str(tiny_store), "--method", "bds",
+                             "--hyperparam", "1.0", "--folds", folds,
+                             "--out-csv", str(out)]) == 0
+            rows.append(out.read_bytes())
+        assert rows[0] == rows[1]
+
     def test_invalid_method_exits_2(self, tiny_store, tmp_path, capsys):
         code, captured = run(
             ["evaluate", "--store", str(tiny_store), "--method", "psychic",

@@ -52,7 +52,13 @@ class MarginPolicy:
         self.thresholds = np.asarray(thresholds, dtype=float)
 
     def first_stops(self, traces):
-        return _first(_top_two_gap(traces) >= self.thresholds[: traces.shape[1]])
+        return self.gap_stops(_top_two_gap(traces))
+
+    def gap_stops(self, gaps):
+        """first_stops of the traces whose :func:`_top_two_gap` is `gaps`,
+        shape (n_trials, n_windows): a sweep takes the gaps once for all its
+        policies."""
+        return _first(gaps >= self.thresholds[: gaps.shape[1]])
 
 
 # Mapped scores are kept this far inside (0, 1), where the Beta CDF is defined.

@@ -28,7 +28,7 @@ from .codes import (
     structure_matrices,
     write_codebook,
 )
-from .decoding import fit_cca, predict_templates
+from .decoding import TrialStatistics, fit_cca, predict_templates
 from .evaluation import METHODS, ConfigError, ExperimentConfig, evaluate_store
 from .metrics import CSV_COLUMNS
 from .simulate import SimConfig, default_response, make_dataset, resolve_config
@@ -185,7 +185,11 @@ def cmd_calibrate(args):
         meta, trials = load_store(args.store)
         grid = config.decision_grid(meta.fs, meta.n_samples)
     structures = _store_structures(meta, args.store)
-    model = fit_cca(trials, structures)
+    try:
+        model = fit_cca(trials, structures)
+    except ValueError:
+        TrialStatistics(trials, structures).require_finite()  # names a non-finite trial
+        raise
     stopping = calibrate(model, trials, grid, zeta=args.zeta)
     envelope = serialize_policy(stopping)
     with open(args.out_model, "w", newline="\n") as fh:

@@ -149,18 +149,18 @@ class TrialStatistics:
         self.structures = structures
         self.fs = trials[0].fs
         self.n_samples = n_samples
-        classes, self.groups = np.unique(labels, return_inverse=True)
+        self.classes, self.groups = np.unique(labels, return_inverse=True)
 
         n_channels = trials[0].data.shape[0]
         self.finite = np.empty(len(trials), dtype=bool)
         self.means = np.empty((len(trials), n_channels))
         self.channel_gram = np.empty((len(trials), n_channels, n_channels))
-        self.cross = np.empty((len(trials), n_channels, shapes[classes[0]][0]))
+        self.cross = np.empty((len(trials), n_channels, shapes[self.classes[0]][0]))
         # One class at a time, in buffers the classes share, bounds the temporaries.
         trial_buffer = np.empty((np.bincount(self.groups).max(), n_channels, n_samples))
         design = np.empty((self.cross.shape[2], n_samples))
         design_means, design_grams = [], []
-        for group, label in enumerate(classes):
+        for group, label in enumerate(self.classes):
             members = np.flatnonzero(self.groups == group)
             data = trial_buffer[:members.size]
             np.stack([np.asarray(trials[i].data, dtype=float) for i in members], out=data)
@@ -258,6 +258,15 @@ class TrialStatistics:
             in zip(spatials, responses, templates, correlations)
         ]
 
+    def require_finite(self):
+        """ValueError naming the first trial whose data is not all finite,
+        by its index among the trials and its label. A fit that reads such
+        a trial fails in any case, without naming it."""
+        bad = np.flatnonzero(~self.finite)
+        if bad.size:
+            label = self.classes[self.groups[bad[0]]]
+            raise ValueError(f"trial {bad[0]} (label {label}) contains non-finite values")
+
     def _members(self, indices):
         """The trial indices of one subset (None: all the trials) as an
         integer array, checked for two trials, two labels and finite data."""
@@ -347,17 +356,18 @@ def score_traces(model, trials, grid, similarity="inner"):
     """Scores of every trial at every decision window.
 
     The grid cuts the longest window into segments [grid[k-1], grid[k]).
-    Every trial is spatially filtered once; per segment, one stacked product
-    of the filtered segments with the template segments gives each trial's
-    per-class contribution (one BLAS call per trial, so a trial scores the
-    same in any batch), and a running sum over the segments turns those into
-    window scores. Pearson scores take the xt term from the same products of
-    the signals and templates less their first samples, with running sums of
-    x, x^2, t and t^2. A first sample lies in every window, so a window far
-    from its row's overall level does not cancel away its variance. The
-    template terms depend only on the model and the grid, so they are
-    computed once. A window whose filtered prefix or template prefix is
-    constant scores 0.
+    Every trial is spatially filtered once; per segment, one gemm of the
+    batch's filtered segments with the template segments gives each trial's
+    per-class contribution, and a running sum over the segments turns those
+    into window scores. A trial scores the same bytes in any batch, alone
+    too: :func:`_window_products` pads a one-trial batch with a zero row,
+    which keeps numpy from taking gemv. Pearson scores take the xt term from
+    the same products of the signals and templates less their first samples,
+    with running sums of x, x^2, t and t^2. A first sample lies in every
+    window, so a window far from its row's overall level does not cancel
+    away its variance. The template terms depend only on the model and the
+    grid, so they are computed once. A window whose filtered prefix or
+    template prefix is constant scores 0.
 
     Parameters
     ----------
@@ -396,37 +406,73 @@ def score_traces(model, trials, grid, similarity="inner"):
     ends = grid - 1
     length = grid.astype(float)
     t = templates - templates[:, :1]
-    sum_t = np.cumsum(t, axis=1)[:, ends]
-    var_t = np.cumsum(t * t, axis=1)[:, ends] - sum_t * sum_t / length
+    sum_t, var_t = _window_moments(t, ends, length)
     degenerate = ((grid <= _constant_run(templates)[:, None]) | (var_t <= 0.0)).T
+    # (windows, classes) copies, read in order by the full-size products below.
+    sum_t, var_t = np.ascontiguousarray(sum_t.T), np.ascontiguousarray(var_t.T)
     constant_x = grid <= _constant_run(x)[:, None]
     x -= x[:, :1]
-    sum_x = np.cumsum(x, axis=1)[:, ends]
-    var_x = np.cumsum(x * x, axis=1)[:, ends] - sum_x * sum_x / length
+    sum_x, var_x = _window_moments(x, ends, length)
     degenerate = degenerate | (constant_x | (var_x <= 0.0))[:, :, None]
 
     traces = _window_products(x, t, grid)
-    shift = sum_x[:, :, None] * sum_t.T
-    shift /= length[:, None]
-    traces -= shift
-    del shift
-    denom = var_x[:, :, None] * var_t.T
-    denom[degenerate] = 1.0
-    traces /= np.sqrt(denom, out=denom)
+    # One buffer holds the mean term, then the denominator.
+    buffer = sum_x[:, :, None] * sum_t
+    buffer /= length[:, None]
+    traces -= buffer
+    np.multiply(var_x[:, :, None], var_t, out=buffer)
+    buffer[degenerate] = 1.0
+    traces /= np.sqrt(buffer, out=buffer)
     traces[degenerate] = 0.0
     return traces
 
 
+# Deepest gemm of the scoring kernel, in samples. On an AVX-512 host,
+# OpenBLAS sums a gemm 32 or more samples deep in another order when it has
+# few rows (its small-matrix kernel), so a row's bytes would depend on the
+# batch size; a longer segment is scored in pieces instead.
+_GEMM_DEPTH = 16
+
+
 def _window_products(x, templates, grid):
     """Inner products of every row of x with every template over every grid
-    window, shape (n_rows, n_windows, n_classes): one stacked product per
-    grid segment, summed over the segments up to each window."""
+    window, shape (n_rows, n_windows, n_classes).
+
+    Each grid segment is one (n_rows, segment) @ (segment, n_classes) gemm
+    for all the rows (one per _GEMM_DEPTH samples of a longer segment), added
+    to the running sum over the segments before it. numpy hands a product
+    with a one-row side to gemv, whose sums run in another order than gemm's,
+    so a single row is scored with a zero row under it: a row then gets the
+    same bytes in a batch of any size."""
+    n_rows = x.shape[0]
+    if n_rows == 1:
+        x = np.concatenate([x, np.zeros_like(x)])
     products = np.empty((x.shape[0], grid.size, templates.shape[0]))
+    # The running sum and each segment's share, contiguous for the gemm and the add.
+    total = np.empty((x.shape[0], templates.shape[0]))
+    segment = np.empty_like(total)
     start = 0
     for k, end in enumerate(grid):
-        products[:, k] = np.matmul(x[:, None, start:end], templates[:, start:end].T)[:, 0]
+        share = segment if k else total
+        cut = min(start + _GEMM_DEPTH, end)
+        np.matmul(x[:, start:cut], templates[:, start:cut].T, out=share)
+        for piece in range(cut, end, _GEMM_DEPTH):
+            cut = min(piece + _GEMM_DEPTH, end)
+            share += x[:, piece:cut] @ templates[:, piece:cut].T
+        if k:
+            total += segment
+        products[:, k] = total
         start = end
-    return np.cumsum(products, axis=1, out=products)
+    return products[:n_rows]
+
+
+def _window_moments(rows, ends, length):
+    """Sum and sum of squared deviations of each row of a 2-D array over
+    every window [0, end], from running sums: two arrays of shape (n_rows,
+    len(ends))."""
+    squares = rows * rows
+    sums = np.cumsum(rows, axis=1)[:, ends]
+    return sums, np.cumsum(squares, axis=1, out=squares)[:, ends] - sums * sums / length
 
 
 def _constant_run(rows):

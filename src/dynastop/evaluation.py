@@ -13,6 +13,7 @@ from .baselines import (
     BetaPolicy,
     FixedLengthPolicy,
     MarginCandidates,
+    _top_two_gap,
     curve_folds,
     decoding_curve,
     fold_splits,
@@ -214,6 +215,8 @@ def evaluate_store(trials, structures, config, subject="s01"):
     labels = np.array([t.label for t in trials])
 
     stats = TrialStatistics(trials, structures)
+    # Every trial is in some fold's training split.
+    stats.require_finite()
     # Every method fits all its decoders in one fit_many call.
     fit = stats.fit_many
     if config.method.startswith("static"):
@@ -223,7 +226,12 @@ def evaluate_store(trials, structures, config, subject="s01"):
         fit, trials, config.folds, grid, config.similarity
     ):
         rule = _fold_rule(config, fit, trials, train_idx, model, grid)
-        fold_stops.append(np.stack([rule(h).first_stops(traces) for h in hyperparams]))
+        if config.method == "margin":
+            # Every θ compares one held-out top-two gap with its own thresholds.
+            gaps = _top_two_gap(traces)
+            fold_stops.append(np.stack([rule(h).gap_stops(gaps) for h in hyperparams]))
+        else:
+            fold_stops.append(np.stack([rule(h).first_stops(traces) for h in hyperparams]))
         fold_correct.append(np.argmax(traces, axis=2) == labels[fold, None])
 
     # One column per trial in fold order; a trial no rule stopped is forced

@@ -471,6 +471,12 @@ def test_cli_outputs_do_not_depend_on_blas_threads(tmp_path):
         run(threads, "calibrate", "--store", "store", "--out-model", f"model{threads}.json")
         run(threads, "sweep", "--store", "store", "--method", "bds",
             "--hyperparam-list", "0.1,1,10", "--out-csv", f"sweep{threads}.csv")
-    for name in ("model{}.json", "sweep{}.csv"):
+        # Both score every fold with the per-segment gemm kernel.
+        run(threads, "sweep", "--store", "store", "--method", "margin",
+            "--similarity", "correlation", "--hyperparam-list", "0.5,0.9,0.98",
+            "--out-csv", f"margin{threads}.csv")
+        run(threads, "evaluate", "--store", "store", "--method", "static_max_accuracy",
+            "--out-csv", f"static{threads}.csv")
+    for name in ("model{}.json", "sweep{}.csv", "margin{}.csv", "static{}.csv"):
         one, two = ((tmp_path / name.format(t)).read_bytes() for t in (1, 2))
         assert one == two, f"{name.format('')} differs between one and two BLAS threads"

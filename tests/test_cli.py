@@ -8,7 +8,7 @@ from dynastop.baselines import deserialize_policy
 from dynastop.cli import main
 from dynastop.codes import read_codebook, write_codebook
 from dynastop.decoding import Trial
-from dynastop.store import write_store
+from dynastop.store import load_store, write_store
 
 
 def run(args, capsys=None):
@@ -385,6 +385,23 @@ class TestEvaluate:
         )
         assert code == 1
         assert "error" in captured.err
+
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--method", "margin", "--hyperparam", "0.9"],
+        ["evaluate", "--method", "beta", "--similarity", "correlation", "--hyperparam", "0.9"],
+        ["calibrate"],
+    ])
+    def test_non_finite_trial_exits_1_naming_it(self, tiny_store, tmp_path, capsys, command):
+        meta, trials = load_store(tiny_store)
+        trials[9].data[1, 40] = np.nan
+        write_store(tiny_store, trials, meta.n_classes, codebook=meta.codebook)
+        out = (["--out-model", str(tmp_path / "m.json")] if command == ["calibrate"]
+               else ["--out-csv", str(tmp_path / "r.csv")])
+        code, captured = run([command[0], "--store", str(tiny_store), *command[1:], *out],
+                             capsys)
+        assert code == 1
+        assert f"trial 9 (label {trials[9].label}) contains non-finite values" in captured.err
 
 
 class TestSweep:

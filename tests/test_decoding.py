@@ -1005,3 +1005,34 @@ class TestScoreTracesBatch:
         for grid in ([4, 2], [2, 2, 4]):
             with pytest.raises(ValueError, match="grid"):
                 score_traces(model, short[:1], grid, "inner")
+
+
+@pytest.fixture(scope="module")
+def paper_batch():
+    """A decoder and 144 paper-length trials: the training split of a
+    five-fold evaluation of 180 trials."""
+    cfg = SimConfig(n_classes=36, n_channels=8, trial_seconds=4.2, sigma=3.0, seed=11)
+    sim = resolve_config(cfg)
+    trials = make_dataset(cfg, 4, resolved=sim)
+    return fit_cca(trials, sim.structures), trials
+
+
+class TestBatchSizeInvariance:
+    # One trial (a leave-one-out fold, scored over a padded zero row), two,
+    # an inner fold (29), an outer fold (36) and a training split (144).
+    SIZES = (1, 2, 29, 36, 144)
+
+    @pytest.mark.parametrize("grid", [
+        np.arange(12, 505, 12),
+        # One-sample segments, then segments of 16, 258 and 203 samples: a
+        # segment past _GEMM_DEPTH is summed in pieces.
+        np.concatenate([np.arange(1, 25), [40, 41, 42, 300, 301, 504]]),
+    ])
+    @pytest.mark.parametrize("similarity", ["inner", "correlation"])
+    def test_rows_equal_each_trial_scored_alone(self, paper_batch, grid, similarity):
+        model, trials = paper_batch
+        alone = np.stack([score_traces(model, [trial], grid, similarity)[0] for trial in trials])
+        for size in self.SIZES:
+            batch = score_traces(model, trials[:size], grid, similarity)
+            assert batch.shape == (size, grid.size, 36)
+            assert batch.tobytes() == alone[:size].tobytes(), f"batch of {size}"

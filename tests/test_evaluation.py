@@ -353,6 +353,26 @@ class TestEvaluateStore:
         assert len(evaluate_store(trials, sim.structures, config)) == len(hyperparams)
         assert len(calls) == 5
 
+    def test_margin_sweep_takes_each_gap_once_per_fold(self, small_sim, monkeypatch):
+        # Per fold, one top-two gap of the training traces (the candidate
+        # thresholds) and one of the held-out traces, which every θ reads.
+        cfg, sim, trials = small_sim
+        original = baselines._top_two_gap
+        calls = []
+
+        def counting(traces):
+            calls.append(traces.shape[0])
+            return original(traces)
+
+        monkeypatch.setattr(baselines, "_top_two_gap", counting)
+        monkeypatch.setattr(evaluation, "_top_two_gap", counting)
+        for hyperparams in ([0.9], [0.1, 0.3, 0.5, 0.7, 0.9, 0.98]):
+            calls.clear()
+            config = ExperimentConfig(method="margin", hyperparams=hyperparams, folds=5)
+            assert len(evaluate_store(trials, sim.structures, config)) == len(hyperparams)
+            # 30 trials: five folds of 6, five training splits of 24.
+            assert sorted(calls) == [6] * 5 + [24] * 5
+
     def test_beta_sweep_computes_each_window_once_per_fold(self, small_sim, monkeypatch):
         # Every θ stops at or before the largest θ's stop, so the sweep meets
         # no window that the largest θ alone does not.

@@ -271,7 +271,9 @@ def calibrate(model, trials, grid, zeta=1.0):
     model: DecoderModel
         Fitted decoder whose templates cover the last grid window.
     trials: list of Trial
-        Labeled training trials, at least as long as the last grid window.
+        Labeled training trials, at least as long as the last grid window,
+        finite over it. A NaN or an infinity there raises ValueError naming
+        the first such trial by its index and label.
     grid: sequence of int
         Decision window lengths in samples, strictly increasing; the last
         entry is the maximum trial length.
@@ -292,14 +294,24 @@ def calibrate(model, trials, grid, zeta=1.0):
         raise ValueError("grid extends past the model templates")
 
     pairs = []
-    for trial in trials:
-        if trial.label is None:
-            raise ValueError("calibration trials must be labeled")
-        if trial.data.shape[1] < t_star:
-            raise ValueError("calibration trial shorter than the last grid window")
-        filtered = model.spatial_filter @ trial.data[:, :t_star]
-        pairs.append((filtered, model.templates[trial.label, :t_star]))
-    alpha, sigma = estimate_scaling_and_noise(pairs)
+    # A NaN or an infinity in a filtered trial leaves alpha or sigma not
+    # finite, which raises below; the invalid operations on the way need no
+    # warning of their own.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for trial in trials:
+            if trial.label is None:
+                raise ValueError("calibration trials must be labeled")
+            if trial.data.shape[1] < t_star:
+                raise ValueError("calibration trial shorter than the last grid window")
+            filtered = model.spatial_filter @ trial.data[:, :t_star]
+            pairs.append((filtered, model.templates[trial.label, :t_star]))
+        alpha, sigma = estimate_scaling_and_noise(pairs)
+    if not (math.isfinite(alpha) and math.isfinite(sigma)):
+        for i, trial in enumerate(trials):
+            if not np.isfinite(trial.data[:, :t_star]).all():
+                raise ValueError(f"trial {i} (label {trial.label}) contains non-finite values")
+        raise ValueError(f"calibration scaling alpha={alpha} or noise level sigma={sigma} "
+                         "is not finite")
 
     n_classes = model.templates.shape[0]
     grams = np.stack(list(_window_grams(model.templates, grid)))

@@ -28,7 +28,7 @@ from .codes import (
     structure_matrices,
     write_codebook,
 )
-from .decoding import TrialStatistics, fit_cca, predict_templates
+from .decoding import fit_cca, predict_templates
 from .evaluation import METHODS, ConfigError, ExperimentConfig, evaluate_store
 from .metrics import CSV_COLUMNS
 from .simulate import SimConfig, default_response, make_dataset, resolve_config
@@ -185,11 +185,7 @@ def cmd_calibrate(args):
         meta, trials = load_store(args.store)
         grid = config.decision_grid(meta.fs, meta.n_samples)
     structures = _store_structures(meta, args.store)
-    try:
-        model = fit_cca(trials, structures)
-    except ValueError:
-        TrialStatistics(trials, structures).require_finite()  # names a non-finite trial
-        raise
+    model = fit_cca(trials, structures)
     stopping = calibrate(model, trials, grid, zeta=args.zeta)
     envelope = serialize_policy(stopping)
     with open(args.out_model, "w", newline="\n") as fh:
@@ -259,7 +255,7 @@ def _cell_value(csv_path, record, column):
 def cmd_report(args):
     _print_config(args)
     try:
-        with open(args.csv, newline="") as fh:
+        with open(args.csv, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise UsageError(f"{args.csv}: empty CSV")
@@ -267,8 +263,12 @@ def cmd_report(args):
                 if column not in reader.fieldnames:
                     raise UsageError(f"{args.csv}: unknown column {column!r}")
             records = list(reader)
-    except FileNotFoundError:
-        raise UsageError(f"{args.csv}: no such file")
+    except OSError as err:
+        raise UsageError(f"--csv: cannot read {args.csv}: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"--csv: {args.csv} is not UTF-8 text: {err}")
+    except csv.Error as err:
+        raise UsageError(f"--csv: {args.csv} is not a CSV file: {err}")
     if not records:
         raise UsageError(f"{args.csv}: no data rows")
 

@@ -118,8 +118,10 @@ class TrialStatistics:
     Parameters
     ----------
     trials: list of Trial
-        At least two labeled trials with two distinct labels, equal shapes
-        and equal sampling rates.
+        At least two labeled trials with two distinct labels, equal shapes,
+        equal sampling rates and finite data. The first trial holding a NaN
+        or an infinity raises ValueError naming its index and label, before
+        any moment is computed, so no fit ever reads such a trial.
     structures: StructureMatrices or list of np.ndarray
         One structure matrix per class, all (n_rows, n_samples) and at least
         as long as the trials. Each class's matrix is read once here, and
@@ -145,6 +147,9 @@ class TrialStatistics:
         for i, shape in enumerate(shapes):
             if shape[1] < n_samples:
                 raise ValueError(f"structure {i} shorter than the trials")
+        for i, trial in enumerate(trials):
+            if not np.isfinite(trial.data).all():
+                raise ValueError(f"trial {i} (label {labels[i]}) contains non-finite values")
 
         self.structures = structures
         self.fs = trials[0].fs
@@ -152,7 +157,6 @@ class TrialStatistics:
         self.classes, self.groups = np.unique(labels, return_inverse=True)
 
         n_channels = trials[0].data.shape[0]
-        self.finite = np.empty(len(trials), dtype=bool)
         self.means = np.empty((len(trials), n_channels))
         self.channel_gram = np.empty((len(trials), n_channels, n_channels))
         self.cross = np.empty((len(trials), n_channels, shapes[self.classes[0]][0]))
@@ -164,11 +168,8 @@ class TrialStatistics:
             members = np.flatnonzero(self.groups == group)
             data = trial_buffer[:members.size]
             np.stack([np.asarray(trials[i].data, dtype=float) for i in members], out=data)
-            finite = np.isfinite(data).all(axis=(1, 2))
-            data[~finite] = 0.0  # never fitted: fit() rejects these trials
             means = data.mean(axis=2)
             data -= means[:, :, None]
-            self.finite[members] = finite
             self.means[members] = means
             self.channel_gram[members] = data @ data.transpose(0, 2, 1)
 
@@ -258,18 +259,10 @@ class TrialStatistics:
             in zip(spatials, responses, templates, correlations)
         ]
 
-    def require_finite(self):
-        """ValueError naming the first trial whose data is not all finite,
-        by its index among the trials and its label. A fit that reads such
-        a trial fails in any case, without naming it."""
-        bad = np.flatnonzero(~self.finite)
-        if bad.size:
-            label = self.classes[self.groups[bad[0]]]
-            raise ValueError(f"trial {bad[0]} (label {label}) contains non-finite values")
-
     def _members(self, indices):
         """The trial indices of one subset (None: all the trials) as an
-        integer array, checked for two trials, two labels and finite data."""
+        integer array, checked for two trials and two labels. Its data need
+        no check: the constructor rejected every trial that is not finite."""
         if indices is None:
             indices = np.arange(self.groups.size)
         indices = np.asarray(indices, dtype=int)
@@ -277,8 +270,6 @@ class TrialStatistics:
             raise ValueError("need at least two training trials")
         if np.unique(self.groups[indices]).size < 2:
             raise ValueError("need at least two distinct labels")
-        if not self.finite[indices].all():
-            raise ValueError("trial data contains non-finite values")
         return indices
 
     def _design(self, counts):
@@ -320,7 +311,9 @@ def fit_cca(trials, structures):
     Parameters
     ----------
     trials: list of Trial
-        At least two labeled trials with two distinct labels, equal shapes.
+        At least two labeled trials with two distinct labels, equal shapes
+        and finite data; :class:`TrialStatistics` names the first trial that
+        is not finite.
     structures: StructureMatrices or list of np.ndarray
         One structure matrix per class, all (n_rows, n_samples).
 

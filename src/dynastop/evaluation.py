@@ -215,8 +215,6 @@ def evaluate_store(trials, structures, config, subject="s01"):
     labels = np.array([t.label for t in trials])
 
     stats = TrialStatistics(trials, structures)
-    # Every trial is in some fold's training split.
-    stats.require_finite()
     # Every method fits all its decoders in one fit_many call.
     fit = stats.fit_many
     if config.method.startswith("static"):

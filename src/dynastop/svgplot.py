@@ -35,6 +35,13 @@ def _ticks(lo, hi, target=5):
     return ticks
 
 
+def _escape(text):
+    """Text as SVG character data: &, < and > escaped, as
+    xml.sax.saxutils.escape does. That module imports urllib.request, which
+    every command would then load, in time and memory, before it starts."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _fmt(value):
     text = f"{value:.6g}"
     return text
@@ -48,7 +55,8 @@ def line_chart(series, x_label, y_label, width=720, height=480):
     series: list of dict
         Each with keys "label", "x", "y" and optional "color".
     x_label, y_label: str
-        Axis captions.
+        Axis captions. Captions and series labels are escaped, so any text
+        gives a well-formed document.
     """
     if not series:
         raise ValueError("nothing to plot")
@@ -116,11 +124,12 @@ def line_chart(series, x_label, y_label, width=720, height=480):
     )
     parts.append(
         f'<text x="{margin_l + plot_w / 2:.2f}" y="{height - 10}" text-anchor="middle" '
-        f"{text_style}>{x_label}</text>"
+        f"{text_style}>{_escape(x_label)}</text>"
     )
     parts.append(
         f'<text x="16" y="{margin_t + plot_h / 2:.2f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.2f})" {text_style}>{y_label}</text>'
+        f'transform="rotate(-90 16 {margin_t + plot_h / 2:.2f})" {text_style}>'
+        f"{_escape(y_label)}</text>"
     )
 
     for s_idx, s in enumerate(series):
@@ -138,7 +147,7 @@ def line_chart(series, x_label, y_label, width=720, height=480):
         parts.append(
             f'<line x1="{x}" y1="{y}" x2="{x + 22}" y2="{y}" stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="{x + 28}" y="{y + 4}" {text_style}>{s["label"]}</text>')
+        parts.append(f'<text x="{x + 28}" y="{y + 4}" {text_style}>{_escape(s["label"])}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -450,6 +452,32 @@ class TestCalibrate:
             np.testing.assert_allclose(stopping.eta[finite], eta[finite], rtol=1e-10)
             infinite += np.count_nonzero(~finite)
         assert infinite > 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_trial_is_named(self, small_sim, value):
+        # Such a trial once gave alpha = sigma = NaN and every boundary -inf,
+        # so every trial stopped at its first window.
+        cfg, sim, trials = small_sim
+        model = fit_cca(trials, sim.structures)
+        grid = [12, 60, 126]
+        bad = list(trials)
+        for i in (4, 9):
+            data = bad[i].data.copy()
+            data[1, 40] = value
+            bad[i] = Trial(data, bad[i].label, bad[i].fs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                calibrate(model, bad, grid)
+        assert str(err.value) == f"trial 4 (label {bad[4].label}) contains non-finite values"
+        # Samples past the last window are never read.
+        stopping = calibrate(model, bad, [12, 39])
+        assert json.dumps(serialize_policy(stopping)) == json.dumps(
+            serialize_policy(calibrate(model, trials, [12, 39])))
+        # A model that is not finite has no trial to name.
+        broken = replace(model, spatial_filter=np.full_like(model.spatial_filter, np.nan))
+        with pytest.raises(ValueError, match="alpha=nan or noise level sigma=nan is not finite"):
+            calibrate(broken, trials, grid)
 
     def test_grid_validation(self, small_sim):
         cfg, sim, trials = small_sim

@@ -1,5 +1,6 @@
 import csv
 import json
+import xml.dom.minidom
 
 import numpy as np
 import pytest
@@ -605,6 +606,39 @@ class TestReport:
         assert code == 2
         assert f"column '{column}'" in captured.err
         assert not (tmp_path / "p.svg").exists()
+
+    def test_markup_in_labels_is_escaped(self, tmp_path, capsys):
+        csv_path = tmp_path / "markup.csv"
+        csv_path.write_text("method,similarity,mean_stop_s,accuracy\r\n"
+                            "a<b&c,inner,0.5,0.8\r\na<b&c,inner,0.9,0.9\r\n")
+        out = tmp_path / "p.svg"
+        code, captured = run(["report", "--csv", str(csv_path), "--x", "mean_stop_s",
+                              "--y", "accuracy", "--out-svg", str(out)], capsys)
+        assert code == 0, captured.err
+        texts = [node.firstChild.data
+                 for node in xml.dom.minidom.parse(str(out)).getElementsByTagName("text")]
+        assert texts[-1] == "a<b&c/inner"
+        assert "mean_stop_s" in texts and "accuracy" in texts
+
+    @pytest.mark.parametrize("content, message", [
+        (b"method,mean_stop_s,accuracy\r\n\xff,0.5,0.8\r\n", "--csv: {} is not UTF-8 text"),
+        (b"method,mean_stop_s,accuracy\r\na,0.5," + b"9" * 200_000 + b"\r\n",
+         "--csv: {} is not a CSV file: field larger than field limit"),
+        ("directory", "--csv: cannot read {}: Is a directory"),
+        (None, "--csv: cannot read {}: No such file or directory"),
+    ], ids=["not-utf8", "huge-field", "directory", "missing"])
+    def test_unreadable_csv_exits_2_naming_it(self, tmp_path, capsys, content, message):
+        csv_path = tmp_path / "results.csv"
+        if content == "directory":
+            csv_path.mkdir()
+        elif content is not None:
+            csv_path.write_bytes(content)
+        out = tmp_path / "p.svg"
+        code, captured = run(["report", "--csv", str(csv_path), "--x", "mean_stop_s",
+                              "--y", "accuracy", "--out-svg", str(out)], capsys)
+        assert code == 2, captured.err
+        assert message.format(csv_path) in captured.err
+        assert not out.exists()
 
     def test_unknown_column_exits_2(self, results_csv, tmp_path, capsys):
         code, captured = run(

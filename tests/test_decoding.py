@@ -1,5 +1,6 @@
 import collections
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynastop.baselines import stratified_folds
+from dynastop.bayes_stop import calibrate
 from dynastop.codes import StructureMatrices, modulate, structure_matrices
 from dynastop.decoding import (
     RIDGE,
@@ -55,8 +57,10 @@ def dense_fit_cca(trials, structures):
         [np.asarray(structures[t.label], dtype=float)[:, :n_samples] for t in trials],
         axis=1,
     )
-    if not np.all(np.isfinite(data)):
-        raise ValueError("trial data contains non-finite values")
+    finite = [bool(np.isfinite(t.data).all()) for t in trials]
+    if not all(finite):
+        bad = finite.index(False)
+        raise ValueError(f"trial {bad} (label {labels[bad]}) contains non-finite values")
 
     data_c = data - data.mean(axis=1, keepdims=True)
     design_c = design - design.mean(axis=1, keepdims=True)
@@ -199,8 +203,6 @@ def stacked_statistics(trials, structures):
     classes, groups = np.unique(labels, return_inverse=True)
     n_samples = trials[0].data.shape[1]
     data = np.stack([np.asarray(t.data, dtype=float) for t in trials])
-    finite = np.isfinite(data).all(axis=(1, 2))
-    data[~finite] = 0.0
     means = data.mean(axis=2)
     data -= means[:, :, None]
     channel_gram = data @ data.transpose(0, 2, 1)
@@ -213,7 +215,7 @@ def stacked_statistics(trials, structures):
         design_grams.append(design @ design.T)
         members = groups == group
         cross[members] = data[members] @ design.T
-    return {"finite": finite, "means": means, "channel_gram": channel_gram, "cross": cross,
+    return {"means": means, "channel_gram": channel_gram, "cross": cross,
             "design_means": np.stack(design_means), "design_gram": np.stack(design_grams)}
 
 
@@ -223,7 +225,6 @@ def class_loop_statistics(trials, structures):
     labels = [t.label for t in trials]
     classes, groups = np.unique(labels, return_inverse=True)
     n_channels, n_samples = trials[0].data.shape
-    finite = np.empty(len(trials), dtype=bool)
     means = np.empty((len(trials), n_channels))
     channel_gram = np.empty((len(trials), n_channels, n_channels))
     cross = np.empty((len(trials), n_channels, structures[classes[0]].shape[0]))
@@ -231,11 +232,8 @@ def class_loop_statistics(trials, structures):
     for group, label in enumerate(classes):
         members = np.flatnonzero(groups == group)
         data = np.stack([np.asarray(trials[i].data, dtype=float) for i in members])
-        ok = np.isfinite(data).all(axis=(1, 2))
-        data[~ok] = 0.0
         class_means = data.mean(axis=2)
         data -= class_means[:, :, None]
-        finite[members] = ok
         means[members] = class_means
         channel_gram[members] = data @ data.transpose(0, 2, 1)
         design = np.asarray(structures[label], dtype=float)[:, :n_samples]
@@ -243,7 +241,7 @@ def class_loop_statistics(trials, structures):
         design = design - design_means[-1][:, None]
         design_grams.append(design @ design.T)
         cross[members] = data @ design.T
-    return {"finite": finite, "means": means, "channel_gram": channel_gram, "cross": cross,
+    return {"means": means, "channel_gram": channel_gram, "cross": cross,
             "design_means": np.stack(design_means), "design_gram": np.stack(design_grams)}
 
 
@@ -515,11 +513,12 @@ class TestTrialStatistics:
         bad = Trial(trials[3].data.copy(), trials[3].label, trials[3].fs)
         bad.data[2, 7] = np.nan
         for trial_set, structures in ((small_sim[2], small_sim[1].structures),
-                                      (trials, sim.structures),
-                                      (trials[:3] + [bad] + trials[4:], sim.structures)):
+                                      (trials, sim.structures)):
             stats = TrialStatistics(trial_set, structures)
             for name, value in stacked_statistics(trial_set, structures).items():
                 assert np.array_equal(getattr(stats, name), value), name
+        with pytest.raises(ValueError, match="trial 3 .* contains non-finite values"):
+            TrialStatistics(trials[:3] + [bad] + trials[4:], sim.structures)
 
     def test_statistics_match_class_loop_bytes(self, small_sim, paper_sim, rng):
         # The class buffers are reused, so each class's products must see
@@ -530,13 +529,14 @@ class TestTrialStatistics:
         unequal = TestDesignCache.unequal_shuffled(small_sim[2], rng)
         assert np.unique(np.bincount([t.label for t in unequal])).size > 1
         for trial_set, structures in ((small_sim[2], small_sim[1].structures),
-                                      (unequal, small_sim[1].structures),
-                                      (trials[:3] + [bad] + trials[4:], sim.structures)):
+                                      (unequal, small_sim[1].structures)):
             stats = TrialStatistics(trial_set, structures)
             for name, value in class_loop_statistics(trial_set, structures).items():
                 got = getattr(stats, name)
                 assert (got.dtype, got.shape) == (value.dtype, value.shape), name
                 assert got.tobytes() == value.tobytes(), name
+        with pytest.raises(ValueError, match="trial 3 .* contains non-finite values"):
+            TrialStatistics(trials[:3] + [bad] + trials[4:], sim.structures)
 
     def test_fold_fits_match_dense_oracle(self, paper_sim):
         _, sim, trials = paper_sim
@@ -590,29 +590,57 @@ class TestTrialStatistics:
 
     def test_subset_errors_match_dense_oracle(self, small_sim):
         _, sim, trials = small_sim
-        bad = list(trials)
-        bad[3] = Trial(np.where(np.arange(bad[3].data.shape[1]) == 7, np.nan, bad[3].data),
-                       bad[3].label, bad[3].fs)
-        stats = TrialStatistics(bad, sim.structures)
-        labels = np.array([t.label for t in bad])
+        stats = TrialStatistics(trials, sim.structures)
+        labels = np.array([t.label for t in trials])
         same_label = np.flatnonzero(labels == labels[0])
         mixed = np.flatnonzero(labels != labels[3])[:4]
         cases = (
             ([0], "need at least two training trials"),
             (same_label, "need at least two distinct labels"),
-            (np.append(mixed, 3), "trial data contains non-finite values"),
         )
         for subset, message in cases:
             with pytest.raises(ValueError, match=message) as oracle:
-                dense_fit_cca([bad[i] for i in subset], sim.structures)
+                dense_fit_cca([trials[i] for i in subset], sim.structures)
             with pytest.raises(ValueError) as fast:
                 stats.fit(subset)
             assert str(fast.value) == str(oracle.value)
             with pytest.raises(ValueError) as together:
                 stats.fit_many([mixed, subset])
             assert str(together.value) == str(oracle.value)
-        # Folds without the broken trial still fit.
-        assert_same_model(stats.fit(mixed), dense_fit_cca([bad[i] for i in mixed], sim.structures))
+        # A non-finite trial is rejected when the statistics are built, so
+        # no subset, with or without it, is ever fitted around it.
+        bad = list(trials)
+        bad[3] = Trial(np.where(np.arange(bad[3].data.shape[1]) == 7, np.nan, bad[3].data),
+                       bad[3].label, bad[3].fs)
+        with pytest.raises(ValueError) as oracle:
+            dense_fit_cca(bad, sim.structures)
+        with pytest.raises(ValueError) as built:
+            TrialStatistics(bad, sim.structures)
+        assert str(built.value) == str(oracle.value)
+        assert str(built.value) == f"trial 3 (label {labels[3]}) contains non-finite values"
+
+    def test_lowest_non_finite_trial_is_named(self, small_sim):
+        # Trial 5 has the highest label and trial 6 the lowest, so a scan
+        # in class order would name trial 6. Every entry point names trial 5.
+        _, sim, trials = small_sim
+        bad = list(trials)
+        assert (bad[5].label, bad[6].label) == (5, 0)
+        for i, value in ((5, np.inf), (6, np.nan)):
+            data = bad[i].data.copy()
+            data[1, 40] = value
+            bad[i] = Trial(data, bad[i].label, bad[i].fs)
+        model = fit_cca(trials, sim.structures)
+        config = ExperimentConfig(method="fixed", hyperparams=[0.5], folds=2)
+        message = "trial 5 (label 5) contains non-finite values"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: TrialStatistics(bad, sim.structures),
+                         lambda: fit_cca(bad, sim.structures),
+                         lambda: evaluate_store(bad, sim.structures, config),
+                         lambda: calibrate(model, bad, np.arange(12, 127, 12))):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == message
 
     def test_fit_cca_errors_match_dense_oracle(self, rng):
         structures = two_class_structures(rng)

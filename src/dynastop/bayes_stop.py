@@ -102,7 +102,9 @@ def estimate_scaling_and_noise(pairs):
     -------
     alpha, sigma: float
         sigma is floored at 1e-9 times the template RMS (with a warning) so
-        noiseless synthetic data does not produce a degenerate model.
+        noiseless synthetic data does not produce a degenerate model. A NaN
+        or an infinity in the pairs that leaves either one not finite raises
+        ValueError naming both, with no numpy warning on the way.
     """
     if not pairs:
         raise ValueError("need at least one (signal, template) pair")
@@ -112,12 +114,15 @@ def estimate_scaling_and_noise(pairs):
         raise ValueError("signals and templates must align sample by sample")
     # Not BLAS dot products: a long one is split over the BLAS threads, and
     # its last bits would then depend on the thread count.
-    energy = float(np.sum(template * template))
-    if energy == 0.0:
-        raise ValueError("template concatenation is all zero")
-    alpha = float(np.sum(template * signal)) / energy
-    residual = signal - alpha * template
-    sigma = float(residual.std())
+    with np.errstate(invalid="ignore", over="ignore"):
+        energy = float(np.sum(template * template))
+        if energy == 0.0:
+            raise ValueError("template concatenation is all zero")
+        alpha = float(np.sum(template * signal)) / energy
+        residual = signal - alpha * template
+        sigma = float(residual.std())
+    if not (math.isfinite(alpha) and math.isfinite(sigma)):
+        raise ValueError(f"scaling alpha={alpha} or noise level sigma={sigma} is not finite")
     floor = 1e-9 * math.sqrt(energy / template.size)
     if sigma < floor:
         warnings.warn(
@@ -271,9 +276,11 @@ def calibrate(model, trials, grid, zeta=1.0):
     model: DecoderModel
         Fitted decoder whose templates cover the last grid window.
     trials: list of Trial
-        Labeled training trials, at least as long as the last grid window,
-        finite over it. A NaN or an infinity there raises ValueError naming
-        the first such trial by its index and label.
+        Labeled training trials, each label the index of a model template,
+        at least as long as the last grid window and finite over it. A label
+        outside the templates, and then a NaN or an infinity, raises
+        ValueError naming the first such trial by its index and label; the
+        labels are checked before any trial is filtered.
     grid: sequence of int
         Decision window lengths in samples, strictly increasing; the last
         entry is the maximum trial length.
@@ -293,27 +300,30 @@ def calibrate(model, trials, grid, zeta=1.0):
     if t_star > model.templates.shape[1]:
         raise ValueError("grid extends past the model templates")
 
-    pairs = []
-    # A NaN or an infinity in a filtered trial leaves alpha or sigma not
-    # finite, which raises below; the invalid operations on the way need no
-    # warning of their own.
+    n_classes = model.templates.shape[0]
+    for i, trial in enumerate(trials):
+        if trial.label is None:
+            raise ValueError("calibration trials must be labeled")
+        if not 0 <= trial.label < n_classes:
+            raise ValueError(f"trial {i} (label {trial.label}) is not a class of the "
+                             f"model's {n_classes} templates")
+        if trial.data.shape[1] < t_star:
+            raise ValueError("calibration trial shorter than the last grid window")
+    # A NaN or an infinity in a trial makes the estimate raise; the invalid
+    # operations of its filtering need no warning of their own.
     with np.errstate(invalid="ignore", over="ignore"):
-        for trial in trials:
-            if trial.label is None:
-                raise ValueError("calibration trials must be labeled")
-            if trial.data.shape[1] < t_star:
-                raise ValueError("calibration trial shorter than the last grid window")
-            filtered = model.spatial_filter @ trial.data[:, :t_star]
-            pairs.append((filtered, model.templates[trial.label, :t_star]))
+        pairs = [(model.spatial_filter @ trial.data[:, :t_star],
+                  model.templates[trial.label, :t_star]) for trial in trials]
+    try:
         alpha, sigma = estimate_scaling_and_noise(pairs)
-    if not (math.isfinite(alpha) and math.isfinite(sigma)):
+    except ValueError:
+        # A trial that is not finite is the cause to name.
         for i, trial in enumerate(trials):
             if not np.isfinite(trial.data[:, :t_star]).all():
-                raise ValueError(f"trial {i} (label {trial.label}) contains non-finite values")
-        raise ValueError(f"calibration scaling alpha={alpha} or noise level sigma={sigma} "
-                         "is not finite")
+                raise ValueError(
+                    f"trial {i} (label {trial.label}) contains non-finite values") from None
+        raise
 
-    n_classes = model.templates.shape[0]
     grams = np.stack(list(_window_grams(model.templates, grid)))
     windows = _gram_params(grams, grid, alpha, sigma)
     eta = [decision_boundary(params, alpha, zeta, n_classes) for params in windows]

@@ -198,6 +198,49 @@ def flash_response_samples(fs):
     return int(round(0.3 * fs))
 
 
+@dataclass(frozen=True)
+class LagProducts:
+    """Row sums and Gram seeds of structure matrices cut to their first n
+    columns, read off the onset trains. Every entry is an integer.
+
+    Row (k, j) of a matrix, its row k * R + j for R response samples, is row
+    (k, 0) delayed by j samples. Row (k, j + 1) is thus row (k, j) shifted
+    right by one, losing its last column, and a Gram entry follows from the
+    one diagonally before it:
+    G[(k, i+1), (l, j+1)] = G[(k, i), (l, j)] - S[(k, i), n-1] * S[(l, j), n-1].
+
+    Attributes
+    ----------
+    sums: np.ndarray
+        Row sums, shape (n_codes, 2R).
+    heads: np.ndarray
+        Zero-lag block rows of each Gram, shape (n_codes, 2, 2, R):
+        heads[c, k, l, j] = S_c[(k, 0)] . S_c[(l, j)].
+    ends: np.ndarray
+        Last column of each matrix, shape (n_codes, 2R).
+    """
+
+    sums: np.ndarray
+    heads: np.ndarray
+    ends: np.ndarray
+
+    def gram(self, weights):
+        """The weighted Gram sum_c weights[c] S_c S_c^T, shape (2R, 2R): the
+        weighted zero-lag rows and columns, then each later row from the one
+        before it by the recurrence, with the weighted products of the last
+        columns (one matrix product). Exact for integer weights while the
+        entries stay below 2^53."""
+        heads = np.tensordot(weights, self.heads, axes=1)
+        lags = heads.shape[2]
+        ends = (self.ends.T @ (weights[:, None] * self.ends)).reshape(2, lags, 2, lags)
+        gram = np.empty((2, lags, 2, lags))
+        gram[:, 0] = heads
+        gram[:, :, :, 0] = heads.transpose(1, 2, 0)
+        for i in range(1, lags):
+            np.subtract(gram[:, i - 1, :, :-1], ends[:, i - 1, :, :-1], out=gram[:, i, :, 1:])
+        return gram.reshape(2 * lags, 2 * lags)
+
+
 class StructureMatrices(Sequence):
     """Read-only sequence of structure matrices, held as onset trains.
 
@@ -232,6 +275,23 @@ class StructureMatrices(Sequence):
                 self.trains[index], self.n_samples, axis=1)[:, ::-1]
             return lagged.copy().reshape(-1, self.n_samples)
         return StructureMatrices(self.trains[index], self.n_samples)
+
+    def lag_products(self, n_samples):
+        """:class:`LagProducts` of every matrix cut to its first n_samples
+        columns (at most self.n_samples), built from the trains alone: the
+        zero-lag Gram rows are one batched product per lag, and no matrix
+        is built."""
+        lags = self.shape[1] // 2
+        onsets = self.trains[:, :, lags - 1:lags - 1 + n_samples]
+        heads = np.zeros((len(self), 2, 2, lags))
+        for j in range(min(lags, n_samples)):
+            heads[..., j] = onsets[:, :, j:] @ onsets[:, :, :n_samples - j].transpose(0, 2, 1)
+        # Train sample n - 1 - i is the last column of row (k, i), and the
+        # train's sum up to it that row's sum.
+        cut = slice(n_samples - 1, n_samples - 1 + lags)
+        sums = np.cumsum(self.trains[:, :, :cut.stop], axis=2)[:, :, cut][:, :, ::-1]
+        ends = self.trains[:, :, cut][:, :, ::-1]
+        return LagProducts(sums.reshape(len(self), -1), heads, ends.reshape(len(self), -1))
 
 
 def structure_matrices(codes, fs, rate_hz, n_samples, response_samples):

@@ -107,28 +107,42 @@ class TrialStatistics:
     The fit needs three covariances of the trials concatenated channel-wise
     against their labels' structure matrices concatenated column-wise. Each
     follows from per-trial moments: the trial's centred channel Gram, its
-    centred cross-products with its class's structure matrix, and its channel
-    means, plus one centred design Gram and mean per class. A fit on any
-    subset of the trials adds its members' moments and corrects for the
-    spread of their means (the pairwise update of Chan, Golub and LeVeque),
-    so cross-validation folds share one pass over the data and no fit builds
-    the concatenated design matrix. The design side of a fit depends only on
-    the subset's class counts, so subsets with equal counts share it.
+    centred data's products with its class's structure matrix, and its
+    channel means. The centred data sums to zero over its samples, so the
+    products need no centred design. A fit on any subset of the trials adds
+    its members' moments and corrects for the spread of their means (the
+    pairwise update of Chan, Golub and LeVeque), so cross-validation folds
+    share one pass over the data and no fit builds the concatenated design
+    matrix.
+
+    The design side of a fit depends only on the subset's class counts, so
+    subsets with equal counts share it. It comes from the onset trains
+    (:meth:`StructureMatrices.lag_products`), not from the matrices: the
+    classes' row sums and zero-lag Gram rows, taken once here, and per
+    count vector the weighted Gram by its lag recurrence, less the
+    weighted row sums' outer product over the sample count. Every step
+    before that last division is on integers, so the design covariance is
+    exact to the last bit.
 
     Parameters
     ----------
     trials: list of Trial
-        At least two labeled trials with two distinct labels, equal shapes,
-        equal sampling rates and finite data. The first trial holding a NaN
-        or an infinity raises ValueError naming its index and label, before
-        any moment is computed, so no fit ever reads such a trial.
-    structures: StructureMatrices or list of np.ndarray
-        One structure matrix per class, all (n_rows, n_samples) and at least
-        as long as the trials. Each class's matrix is read once here, and
-        once per :meth:`fit_many` call.
+        At least two labeled trials with two distinct labels, each label
+        the index of a structure matrix, equal shapes, equal sampling rates
+        and finite data. A label outside the structures, and then the first
+        trial holding a NaN or an infinity, raises ValueError naming the
+        trial's index and label, before any moment is computed, so no fit
+        ever reads such a trial.
+    structures: StructureMatrices
+        One structure matrix per class, at least as long as the trials;
+        anything else raises TypeError. Each class's matrix is built once
+        here, and once per :meth:`fit_many` call.
     """
 
     def __init__(self, trials, structures):
+        if not isinstance(structures, StructureMatrices):
+            raise TypeError(
+                f"structures must be a StructureMatrices, not {type(structures).__name__}")
         if len(trials) < 2:
             raise ValueError("need at least two training trials")
         labels = [t.label for t in trials]
@@ -142,11 +156,14 @@ class TrialStatistics:
         rates = {float(t.fs) for t in trials}
         if len(rates) != 1:
             raise ValueError(f"trial sampling rates differ: {sorted(rates)}")
+        for i, label in enumerate(labels):
+            if not 0 <= label < len(structures):
+                raise ValueError(f"trial {i} (label {label}) is not a class of the "
+                                 f"{len(structures)} structure matrices")
         n_samples = trials[0].data.shape[1]
-        shapes = _shapes(structures)
-        for i, shape in enumerate(shapes):
-            if shape[1] < n_samples:
-                raise ValueError(f"structure {i} shorter than the trials")
+        if structures.n_samples < n_samples:
+            # The matrices share one shape, so the first is named.
+            raise ValueError("structure 0 shorter than the trials")
         for i, trial in enumerate(trials):
             if not np.isfinite(trial.data).all():
                 raise ValueError(f"trial {i} (label {labels[i]}) contains non-finite values")
@@ -155,15 +172,15 @@ class TrialStatistics:
         self.fs = trials[0].fs
         self.n_samples = n_samples
         self.classes, self.groups = np.unique(labels, return_inverse=True)
+        self._lags = structures[self.classes].lag_products(n_samples)
+        self.design_means = self._lags.sums / n_samples
 
         n_channels = trials[0].data.shape[0]
         self.means = np.empty((len(trials), n_channels))
         self.channel_gram = np.empty((len(trials), n_channels, n_channels))
-        self.cross = np.empty((len(trials), n_channels, shapes[self.classes[0]][0]))
-        # One class at a time, in buffers the classes share, bounds the temporaries.
+        self.cross = np.empty((len(trials), n_channels, structures.shape[1]))
+        # One class at a time, in a buffer the classes share, bounds the temporaries.
         trial_buffer = np.empty((np.bincount(self.groups).max(), n_channels, n_samples))
-        design = np.empty((self.cross.shape[2], n_samples))
-        design_means, design_grams = [], []
         for group, label in enumerate(self.classes):
             members = np.flatnonzero(self.groups == group)
             data = trial_buffer[:members.size]
@@ -172,14 +189,7 @@ class TrialStatistics:
             data -= means[:, :, None]
             self.means[members] = means
             self.channel_gram[members] = data @ data.transpose(0, 2, 1)
-
-            structure = np.asarray(structures[label], dtype=float)[:, :n_samples]
-            design_means.append(structure.mean(axis=1))
-            np.subtract(structure, design_means[-1][:, None], out=design)
-            design_grams.append(design @ design.T)
-            self.cross[members] = data @ design.T
-        self.design_means = np.stack(design_means)
-        self.design_gram = np.stack(design_grams)
+            self.cross[members] = data @ structures[label][:, :n_samples].T
         self._designs = {}
 
     def fit(self, indices=None):
@@ -276,15 +286,19 @@ class TrialStatistics:
         """Class design means less the subset's grand mean, and the
         ridge-regularised design covariance: functions of the class counts
         alone, so computed once per count vector and shared by every fit
-        with those counts. The ridge makes the covariance positive definite
-        unless no design row varies, which raises ValueError."""
+        with those counts. The second moment is the counts-weighted Gram of
+        the classes' matrices less u u^T / (N n), for the weighted row sums
+        u, N trials and n samples a trial; only that division rounds. The
+        ridge makes the covariance positive definite unless no design row
+        varies, which raises ValueError."""
         key = counts.tobytes()
         if key not in self._designs:
             weights = counts.astype(float)
+            total = weights.sum() * self.n_samples
             spread = self.design_means - weights @ self.design_means / weights.sum()
-            m2_dd = (np.tensordot(weights, self.design_gram, axes=1)
-                     + self.n_samples * (spread.T @ (weights[:, None] * spread)))
-            cov_dd = _regularised(m2_dd / (weights.sum() * self.n_samples - 1))
+            sums = weights @ self._lags.sums
+            m2_dd = self._lags.gram(weights) - np.outer(sums, sums) / total
+            cov_dd = _regularised(m2_dd / (total - 1))
             if not np.trace(cov_dd) > 0.0:
                 raise ValueError("design covariance is rank deficient after regularization "
                                  "(no design row varies)")
@@ -312,10 +326,12 @@ def fit_cca(trials, structures):
     ----------
     trials: list of Trial
         At least two labeled trials with two distinct labels, equal shapes
-        and finite data; :class:`TrialStatistics` names the first trial that
-        is not finite.
-    structures: StructureMatrices or list of np.ndarray
-        One structure matrix per class, all (n_rows, n_samples).
+        and finite data; :class:`TrialStatistics` names the first trial whose
+        label has no structure matrix, then the first that is not finite.
+    structures: StructureMatrices
+        One structure matrix per class, at least as long as the trials. The
+        design covariance comes exactly from their onset trains; a plain
+        list of matrices raises TypeError.
 
     Returns
     -------

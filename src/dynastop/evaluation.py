@@ -193,9 +193,11 @@ def evaluate_store(trials, structures, config, subject="s01"):
     Parameters
     ----------
     trials: list of Trial
-        Labeled trials; every trial is tested in exactly one fold.
-    structures: StructureMatrices or list of np.ndarray
-        Structure matrices per class, at least t_star samples long.
+        Labeled trials, each label the index of a structure matrix; every
+        trial is tested in exactly one fold.
+    structures: StructureMatrices
+        Structure matrices per class, at least as long as the trials (see
+        :class:`TrialStatistics`).
     config: ExperimentConfig
         Checked settings; a t_star_s past the trials raises ConfigError.
     subject: str

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the package against: the
-structure matrices built up front as a list, the per-subset SVD fit of the
-decoder, one window's scores from its own prefix, the likelihood ratio the
-boundary solver inverts, scores against the simulator's planted templates,
-and the per-window run of every stopping rule."""
+structure matrices built up front as a list, the design side of the fit from
+dense centred matrices, the per-subset SVD fit of the decoder, one window's
+scores from its own prefix, the likelihood ratio the boundary solver
+inverts, scores against the simulator's planted templates, and the
+per-window run of every stopping rule."""
 
 import math
 
@@ -71,6 +72,29 @@ def solve_cca(isq_x, isq_d, cov_xd):
     return spatial, response, float(singulars[0])
 
 
+def dense_design_moments(structures, classes, n_samples):
+    """Reference design side of a TrialStatistics: each class's dense matrix
+    cut to n_samples columns, its row means, and the BLAS Gram of the matrix
+    centred on them, shapes (n_classes, rows) and (n_classes, rows, rows)."""
+    means, grams = [], []
+    for label in classes:
+        design = np.asarray(structures[label], dtype=float)[:, :n_samples]
+        means.append(design.mean(axis=1))
+        design = design - means[-1][:, None]
+        grams.append(design @ design.T)
+    return np.stack(means), np.stack(grams)
+
+
+def centred_design_m2(design_means, design_gram, counts, n_samples):
+    """Reference design second moment of a subset with these class counts:
+    the counts-weighted centred class Grams plus the spread of the class
+    means about the subset's grand mean (the pairwise update)."""
+    weights = np.asarray(counts, dtype=float)
+    spread = design_means - weights @ design_means / weights.sum()
+    return (np.tensordot(weights, design_gram, axes=1)
+            + n_samples * (spread.T @ (weights[:, None] * spread)))
+
+
 def svd_fit(stats, indices=None):
     """Reference subset fit of a TrialStatistics: the subset's moments summed
     on their own, both covariances whitened by eigendecomposition on every
@@ -82,13 +106,13 @@ def svd_fit(stats, indices=None):
     groups = stats.groups[indices]
     n_samples = stats.n_samples
     n = indices.size * n_samples
-    weights = np.bincount(groups, minlength=len(stats.design_means)).astype(float)
-    spread = stats.design_means - weights @ stats.design_means / weights.sum()
+    design_means, design_gram = dense_design_moments(stats.structures, stats.classes, n_samples)
+    weights = np.bincount(groups, minlength=len(design_means)).astype(float)
+    spread = design_means - weights @ design_means / weights.sum()
     mean_x = stats.means[indices]
     mean_x = mean_x - mean_x.mean(axis=0)
     m2_xx = stats.channel_gram[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_x)
-    m2_dd = (np.tensordot(weights, stats.design_gram, axes=1)
-             + n_samples * (spread.T @ (weights[:, None] * spread)))
+    m2_dd = centred_design_m2(design_means, design_gram, weights, n_samples)
     m2_xd = stats.cross[indices].sum(axis=0) + n_samples * (mean_x.T @ spread[groups])
     cov_xx = m2_xx / (n - 1)
     cov_dd = m2_dd / (n - 1)

@@ -140,6 +140,18 @@ class TestScalingAndNoise:
         with pytest.raises(ValueError, match="pair"):
             estimate_scaling_and_noise([])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, rng, value):
+        # Once a silent (nan, nan) for a NaN, and only a numpy warning for an
+        # infinity; now an error naming both, and no warning on the way.
+        t = rng.standard_normal(50)
+        x = 2.0 * t + rng.standard_normal(50)
+        x[7] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"alpha=.* or noise level sigma=.* is not finite"):
+                estimate_scaling_and_noise([(t, t), (x, t)])
+
 
 class TestWindowParams:
     def test_two_orthonormal_templates(self):
@@ -478,6 +490,22 @@ class TestCalibrate:
         broken = replace(model, spatial_filter=np.full_like(model.spatial_filter, np.nan))
         with pytest.raises(ValueError, match="alpha=nan or noise level sigma=nan is not finite"):
             calibrate(broken, trials, grid)
+
+    @pytest.mark.parametrize("label", [-1, 6])
+    def test_label_outside_the_templates_is_named(self, small_sim, monkeypatch, label):
+        # A label of -1 once calibrated against the last template, and one
+        # equal to the class count raised a bare IndexError. Both are named
+        # before any trial is filtered.
+        cfg, sim, trials = small_sim
+        model = fit_cca(trials, sim.structures)
+        assert model.templates.shape[0] == 6
+        bad = list(trials)
+        bad[9] = Trial(bad[9].data, label, bad[9].fs)
+        monkeypatch.setattr("dynastop.bayes_stop.estimate_scaling_and_noise", None)
+        with pytest.raises(ValueError) as err:
+            calibrate(model, bad, [12, 60, 126])
+        assert str(err.value) == (f"trial 9 (label {label}) is not a class of the "
+                                  "model's 6 templates")
 
     def test_grid_validation(self, small_sim):
         cfg, sim, trials = small_sim

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynastop.baselines import stratified_folds
@@ -25,7 +25,13 @@ from dynastop.decoding import (
 )
 from dynastop.evaluation import ExperimentConfig, evaluate_store, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
-from oracles import prefix_scores, solve_cca, svd_fit
+from oracles import (
+    centred_design_m2,
+    dense_design_moments,
+    prefix_scores,
+    solve_cca,
+    svd_fit,
+)
 
 
 def dense_fit_cca(trials, structures):
@@ -159,19 +165,21 @@ def per_trial_score_trace(model, trial, grid, similarity):
 
 
 def per_trial_fit(stats, indices):
-    """Reference subset fit: the design mean taken over each member trial's
-    class row and the design covariance whitened on every call."""
+    """Reference subset fit: the design side from the dense centred class
+    matrices, its mean taken over each member trial's class row, and the
+    design covariance whitened on every call."""
     indices = np.asarray(indices, dtype=int)
     groups = stats.groups[indices]
     n_samples = stats.n_samples
     n = indices.size * n_samples
+    design_means, design_gram = dense_design_moments(stats.structures, stats.classes, n_samples)
     mean_x = stats.means[indices]
     mean_x = mean_x - mean_x.mean(axis=0)
-    mean_d = stats.design_means[groups]
+    mean_d = design_means[groups]
     mean_d = mean_d - mean_d.mean(axis=0)
-    counts = np.bincount(groups, minlength=stats.design_gram.shape[0]).astype(float)
+    counts = np.bincount(groups, minlength=design_gram.shape[0]).astype(float)
     m2_xx = stats.channel_gram[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_x)
-    m2_dd = np.tensordot(counts, stats.design_gram, axes=1) + n_samples * (mean_d.T @ mean_d)
+    m2_dd = np.tensordot(counts, design_gram, axes=1) + n_samples * (mean_d.T @ mean_d)
     m2_xd = stats.cross[indices].sum(axis=0) + n_samples * (mean_x.T @ mean_d)
     cov_xx = m2_xx / (n - 1)
     cov_dd = m2_dd / (n - 1)
@@ -198,7 +206,8 @@ def static_curve_subsets(labels, n_folds=5):
 
 
 def stacked_statistics(trials, structures):
-    """Reference statistics: every trial stacked into one array at once."""
+    """Reference statistics: every trial stacked into one array at once, the
+    cross-products taken with the uncentred design."""
     labels = [t.label for t in trials]
     classes, groups = np.unique(labels, return_inverse=True)
     n_samples = trials[0].data.shape[1]
@@ -206,29 +215,27 @@ def stacked_statistics(trials, structures):
     means = data.mean(axis=2)
     data -= means[:, :, None]
     channel_gram = data @ data.transpose(0, 2, 1)
-    design_means, design_grams = [], []
+    design_means = []
     cross = np.empty(data.shape[:2] + structures[classes[0]].shape[:1])
     for group, label in enumerate(classes):
         design = np.asarray(structures[label], dtype=float)[:, :n_samples]
         design_means.append(design.mean(axis=1))
-        design = design - design_means[-1][:, None]
-        design_grams.append(design @ design.T)
         members = groups == group
         cross[members] = data[members] @ design.T
     return {"means": means, "channel_gram": channel_gram, "cross": cross,
-            "design_means": np.stack(design_means), "design_gram": np.stack(design_grams)}
+            "design_means": np.stack(design_means)}
 
 
 def class_loop_statistics(trials, structures):
     """Reference statistics: one class at a time, each class's trials and
-    centred design in arrays of their own."""
+    uncentred design in arrays of their own."""
     labels = [t.label for t in trials]
     classes, groups = np.unique(labels, return_inverse=True)
     n_channels, n_samples = trials[0].data.shape
     means = np.empty((len(trials), n_channels))
     channel_gram = np.empty((len(trials), n_channels, n_channels))
     cross = np.empty((len(trials), n_channels, structures[classes[0]].shape[0]))
-    design_means, design_grams = [], []
+    design_means = []
     for group, label in enumerate(classes):
         members = np.flatnonzero(groups == group)
         data = np.stack([np.asarray(trials[i].data, dtype=float) for i in members])
@@ -238,11 +245,9 @@ def class_loop_statistics(trials, structures):
         channel_gram[members] = data @ data.transpose(0, 2, 1)
         design = np.asarray(structures[label], dtype=float)[:, :n_samples]
         design_means.append(design.mean(axis=1))
-        design = design - design_means[-1][:, None]
-        design_grams.append(design @ design.T)
         cross[members] = data @ design.T
     return {"means": means, "channel_gram": channel_gram, "cross": cross,
-            "design_means": np.stack(design_means), "design_gram": np.stack(design_grams)}
+            "design_means": np.stack(design_means)}
 
 
 def assert_same_model(model, reference, rtol=1e-10):
@@ -379,13 +384,14 @@ class TestFitCca:
 
     def test_data_uncorrelated_with_design_rejected(self):
         # The design varies only where the data is zero, so the cross
-        # covariance is exactly zero and no canonical pair exists.
-        design = np.zeros((2, 6))
-        design[0, :2] = [1.0, -1.0]
+        # covariance is exactly zero and no canonical pair exists. Both
+        # classes have one short flash at sample 0 and a one-sample response.
+        trains = np.zeros((2, 2, 6))
+        trains[:, 0, 0] = 1.0
         trials = [Trial(np.array([[0.0, 0.0, 1.0, -1.0, 0.0, 0.0]]) * scale, label, 100.0)
                   for label, scale in ((0, 1.0), (1, 2.0), (0, 3.0))]
         with pytest.raises(ValueError, match="do not correlate with their design"):
-            fit_cca(trials, [design, design])
+            fit_cca(trials, StructureMatrices(trains, 6))
 
 
 class TestPredictTemplates:
@@ -642,6 +648,42 @@ class TestTrialStatistics:
                     call()
                 assert str(err.value) == message
 
+    @pytest.mark.parametrize("label", [-1, 6])
+    def test_label_outside_the_structures_is_named(self, small_sim, monkeypatch, label):
+        # A label of -1 once fitted silently against the last class, and one
+        # equal to the class count raised a bare IndexError. Both are named
+        # before any structure is read.
+        _, sim, trials = small_sim
+        bad = list(trials)
+        bad[4] = Trial(bad[4].data, label, bad[4].fs)
+        config = ExperimentConfig(method="fixed", hyperparams=[0.5], folds=2)
+
+        def unread(*args):
+            raise AssertionError("structures read before the labels were checked")
+
+        monkeypatch.setattr(StructureMatrices, "__getitem__", unread)
+        monkeypatch.setattr(StructureMatrices, "lag_products", unread)
+        message = f"trial 4 (label {label}) is not a class of the 6 structure matrices"
+        for call in (lambda: TrialStatistics(bad, sim.structures),
+                     lambda: fit_cca(bad, sim.structures),
+                     lambda: evaluate_store(bad, sim.structures, config)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_structures_must_be_structure_matrices(self, small_sim):
+        # The design side is read off the onset trains, which a list of
+        # dense matrices does not carry; templates still come from any.
+        _, sim, trials = small_sim
+        matrices = list(sim.structures)
+        for call in (lambda: TrialStatistics(trials, matrices),
+                     lambda: fit_cca(trials, matrices)):
+            with pytest.raises(TypeError, match="structures must be a StructureMatrices, not list"):
+                call()
+        response = np.arange(matrices[0].shape[0], dtype=float)
+        assert (predict_templates(response, matrices).tobytes()
+                == predict_templates(response, sim.structures).tobytes())
+
     def test_fit_cca_errors_match_dense_oracle(self, rng):
         structures = two_class_structures(rng)
         t0 = Trial(rng.standard_normal((2, 60)), 0, 100.0)
@@ -654,7 +696,7 @@ class TestTrialStatistics:
             ([t0, Trial(t1.data, 0, 100.0)], structures),
             ([t0, Trial(rng.standard_normal((3, 60)), 1, 100.0)], structures),
             ([t0, Trial(t1.data, 1, 50.0)], structures),
-            ([t0, t1], [structures[0], structures[1][:, :40]]),
+            ([t0, t1], StructureMatrices(structures.trains[:, :, :-20], 40)),
             ([t0, Trial(nan, 1, 100.0)], structures),
             ([Trial(np.zeros((2, 60)), label, 100.0) for label in (0, 1)], structures),
         ]
@@ -727,6 +769,58 @@ class TestDesignCache:
         with pytest.raises(ValueError, match="channel covariance is rank deficient"):
             stats.fit(real + len(trials))
         assert len(stats._designs) == 1
+
+
+class TestExactDesign:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_codes=st.integers(2, 5),
+        structure_samples=st.integers(2, 90),
+        lag_share=st.floats(0.0, 1.0),
+        length_share=st.floats(0.0, 1.0),
+        rate_hz=st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+        weights=st.lists(st.integers(0, 6), min_size=5, max_size=5),
+    )
+    @example(seed=0, n_codes=2, structure_samples=90, lag_share=1.0, length_share=0.0,
+             rate_hz=0.5, weights=[0, 3, 0, 0, 0])
+    def test_design_covariance_is_exact(self, seed, n_codes, structure_samples, lag_share,
+                                        length_share, rate_hz, weights):
+        # Random codes, response lengths up to the structures' length,
+        # trials up to that long, and class weights with zeros: the design
+        # covariance is the integer Gram and row sums of the dense matrices
+        # less one rounded division, to the bit, and within 1e-12 of the
+        # centred BLAS products.
+        rng = np.random.default_rng(seed)
+        response_samples = 1 + int(lag_share * (structure_samples - 1))
+        n_samples = 2 + int(length_share * (structure_samples - 2))
+        bits = rng.integers(0, 2, (n_codes, int(rng.integers(1, 12)))).astype(np.uint8)
+        structures = structure_matrices(modulate(bits), 1.0, rate_hz, structure_samples,
+                                        response_samples)
+        trials = [Trial(rng.standard_normal((2, n_samples)), label, 1.0)
+                  for label in range(n_codes)]
+        stats = TrialStatistics(trials, structures)
+        counts = np.array(weights[:n_codes])
+        assume(counts.any())
+
+        dense = np.stack([np.asarray(m)[:, :n_samples] for m in structures]).astype(np.int64)
+        gram = np.tensordot(counts, dense @ dense.transpose(0, 2, 1), axes=1)
+        sums = counts @ dense.sum(axis=2)
+        total = int(counts.sum()) * n_samples
+        expected = (gram - np.outer(sums, sums) / total) / (total - 1)
+        expected += RIDGE * np.mean(np.diag(expected)) * np.eye(expected.shape[0])
+        if not np.trace(expected) > 0.0:
+            with pytest.raises(ValueError, match="no design row varies"):
+                stats._design(counts)
+            return
+        spread, cov_dd = stats._design(counts)
+        assert cov_dd.tobytes() == expected.tobytes()
+
+        means, centred = dense_design_moments(structures, stats.classes, n_samples)
+        assert spread.tobytes() == (means - counts @ means / counts.sum()).tobytes()
+        reference = centred_design_m2(means, centred, counts, n_samples) / (total - 1)
+        reference += RIDGE * np.mean(np.diag(reference)) * np.eye(reference.shape[0])
+        assert np.abs(cov_dd - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 class TestFitMany:
@@ -802,7 +896,7 @@ class TestBatchedSolve:
 
     def test_zero_structures_name_the_design(self, small_sim):
         _, sim, trials = small_sim
-        zeros = [np.zeros(sim.structures.shape[1:]) for _ in range(len(sim.structures))]
+        zeros = StructureMatrices(np.zeros_like(sim.structures.trains), sim.structures.n_samples)
         with pytest.raises(ValueError, match="design covariance is rank deficient"):
             fit_cca(trials, zeros)
 

@@ -354,13 +354,17 @@ def run_trial(stopping, model, trial):
         raise ValueError("trial shorter than the maximum trial length")
     if model.templates.shape[1] < stopping.t_star:
         raise ValueError("model templates shorter than the maximum trial length")
+    # One float64 copy of float32 data (a view of float64), not one per window.
+    data = np.asarray(trial.data[:, :stopping.t_star], dtype=float)
+    eta = stopping.eta.tolist()
     last = stopping.grid.size - 1
     scores = np.zeros(model.templates.shape[0])
     start = 0
-    for idx, w in enumerate(stopping.grid):
-        scores += model.templates[:, start:w] @ (model.spatial_filter @ trial.data[:, start:w])
+    for idx, w in enumerate(stopping.grid.tolist()):
+        scores += model.templates[:, start:w] @ (model.spatial_filter @ data[:, start:w])
         start = w
-        fired = (scores > stopping.eta[idx]).any()
+        # fmax skips a NaN score, so this fires exactly when any score exceeds eta.
+        fired = np.fmax.reduce(scores) > eta[idx]
         if fired or idx == last:
             return StopOutcome(idx, int(np.argmax(scores)), not fired)
     raise AssertionError("unreachable: grid is never empty")

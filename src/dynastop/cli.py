@@ -31,7 +31,7 @@ from .codes import (
 from .decoding import fit_cca, predict_templates
 from .evaluation import METHODS, ConfigError, ExperimentConfig, evaluate_store
 from .metrics import CSV_COLUMNS
-from .simulate import SimConfig, default_response, make_dataset, resolve_config
+from .simulate import SimConfig, _draw_trials, default_response, resolve_config
 from .store import StoreError, load_store, write_results_csv, write_store
 from .svgplot import PALETTE, line_chart
 
@@ -128,12 +128,13 @@ def cmd_simulate(args):
     cfg = SimConfig(**settings)
     try:
         resolved = resolve_config(cfg)
-        trials = make_dataset(cfg, trials_per_class, resolved=resolved)
+        trials = _draw_trials(cfg, trials_per_class, resolved=resolved)
     except ValueError as err:
         raise UsageError(str(err))
+    # Each trial is drawn as the store writes it; no step holds the dataset.
     write_store(args.out, trials, cfg.n_classes, codebook="codebook.txt")
     write_codebook(f"{args.out}/codebook.txt", resolved.codes, rate_hz=cfg.rate_hz)
-    print(f"wrote {len(trials)} trials to {args.out}")
+    print(f"wrote {cfg.n_classes * trials_per_class} trials to {args.out}")
     return 0
 
 

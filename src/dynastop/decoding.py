@@ -20,7 +20,10 @@ class Trial:
     Attributes
     ----------
     data: np.ndarray
-        Real matrix of shape (n_channels, n_samples).
+        Real matrix of shape (n_channels, n_samples): float32 from a store
+        (:func:`dynastop.store.load_store` keeps the blob's precision) or
+        float64. Every kernel computes in float64, which holds each float32
+        exactly, so a float32 trial and its float64 copy give the same bytes.
     label: int or None
         Class index of the attended stimulus, None when unknown.
     fs: float
@@ -184,7 +187,7 @@ class TrialStatistics:
         for group, label in enumerate(self.classes):
             members = np.flatnonzero(self.groups == group)
             data = trial_buffer[:members.size]
-            np.stack([np.asarray(trials[i].data, dtype=float) for i in members], out=data)
+            np.stack([trials[i].data for i in members], out=data)  # casts float32 exactly
             means = data.mean(axis=2)
             data -= means[:, :, None]
             self.means[members] = means

@@ -144,7 +144,9 @@ def make_dataset(cfg, trials_per_class, resolved=None):
     Per trial of class y the single-source signal is alpha times template y;
     the channels carry that source scaled by the spatial pattern plus i.i.d.
     Gaussian noise of standard deviation sigma. Labels are counterbalanced:
-    every repetition block presents each class once, in class order.
+    every repetition block presents each class once, in class order. Each
+    trial draws from its own seed stream, so the list holds the trials that
+    ``dynastop simulate`` streams to its store one at a time.
 
     Parameters
     ----------
@@ -158,18 +160,26 @@ def make_dataset(cfg, trials_per_class, resolved=None):
     Returns
     -------
     trials: list of Trial
+        float64 data of shape (n_channels, n_samples).
     """
+    return list(_draw_trials(cfg, trials_per_class, resolved))
+
+
+def _draw_trials(cfg, trials_per_class, resolved=None):
+    """The trials of :func:`make_dataset` as a generator that draws each one
+    when it is asked for. The settings are checked here, before the
+    generator exists, so a ValueError comes before any trial."""
     if trials_per_class < 1:
         raise ValueError("trials_per_class must be >= 1")
     sim = resolved or resolve_config(cfg)
-    trials = []
-    index = 0
-    for _ in range(trials_per_class):
-        for label in range(cfg.n_classes):
+
+    def draw():
+        for index in range(trials_per_class * cfg.n_classes):
+            label = index % cfg.n_classes
             rng = _trial_rng(cfg.seed, index)
             source = cfg.alpha * sim.templates[label]
             noise = rng.normal(0.0, cfg.sigma, size=(cfg.n_channels, sim.n_samples))
             data = sim.spatial_pattern[:, None] * source[None, :] + noise
-            trials.append(Trial(data=data, label=label, fs=cfg.fs))
-            index += 1
-    return trials
+            yield Trial(data=data, label=label, fs=cfg.fs)
+
+    return draw()

@@ -6,6 +6,7 @@ little-endian float32 samples in trial-major, then channel-major, then sample
 order, so trials stream without loading the whole file.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -45,52 +46,101 @@ class StoreMeta:
 def write_store(path, trials, n_classes, codebook=None):
     """Write trials to a store directory (created if missing).
 
-    Concurrent readers are safe once writing finishes; the format provides no
-    locking, so keep at most one writer per path.
+    Each trial's samples go to a temporary blob in the directory as the trial
+    arrives, so the trials may come from a generator and are never all held
+    at once. Only after the last trial are the blob and then the manifest
+    renamed into place: a write that raises leaves a store already at the path
+    as it was, and removes the directories it created. Concurrent readers are
+    safe once writing finishes; the format provides no locking, so keep at
+    most one writer per path.
 
     Parameters
     ----------
     path: str
         Store directory.
-    trials: list of Trial
+    trials: iterable of Trial
         At least one labeled trial; all of identical shape and sampling rate.
     n_classes: int
-        Label range; every label must lie in [0, n_classes).
+        Label range; every label must be an integer (a numpy integer, not a
+        bool) in [0, n_classes).
     codebook: str (optional)
         Manifest reference to a codebook file, stored as given.
-    """
-    if not trials:
-        raise StoreError(f"{path}: store holds no trials")
-    shape = trials[0].data.shape
-    fs = float(trials[0].fs)
-    labels = []
-    for i, trial in enumerate(trials):
-        if trial.data.shape != shape:
-            raise StoreError(f"trial {i} shape {trial.data.shape} != {shape}")
-        if float(trial.fs) != fs:
-            raise StoreError(f"trial {i} sampling rate {trial.fs} != {fs}")
-        if trial.label is None or not 0 <= trial.label < n_classes:
-            raise StoreError(f"labels[{i}]={trial.label} out of range [0, {n_classes})")
-        labels.append(int(trial.label))
 
-    os.makedirs(path, exist_ok=True)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "fs": fs,
-        "channels": int(shape[0]),
-        "samples_per_trial": int(shape[1]),
-        "n_trials": len(trials),
-        "n_classes": int(n_classes),
-        "labels": labels,
-        "codebook": codebook,
-        "byte_order": "little",
-    }
-    with open(os.path.join(path, MANIFEST_NAME), "w", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    with open(os.path.join(path, BLOB_NAME), "wb") as fh:
-        for trial in trials:
-            fh.write(np.ascontiguousarray(trial.data, dtype=_SAMPLE_DTYPE).tobytes())
+    Raises
+    ------
+    StoreError
+        For no trials, and for a trial whose shape, sampling rate or label is
+        wrong or that holds a finite sample beyond float32's range, named by
+        its index. NaN and infinite samples are stored as they are.
+    """
+    created = []  # directories this call makes, deepest first
+    parent = os.path.abspath(path)
+    while not os.path.exists(parent):
+        created.append(parent)
+        parent = os.path.dirname(parent)
+    parts = {name: os.path.join(path, name + ".tmp") for name in (BLOB_NAME, MANIFEST_NAME)}
+    blob = None
+    try:
+        labels = []
+        for i, trial in enumerate(trials):
+            samples = _trial_samples(i, trial, n_classes)
+            if blob is None:
+                shape, fs = samples.shape, float(trial.fs)
+                os.makedirs(path, exist_ok=True)
+                blob = open(parts[BLOB_NAME], "wb")
+            elif samples.shape != shape:
+                raise StoreError(f"trial {i} shape {samples.shape} != {shape}")
+            elif float(trial.fs) != fs:
+                raise StoreError(f"trial {i} sampling rate {trial.fs} != {fs}")
+            blob.write(samples)
+            labels.append(int(trial.label))
+        if blob is None:
+            raise StoreError(f"{path}: store holds no trials")
+        blob.close()
+        manifest = {
+            "format_version": FORMAT_VERSION,
+            "fs": fs,
+            "channels": int(shape[0]),
+            "samples_per_trial": int(shape[1]),
+            "n_trials": len(labels),
+            "n_classes": int(n_classes),
+            "labels": labels,
+            "codebook": codebook,
+            "byte_order": "little",
+        }
+        with open(parts[MANIFEST_NAME], "w", newline="\n") as fh:
+            json.dump(manifest, fh, indent=2)
+            fh.write("\n")
+        for name, part in parts.items():
+            os.replace(part, os.path.join(path, name))
+    except BaseException:
+        if blob is not None:
+            blob.close()
+        for part in parts.values():
+            with contextlib.suppress(OSError):
+                os.remove(part)
+        for directory in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
+
+
+def _trial_samples(index, trial, n_classes):
+    """A trial's samples as the blob holds them, little-endian float32; a
+    label that is not an integer in [0, n_classes), or a finite sample that
+    float32 cannot hold, raises StoreError naming the trial."""
+    label = trial.label
+    if isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise StoreError(f"labels[{index}]={label!r} is not an integer")
+    if not 0 <= label < n_classes:
+        raise StoreError(f"labels[{index}]={label} out of range [0, {n_classes})")
+    try:
+        # numpy (>= 1.24) flags a cast overflow, which only a finite sample makes.
+        with np.errstate(over="raise"):
+            return np.ascontiguousarray(trial.data, dtype=_SAMPLE_DTYPE)
+    except FloatingPointError:
+        raise StoreError(f"trial {index} (label {label}) has a finite sample beyond float32's "
+                         f"range (magnitude above {np.finfo(_SAMPLE_DTYPE).max:.7g})") from None
 
 
 def _require(manifest, key, kind, valid=None, domain=""):
@@ -118,8 +168,10 @@ def read_store(path):
     -------
     meta: StoreMeta
     trials: generator of Trial
-        Yields trials in stored order, each its own float64 array, and holds
-        one chunk of float32 (whole trials, 128 KiB or one larger trial) at a time.
+        Yields trials in stored order, each its own float32 array, the
+        blob's precision: float64 would double what a caller holding the
+        trials keeps. Holds one chunk of the blob (whole trials, 128 KiB or
+        one larger trial) at a time.
 
     Raises
     ------
@@ -189,13 +241,14 @@ def read_store(path):
                 if fh.readinto(block) != block.nbytes:
                     raise StoreError(f"{blob_path}: blob shrank while it was read")
                 for data, label in zip(block.reshape(len(labels), meta.n_channels, -1), labels):
-                    yield Trial(data=data.astype(float), label=label, fs=meta.fs)
+                    yield Trial(data=data.astype(np.float32), label=label, fs=meta.fs)
 
     return meta, trials()
 
 
 def load_store(path):
-    """read_store with the trials materialized into a list."""
+    """read_store with the trials materialized into a list: float32 arrays
+    whose bytes sum to the blob's size."""
     meta, stream = read_store(path)
     return meta, list(stream)
 

@@ -9,6 +9,7 @@ from dynastop.baselines import deserialize_policy
 from dynastop.cli import main
 from dynastop.codes import read_codebook, write_codebook
 from dynastop.decoding import Trial
+from dynastop.simulate import SimConfig, make_dataset
 from dynastop.store import load_store, write_store
 
 
@@ -169,6 +170,52 @@ class TestSimulate:
         assert f"--config: {'cannot read ' if content is None else ''}{config}" in captured.err
         assert message in captured.err
         assert not out.exists()
+
+    def test_streamed_store_is_the_listed_dataset(self, tmp_path):
+        # simulate draws each trial as the store writes it; the bytes are those
+        # of the list make_dataset returns.
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"n_classes": 5, "n_channels": 3, "seed": 11}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "cli"),
+                     "--trials-per-class", "2", "--sigma", "2.5", "--alpha", "0.7"]) == 0
+        cfg = SimConfig(n_classes=5, n_channels=3, seed=11, sigma=2.5, alpha=0.7)
+        write_store(tmp_path / "lib", make_dataset(cfg, 2), 5, codebook="codebook.txt")
+        for name in ("eeg.f32", "manifest.json"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+    def test_no_trials_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        code, captured = run(["simulate", "--out", str(out), "--trials-per-class", "0"], capsys)
+        assert code == 2, captured.err
+        assert "trials_per_class must be >= 1" in captured.err
+        assert not out.exists()
+
+    def test_alpha_past_float32_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # The samples are finite in float64 but not in the store's float32: once
+        # a store calibrate rejected with exit 1.
+        out = tmp_path / "big"
+        code, captured = run(["simulate", "--out", str(out), "--alpha", "1e39",
+                              "--trials-per-class", "1"], capsys)
+        assert code == 2, captured.err
+        assert ("error: trial 0 (label 0) has a finite sample beyond float32's range"
+                in captured.err)
+        assert not out.exists()
+
+    def test_paper_length_store_is_streamed(self, tmp_path, capsys, traced_peak):
+        # 576 trials of 8 x 504 samples: 18.6 MB as float64, 9.3 MB as the
+        # stored float32. Drawn and written one trial at a time, the command
+        # holds neither; loading keeps the blob's float32, byte for byte.
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"n_classes": 36, "n_channels": 8, "trial_seconds": 4.2}))
+        out = tmp_path / "session"
+        code, peak = traced_peak(lambda: main(["simulate", "--config", str(config), "--out",
+                                               str(out), "--trials-per-class", "16"]))
+        assert code == 0, capsys.readouterr().err
+        assert peak < 4e6
+        meta, trials = load_store(out)
+        assert (meta.n_trials, meta.n_channels, meta.n_samples) == (576, 8, 504)
+        assert {trial.data.dtype for trial in trials} == {np.dtype(np.float32)}
+        assert sum(trial.data.nbytes for trial in trials) == (out / "eeg.f32").stat().st_size
 
 
 class TestCalibrate:

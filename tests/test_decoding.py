@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynastop.baselines import stratified_folds
-from dynastop.bayes_stop import calibrate
+from dynastop.bayes_stop import calibrate, run_trial
 from dynastop.codes import StructureMatrices, modulate, structure_matrices
 from dynastop.decoding import (
     RIDGE,
@@ -1158,3 +1158,56 @@ class TestBatchSizeInvariance:
             batch = score_traces(model, trials[:size], grid, similarity)
             assert batch.shape == (size, grid.size, 36)
             assert batch.tobytes() == alone[:size].tobytes(), f"batch of {size}"
+
+
+class TestFloat32Trials:
+    """A store hands its trials out as float32. Every kernel reads them
+    through float64 arithmetic, and float64 holds each float32 exactly, so
+    float32 trials and their float64 copies give the same bytes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_classes=st.integers(2, 5),
+        n_channels=st.integers(1, 4),
+        trial_seconds=st.sampled_from([0.5, 1.05]),
+        sigma=st.floats(0.1, 10.0),
+        alpha=st.floats(-3.0, 3.0),
+        offset=st.floats(-1e3, 1e3),
+        per_class=st.integers(2, 4),
+        zeta=st.sampled_from([1e-4, 1.0, 1e4]),
+    )
+    def test_kernels_match_float64_copies(self, seed, n_classes, n_channels, trial_seconds,
+                                          sigma, alpha, offset, per_class, zeta):
+        cfg = SimConfig(n_classes=n_classes, n_channels=n_channels, trial_seconds=trial_seconds,
+                        sigma=sigma, alpha=alpha, seed=seed)
+        sim = resolve_config(cfg)
+        single = [Trial((t.data + offset).astype(np.float32), t.label, t.fs)
+                  for t in make_dataset(cfg, per_class, resolved=sim)]
+        double = [Trial(t.data.astype(float), t.label, t.fs) for t in single]
+        grid = window_grid(100.0, trial_seconds, cfg.fs)
+
+        def same(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+        stats = [TrialStatistics(trials, sim.structures) for trials in (single, double)]
+        for field in ("means", "channel_gram", "cross", "design_means", "classes", "groups"):
+            assert same(getattr(stats[0], field), getattr(stats[1], field)), field
+        subsets = [None, np.arange(1, len(single)), np.arange(n_classes, len(single))]
+        fits = [s.fit_many(subsets) for s in stats]
+        for model32, model64 in zip(*fits):
+            for field in ("spatial_filter", "response", "templates", "canonical_correlation"):
+                assert same(getattr(model32, field), getattr(model64, field)), field
+
+        model = fits[1][0]
+        for similarity in ("inner", "correlation"):
+            assert same(score_traces(model, single, grid, similarity),
+                        score_traces(model, double, grid, similarity)), similarity
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # noise-floor clamp
+            stopping = [calibrate(model, trials, grid, zeta=zeta) for trials in (single, double)]
+        assert (stopping[0].alpha, stopping[0].sigma) == (stopping[1].alpha, stopping[1].sigma)
+        assert same(stopping[0].eta, stopping[1].eta)
+        for trial32, trial64 in zip(single, double):
+            assert run_trial(stopping[1], model, trial32) == run_trial(stopping[1], model, trial64)

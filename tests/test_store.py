@@ -4,6 +4,7 @@ import os
 import re
 import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -72,13 +73,13 @@ class TestStoreRoundtrip:
 
 
 def trial_loop_reader(path, meta):
-    """Reference reader: one np.fromfile call and one astype per trial."""
+    """Reference reader: one np.fromfile call and one float32 copy per trial."""
     per_trial = meta.n_channels * meta.n_samples
     trials = []
     with open(os.path.join(path, "eeg.f32"), "rb") as fh:
         for label in meta.labels:
             block = np.fromfile(fh, dtype="<f4", count=per_trial)
-            data = block.astype(float).reshape(meta.n_channels, meta.n_samples)
+            data = block.astype(np.float32).reshape(meta.n_channels, meta.n_samples)
             trials.append(Trial(data=data, label=label, fs=meta.fs))
     return trials
 
@@ -188,6 +189,105 @@ class TestStoreErrors:
         trials[1] = Trial(np.zeros((2, 20)), 1, 120.0)
         with pytest.raises(StoreError, match="shape"):
             write_store(tmp_path / "store", trials, n_classes=3)
+
+    @pytest.mark.parametrize("label", [1.5, 1.0, True, np.True_, "1", None, np.float64(1.0)])
+    def test_write_rejects_labels_that_are_not_integers(self, tmp_path, label):
+        # 1.5 was once stored as 1, and True as 1.
+        trials = make_trials(np.random.default_rng(3))
+        trials[1].label = label
+        path = tmp_path / "store"
+        with pytest.raises(StoreError, match=rf"^labels\[1\]={re.escape(repr(label))} is not an "
+                                             "integer$"):
+            write_store(path, trials, n_classes=3)
+        assert not path.exists()
+
+    def test_write_takes_numpy_integer_labels(self, tmp_path, rng):
+        trials = make_trials(rng)
+        for trial, label in zip(trials, (np.int64(2), np.uint8(1), np.int32(0))):
+            trial.label = label
+        write_store(tmp_path / "store", trials, n_classes=3)
+        meta, _ = read_store(tmp_path / "store")
+        assert meta.labels == [2, 1, 0, 0, 1, 2]
+
+    def test_write_rejects_a_finite_sample_past_float32(self, tmp_path, rng):
+        # Once cast to inf with only a RuntimeWarning, so the store wrote and
+        # calibrate then rejected it as non-finite.
+        trials = make_trials(rng)
+        trials[2].data[1, 5] = -1e39
+        path = tmp_path / "store"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StoreError, match=r"^trial 2 \(label 2\) has a finite sample "
+                                                 "beyond float32's range"):
+                write_store(path, trials, n_classes=3)
+        assert not path.exists()
+
+    def test_write_keeps_nan_and_infinite_samples(self, tmp_path, rng):
+        trials = make_trials(rng)
+        trials[1].data[0, :3] = [np.nan, np.inf, -np.inf]
+        trials[1].data[0, 3] = np.finfo(np.float32).max  # the largest float32 still fits
+        write_store(tmp_path / "store", trials, n_classes=3)
+        _, back = load_store(tmp_path / "store")
+        for original, loaded in zip(trials, back):
+            assert loaded.data.tobytes() == original.data.astype(np.float32).tobytes()
+
+
+class TestStreamingWriter:
+    """write_store takes any iterable, writes each trial as it comes, and puts
+    the store in place only after the last one."""
+
+    def test_empty_iterable_creates_nothing(self, tmp_path):
+        path = tmp_path / "a" / "store"
+        with pytest.raises(StoreError, match="store holds no trials"):
+            write_store(path, iter(()), n_classes=4)
+        assert not (tmp_path / "a").exists()
+
+    def test_generator_matches_list(self, tmp_path, rng):
+        trials = make_trials(rng)
+        write_store(tmp_path / "list", trials, n_classes=3, codebook="c.txt")
+        write_store(tmp_path / "gen", (t for t in trials), n_classes=3, codebook="c.txt")
+        for name in ("manifest.json", "eeg.f32"):
+            streamed, listed = (tmp_path / "gen" / name), (tmp_path / "list" / name)
+            assert streamed.read_bytes() == listed.read_bytes()
+        assert sorted(os.listdir(tmp_path / "gen")) == ["eeg.f32", "manifest.json"]
+
+    @staticmethod
+    def failing_at(trials, k, how):
+        """The trials as a generator whose k-th trial is bad in the way named."""
+        for i, trial in enumerate(trials):
+            if i == k:
+                if how == "raises":
+                    raise RuntimeError(f"source failed at trial {k}")
+                trial = {
+                    "shape": Trial(np.zeros((2, 20)), trial.label, trial.fs),
+                    "fs": Trial(trial.data, trial.label, 100.0),
+                    "label": Trial(trial.data, 3, trial.fs),
+                    "overflow": Trial(np.full((3, 20), 1e39), trial.label, trial.fs),
+                }[how]
+            yield trial
+
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("how, message", [
+        ("shape", "trial {k} shape"), ("fs", "trial {k} sampling rate"),
+        ("label", r"labels\[{k}\]=3 out of range"), ("overflow", r"trial {k} \(label"),
+        ("raises", "source failed at trial {k}"),
+    ])
+    def test_bad_trial_leaves_the_path_as_it_was(self, tmp_path, rng, k, how, message):
+        error = RuntimeError if how == "raises" else StoreError
+        # No directory before: none after, the missing parent included.
+        fresh = tmp_path / "parent" / "store"
+        with pytest.raises(error, match=message.format(k=k)):
+            write_store(fresh, self.failing_at(make_trials(rng), k, how), n_classes=3)
+        assert not (tmp_path / "parent").exists()
+        # A store already there reads back byte-identical, with no file added.
+        path = tmp_path / "store"
+        write_store(path, make_trials(rng, n_trials=4, samples=7), n_classes=3, codebook="c")
+        before = {name: (path / name).read_bytes() for name in os.listdir(path)}
+        with pytest.raises(error, match=message.format(k=k)):
+            write_store(path, self.failing_at(make_trials(rng), k, how), n_classes=3)
+        assert {name: (path / name).read_bytes() for name in os.listdir(path)} == before
+        meta, back = load_store(path)
+        assert (meta.n_trials, meta.n_samples, meta.codebook) == (4, 7, "c")
 
 
 # Per manifest field, values a store reader must reject: mistyped (a JSON bool

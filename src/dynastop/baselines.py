@@ -105,7 +105,8 @@ class BetaPolicy:
 
 def _outlier_probability(scores):
     """The Beta CDF at one window's mapped top score under the fit to the
-    rest; -inf where no Beta fits the rest."""
+    rest; -inf where no Beta fits the rest, or only one with a + b past
+    :func:`beta_cdf`'s range (a mapped sd of the rest below about 0.003)."""
     mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, _BETA_EPSILON, 1.0 - _BETA_EPSILON)
     top = mapped.max()
     rest = mapped[mapped < top]
@@ -118,22 +119,21 @@ def _outlier_probability(scores):
     common = mean * (1.0 - mean) / var - 1.0
     a = mean * common
     b = (1.0 - mean) * common
-    if a <= 0.0 or b <= 0.0:
+    if a <= 0.0 or b <= 0.0 or a + b > _MAX_SHAPES:
         return -math.inf
     return beta_cdf(top, a, b)
 
 
-# Past this a + b, beta_cdf takes the large-shape path (_large_shape_cdf).
-_LARGE_SHAPES = 3e4
-_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
+# The largest a + b that beta_cdf takes. A Beta fit to one window's mapped
+# correlations over n samples has a + b near n, far below this.
+_MAX_SHAPES = 3e4
 
 
 def _betacf(a, b, x, eps=1e-15):
     # Continued fraction for the incomplete beta (modified Lentz iteration).
     # Near the mean it needs more terms as a + b grows, so the cap grows as
-    # the root of a + b up to _LARGE_SHAPES. Past that it runs only away from
-    # the mean or with a shape of at most 100, where tens of terms do.
-    max_iter = 300 + int(math.sqrt(min(a + b, _LARGE_SHAPES)))
+    # the root of a + b (473 terms at _MAX_SHAPES).
+    max_iter = 300 + int(math.sqrt(a + b))
     tiny = 1e-300
     qab = a + b
     qap = a + 1.0
@@ -175,20 +175,19 @@ def beta_cdf(x, a, b):
 
     Continued-fraction evaluation with a log-gamma prefactor, using the
     symmetry I_x(a, b) = 1 - I_(1-x)(b, a) on the slow-converging side.
-    Absolute error is below 1e-10 for 0.01 <= a, b with a + b <= 3e4.
-    Larger shapes take :func:`_large_shape_cdf`, whose work is bounded and
-    whose absolute error stays below 1e-12 up to a + b = 2e16.
+    Absolute error is below 1e-10 for 0.01 <= a, b with a + b <= 3e4; past
+    that a + b it raises ValueError, since the log-gamma prefactor cancels.
     """
     if a <= 0.0 or b <= 0.0:
         raise ValueError("shape parameters must be positive")
+    if a + b > _MAX_SHAPES:
+        raise ValueError(f"a + b must be <= {_MAX_SHAPES:g}, got {a + b!r}")
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    if a + b > _LARGE_SHAPES:
-        return _large_shape_cdf(x, a, b)
     ln_front = (
         math.lgamma(a + b)
         - math.lgamma(a)
@@ -199,133 +198,6 @@ def beta_cdf(x, a, b):
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(ln_front) * _betacf(a, b, x) / a
     return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - x) / b
-
-
-def _large_shape_cdf(x, a, b):
-    """beta_cdf past a + b = _LARGE_SHAPES, where lgamma(a + b) - lgamma(a) -
-    lgamma(b) would cancel away the prefactor's digits.
-
-    The prefactor x^a (1-x)^b / B(a, b) comes from Stirling-series
-    differences instead (DiDonato and Morris, ACM TOMS 708, brcomp), through
-    lam = a - (a + b) x, (a + b) times the distance of x below the mean,
-    correctly rounded. Near the mean with both shapes above 100 the
-    asymptotic expansion :func:`_basym` gives the tail; elsewhere the
-    continued fraction does, in tens of terms.
-    """
-    lam = _distance_below_mean(x, a, b)
-    # f = -ln((x / x0)^a (y / y0)^b) for the mean x0 = a / (a + b), y0 = 1 - x0.
-    f = a * _rlog1(-lam / a) + b * _rlog1(lam / b)
-    if f > 700.0:  # the nearer tail is below 1e-290
-        return 0.0 if lam > 0.0 else 1.0
-    if min(a, b) > 100.0 and abs(lam) <= 0.03 * min(a, b):
-        return _basym(a, b, f) if lam >= 0.0 else 1.0 - _basym(b, a, f)
-    front = math.exp(-_HALF_LN_2PI + 0.5 * math.log(a * b / (a + b)) - f - _bcorr(a, b))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
-def _distance_below_mean(x, a, b):
-    """a - (a + b) x, correctly rounded: the products are split exactly
-    (Dekker) after scaling the shapes by a power of two, so the splits
-    cannot overflow."""
-    scale = math.frexp(max(a, b))[1]
-    a, b = math.ldexp(a, -scale), math.ldexp(b, -scale)
-    xh, xl = _split(x)
-    terms = [a]
-    for shape in (a, b):
-        product = shape * x
-        sh, sl = _split(shape)
-        terms += [-product, -(((sh * xh - product) + sh * xl + sl * xh) + sl * xl)]
-    return math.ldexp(math.fsum(terms), scale)
-
-
-def _split(u):
-    """u as high + low, each with at most 26 significant bits."""
-    c = 134217729.0 * u
-    high = c - (c - u)
-    return high, u - high
-
-
-def _rlog1(e):
-    """e - ln(1 + e), without cancellation for small e."""
-    if abs(e) > 0.1:
-        return e - math.log1p(e)
-    # ln(1 + e) = 2 atanh(t) with t = e / (2 + e), and e - 2t = e^2 / (2 + e).
-    t = e / (2.0 + e)
-    t2 = t * t
-    series = 0.0
-    for k in range(17, 1, -2):
-        series = series * t2 + 1.0 / k
-    return e * e / (2.0 + e) - 2.0 * t * t2 * series
-
-
-def _stirling_rest(z):
-    """lgamma(z) - ((z - 1/2) ln z - z + ln(2 pi) / 2)."""
-    if z < 10.0:
-        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - _HALF_LN_2PI
-    w = 1.0 / (z * z)
-    return (1 / 12 + w * (-1 / 360 + w * (1 / 1260 + w * (-1 / 1680 + w * (
-        1 / 1188 - w * 691 / 360360))))) / z
-
-
-def _bcorr(a, b):
-    """ln B(a, b) less its Stirling approximation."""
-    return _stirling_rest(a) + _stirling_rest(b) - _stirling_rest(a + b)
-
-
-def _basym(a, b, f, terms=20):
-    """I_x(a, b) for x below the mean and large a and b, from f (see
-    :func:`_large_shape_cdf`): the asymptotic expansion of DiDonato and
-    Morris (ACM TOMS 708, basym), a normal tail plus terms in powers of
-    1 / min(a, b), summed to a relative 1e-15."""
-    e0 = 2.0 / math.sqrt(math.pi)
-    e1 = 2.0 ** -1.5
-    z0 = math.sqrt(f)
-    z = z0 / e1 * 0.5
-    z2 = f + f
-    if a < b:
-        h = a / b
-        r1 = (b - a) / b
-        w0 = 1.0 / math.sqrt(a * (h + 1.0))
-    else:
-        h = b / a
-        r1 = (b - a) / a
-        w0 = 1.0 / math.sqrt(b * (h + 1.0))
-    r0 = 1.0 / (h + 1.0)
-    a0, b0, c, d = ([0.0] * (terms + 1) for _ in range(4))
-    a0[0] = r1 * 2.0 / 3.0
-    c[0] = -0.5 * a0[0]
-    d[0] = -c[0]
-    j0 = 0.5 / e0 * math.exp(f) * math.erfc(z0)
-    j1 = e1
-    total = j0 + d[0] * w0 * j1
-    s, h2, hn, w, znm1, zn = 1.0, h * h, 1.0, w0, z, z2
-    for n in range(2, terms + 1, 2):
-        hn *= h2
-        a0[n - 1] = 2.0 * r0 * (h * hn + 1.0) / (n + 2.0)
-        s += hn
-        a0[n] = 2.0 * r1 * s / (n + 3.0)
-        for i in (n, n + 1):
-            r = -0.5 * (i + 1.0)
-            b0[0] = r * a0[0]
-            for m in range(2, i + 1):
-                bsum = sum((j * r - (m - j)) * a0[j - 1] * b0[m - j - 1] for j in range(1, m))
-                b0[m - 1] = r * a0[m - 1] + bsum / m
-            c[i - 1] = b0[i - 1] / (i + 1.0)
-            d[i - 1] = -(sum(d[i - j - 1] * c[j - 1] for j in range(1, i)) + c[i - 1])
-        j0 = e1 * znm1 + (n - 1.0) * j0
-        j1 = e1 * zn + n * j1
-        znm1 *= z2
-        zn *= z2
-        w *= w0
-        t0 = d[n - 1] * w * j0
-        w *= w0
-        t1 = d[n] * w * j1
-        total += t0 + t1
-        if abs(t0) + abs(t1) <= 1e-15 * total:
-            break
-    return e0 * math.exp(-f - _bcorr(a, b)) * total
 
 
 @dataclass

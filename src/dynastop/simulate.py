@@ -122,6 +122,12 @@ def resolve_config(cfg):
     if codes.shape[0] > cfg.n_classes:
         kept = select_subset(codes, templates, cfg.n_classes)
         codes, templates, structures = codes[kept], templates[kept], structures[kept]
+    # A trial's largest noise-free sample, multiplied in the order make_dataset
+    # does, in Python floats so that no numpy overflow warning comes first.
+    if not math.isfinite(abs(cfg.alpha) * float(np.abs(templates).max())
+                         * float(np.abs(pattern).max())):
+        raise ValueError(f"alpha must be small enough that alpha * template * pattern is "
+                         f"finite, got {cfg.alpha!r}")
     return ResolvedSim(
         codes=codes,
         spatial_pattern=pattern,

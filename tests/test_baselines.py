@@ -24,6 +24,7 @@ from dynastop.baselines import (
     static_targeted_accuracy,
     stratified_folds,
 )
+from dynastop.baselines import _outlier_probability
 from dynastop.bayes_stop import StopOutcome, StoppingModel, WindowParams, calibrate, run_trial
 from dynastop.decoding import TrialStatistics, fit_cca, score_traces
 from dynastop.evaluation import window_grid
@@ -269,6 +270,15 @@ class TestBetaPolicy:
         policy = BetaPolicy(0.95)
         assert not policy.fires(scores)
 
+    def test_rest_past_beta_cdf_range_skips(self, rng):
+        # Non-top correlations that agree to about 1e-7 fit a Beta with
+        # a + b near 1e14, past beta_cdf's range: no Beta fits, so the rule
+        # never fires and the trace runs to its last window.
+        trace = 0.2 + 1e-7 * rng.standard_normal((4, 8))
+        trace[:, 3] = 0.9
+        assert all(_outlier_probability(scores) == -math.inf for scores in trace)
+        assert apply_policy(BetaPolicy(0.9), trace) == StopOutcome(3, 3, True)
+
     def test_ties_at_maximum_excluded(self):
         # Both tied maxima (mapped 0.8) leave the fit, so the tight rest
         # {0.5, 0.55, 0.525} puts the maximum at CDF ~1 >= 0.99. Keeping one
@@ -354,59 +364,43 @@ class TestBetaCdf:
             x = float(np.clip(a / (a + b) + rng.normal(0.0, 3.0 * sd), 1e-9, 1 - 1e-9))
             assert beta_cdf(x, a, b) == pytest.approx(betainc(a, b, x), abs=1e-10), (a, b, x)
 
-    @pytest.mark.parametrize("x", [0.4999, 0.5, 0.5001])
-    def test_large_shapes_converge(self, deadline, x):
-        # Near the mean at a = b = 4e6 the continued fraction needs about 820
-        # terms; the log-gamma prefactor leaves an error of a few 1e-9.
+    def test_at_the_largest_shapes_against_scipy(self):
+        # a + b = 3e4 exactly still takes the continued fraction, near the
+        # mean where it needs the most terms and in both tails.
         from scipy.special import betainc
 
-        with deadline(10):
-            value = beta_cdf(x, 4e6, 4e6)
-        assert value == pytest.approx(betainc(4e6, 4e6, x), abs=1e-8)
+        for p in (0.5, 0.1, 1e-3):
+            a, b = 3e4 * p, 3e4 * (1 - p)
+            sd = math.sqrt(a * b / (3e4 + 1)) / 3e4
+            for k in (-4.0, -1.0, 0.0, 0.3, 1.0, 4.0):
+                x = float(np.clip(p + k * sd, 1e-12, 1 - 1e-12))
+                assert beta_cdf(x, a, b) == pytest.approx(betainc(a, b, x), abs=1e-10), (p, k)
 
-    @pytest.mark.parametrize("shape", [1e8, 1e12, 1e14, 1e16])
-    def test_large_symmetric_shapes_against_scipy(self, deadline, shape):
-        # Within three standard deviations of the mean, where the log-gamma
-        # prefactor cancelled to 0.7998 at x = 0.5, a = b = 1e14. Checked
-        # against high-precision quadrature, scipy's error reaches about 1e-9
-        # above the mean at these shapes, hence the bound; below it scipy is
-        # read through the reflection, since its direct value is off there
-        # (0.0364 for 0.1587 at x = 0.5 - sd, a = b = 1e16).
-        from scipy.special import betainc
+    def test_rejects_shapes_past_the_range(self):
+        a, b = 1e4, math.nextafter(2e4, math.inf)
+        assert a + b == math.nextafter(3e4, math.inf)
+        for x in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match=r"a \+ b must be <= 30000"):
+                beta_cdf(x, a, b)
 
-        sd = 0.5 / math.sqrt(2.0 * shape + 1.0)
-        with deadline(2):
-            for k in (-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0):
-                x = 0.5 + k * sd
-                want = betainc(shape, shape, x) if x >= 0.5 else 1 - betainc(shape, shape, 1 - x)
-                assert beta_cdf(x, shape, shape) == pytest.approx(want, abs=1e-8), (k, x)
-            assert beta_cdf(0.5, shape, shape) == pytest.approx(0.5, abs=1e-15)
-        if shape == 1e16:
-            assert beta_cdf(0.5 + 1e-8, shape, shape) == pytest.approx(0.99766113261, abs=1e-10)
+    def test_properties_in_stated_range(self, deadline):
+        # Shapes log-uniform over the documented range, so near the term cap
+        # too, where test_reflection_identity does not reach.
+        # (min: exp can round the top end past 1.5e4, and so a + b past 3e4.)
+        shape = st.floats(math.log(0.01), math.log(1.5e4)).map(lambda v: min(math.exp(v), 1.5e4))
+        # x with 1 - x exact, so the reflection compares a point with itself.
+        inside = (st.floats(0.0, 1.0).map(lambda x: 1.0 - (1.0 - x))
+                  .filter(lambda x: 0.0 < x < 1.0))
 
-    @pytest.mark.parametrize("shape", [1e12, 1e14, 1e16])
-    def test_large_symmetric_shapes_match_normal_limit(self, shape):
-        # Beta(v, v) has mean 1/2, variance 1 / (4 (2v + 1)) and excess
-        # kurtosis below 1e-11 here, so its CDF is the normal one to 1e-12.
-        sd = 0.5 / math.sqrt(2.0 * shape + 1.0)
-        for k in (-4.0, -2.5, -1.0, -0.2, 0.7, 1.5, 3.0):
-            x = 0.5 + k * sd
-            normal = 0.5 * math.erfc(-(x - 0.5) / (sd * math.sqrt(2.0)))
-            assert beta_cdf(x, shape, shape) == pytest.approx(normal, abs=1e-12), (k, x)
+        @settings(max_examples=300, deadline=None)
+        @given(shape, shape, inside, inside)
+        def check(a, b, x, y):
+            low, high = beta_cdf(min(x, y), a, b), beta_cdf(max(x, y), a, b)
+            assert 0.0 <= low <= high <= 1.0
+            assert beta_cdf(x, a, b) == pytest.approx(1.0 - beta_cdf(1.0 - x, b, a), abs=1e-10)
 
-    def test_large_asymmetric_shapes_against_scipy(self, rng, deadline):
-        # Past a + b = 3e4: near the mean with both shapes large, away from
-        # it, and with one shape small; every call does bounded work.
-        from scipy.special import betainc
-
-        with deadline(10):
-            for _ in range(300):
-                total = 10 ** rng.uniform(4.5, 16.3)
-                p = 10 ** rng.uniform(-6, 0) if rng.random() < 0.3 else rng.uniform(0.01, 0.99)
-                a, b = total * p, total * (1 - p)
-                sd = math.sqrt(a * b / (total + 1)) / total
-                x = float(np.clip(p + rng.normal(0.0, 4.0 * sd), 1e-12, 1 - 1e-12))
-                assert beta_cdf(x, a, b) == pytest.approx(betainc(a, b, x), abs=1e-8), (a, b, x)
+        with deadline(30):
+            check()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

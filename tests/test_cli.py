@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 import xml.dom.minidom
 
 import numpy as np
@@ -199,6 +200,19 @@ class TestSimulate:
         assert code == 2, captured.err
         assert ("error: trial 0 (label 0) has a finite sample beyond float32's range"
                 in captured.err)
+        assert not out.exists()
+
+    def test_alpha_past_float64_exits_2_without_a_warning(self, tmp_path, capsys):
+        # alpha * template * pattern overflows float64: the config check names
+        # alpha before numpy's overflow warning or the store writer can.
+        out = tmp_path / "huge"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, captured = run(["simulate", "--out", str(out), "--alpha", "1e308",
+                                  "--trials-per-class", "1"], capsys)
+        assert code == 2, captured.err
+        assert "error: alpha must be" in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not out.exists()
 
     def test_paper_length_store_is_streamed(self, tmp_path, capsys, traced_peak):

@@ -178,8 +178,8 @@ def beta_cdf(x, a, b):
     Absolute error is below 1e-10 for 0.01 <= a, b with a + b <= 3e4; past
     that a + b it raises ValueError, since the log-gamma prefactor cancels.
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("shape parameters must be positive")
+    if not (a > 0.0 and b > 0.0):
+        raise ValueError(f"shape parameters must be positive, got a={a!r}, b={b!r}")
     if a + b > _MAX_SHAPES:
         raise ValueError(f"a + b must be <= {_MAX_SHAPES:g}, got {a + b!r}")
     if not 0.0 <= x <= 1.0:

@@ -301,6 +301,8 @@ def calibrate(model, trials, grid, zeta=1.0):
         raise ValueError("grid extends past the model templates")
 
     n_classes = model.templates.shape[0]
+    if not trials:
+        raise ValueError("need at least one calibration trial")
     for i, trial in enumerate(trials):
         if trial.label is None:
             raise ValueError("calibration trials must be labeled")
@@ -309,13 +311,16 @@ def calibrate(model, trials, grid, zeta=1.0):
                              f"model's {n_classes} templates")
         if trial.data.shape[1] < t_star:
             raise ValueError("calibration trial shorter than the last grid window")
-    # A NaN or an infinity in a trial makes the estimate raise; the invalid
-    # operations of its filtering need no warning of their own.
+    # One (trials, t*) pair whose rows concatenate as the per-trial pairs
+    # would. A NaN or an infinity in a trial makes the estimate raise; the
+    # invalid operations of its filtering need no warning of their own.
+    signal = np.empty((len(trials), t_star))
     with np.errstate(invalid="ignore", over="ignore"):
-        pairs = [(model.spatial_filter @ trial.data[:, :t_star],
-                  model.templates[trial.label, :t_star]) for trial in trials]
+        for i, trial in enumerate(trials):
+            signal[i] = model.spatial_filter @ trial.data[:, :t_star]
+    labels = [trial.label for trial in trials]
     try:
-        alpha, sigma = estimate_scaling_and_noise(pairs)
+        alpha, sigma = estimate_scaling_and_noise([(signal, model.templates[labels, :t_star])])
     except ValueError:
         # A trial that is not finite is the cause to name.
         for i, trial in enumerate(trials):

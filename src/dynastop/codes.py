@@ -248,14 +248,19 @@ class StructureMatrices(Sequence):
     c's short (k = 0) and long (k = 1) onset trains, each after
     response_samples - 1 zeros. Item c is a fresh float64 (2 *
     response_samples, n_samples) matrix whose row k * response_samples + j is
-    the kind-k train delayed by j samples, built on each access. A slice or an
-    index array gives the sequence over those codes' trains.
+    the kind-k train delayed by j samples: a copy, made on each access, of
+    code c's part of one lagged view of all the trains, which is built here
+    and holds no memory of its own. A slice or an index array gives the
+    sequence over those codes' trains.
     """
 
     def __init__(self, trains, n_samples):
         self.trains = trains.view()
         self.trains.flags.writeable = False
         self.n_samples = n_samples
+        # Window w of a train is the train delayed by response_samples - 1 - w.
+        self._lagged = np.lib.stride_tricks.sliding_window_view(
+            self.trains, n_samples, axis=2)[:, :, ::-1]
 
     @property
     def shape(self):
@@ -270,10 +275,8 @@ class StructureMatrices(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            # Window w of a train is the train delayed by response_samples - 1 - w.
-            lagged = np.lib.stride_tricks.sliding_window_view(
-                self.trains[index], self.n_samples, axis=1)[:, ::-1]
-            return lagged.copy().reshape(-1, self.n_samples)
+            # Always a copy: at response_samples = 1 the view is contiguous.
+            return self._lagged[index].copy().reshape(-1, self.n_samples)
         return StructureMatrices(self.trains[index], self.n_samples)
 
     def lag_products(self, n_samples):

@@ -116,7 +116,10 @@ class TrialStatistics:
     its members' moments and corrects for the spread of their means (the
     pairwise update of Chan, Golub and LeVeque), so cross-validation folds
     share one pass over the data and no fit builds the concatenated design
-    matrix.
+    matrix. The moments come from one float64 stack of all the trials,
+    sorted by class: one finiteness check, one centring and one batched
+    channel-Gram product for every trial, and one cross-product per class
+    on its contiguous slice of the stack, each scattered back to trial order.
 
     The design side of a fit depends only on the subset's class counts, so
     subsets with equal counts share it. It comes from the onset trains
@@ -139,7 +142,8 @@ class TrialStatistics:
     structures: StructureMatrices
         One structure matrix per class, at least as long as the trials;
         anything else raises TypeError. Each class's matrix is built once
-        here, and once per :meth:`fit_many` call.
+        here, for its class's slice of the stacked trials, and once per
+        :meth:`fit_many` call.
     """
 
     def __init__(self, trials, structures):
@@ -167,32 +171,35 @@ class TrialStatistics:
         if structures.n_samples < n_samples:
             # The matrices share one shape, so the first is named.
             raise ValueError("structure 0 shorter than the trials")
-        for i, trial in enumerate(trials):
-            if not np.isfinite(trial.data).all():
-                raise ValueError(f"trial {i} (label {labels[i]}) contains non-finite values")
+        self.classes, self.groups = np.unique(labels, return_inverse=True)
+        # Every trial in one stack, sorted by class so that each class is a
+        # contiguous slice; the stack is freed when the constructor returns.
+        order = np.argsort(self.groups, kind="stable")
+        n_channels = trials[0].data.shape[0]
+        data = np.empty((len(trials), n_channels, n_samples))
+        np.stack([trials[i].data for i in order], out=data)  # casts float32 exactly
+        finite = np.isfinite(data).all(axis=(1, 2))
+        if not finite.all():
+            bad = order[~finite].min()
+            raise ValueError(f"trial {bad} (label {labels[bad]}) contains non-finite values")
 
         self.structures = structures
         self.fs = trials[0].fs
         self.n_samples = n_samples
-        self.classes, self.groups = np.unique(labels, return_inverse=True)
         self._lags = structures[self.classes].lag_products(n_samples)
         self.design_means = self._lags.sums / n_samples
 
-        n_channels = trials[0].data.shape[0]
         self.means = np.empty((len(trials), n_channels))
         self.channel_gram = np.empty((len(trials), n_channels, n_channels))
         self.cross = np.empty((len(trials), n_channels, structures.shape[1]))
-        # One class at a time, in a buffer the classes share, bounds the temporaries.
-        trial_buffer = np.empty((np.bincount(self.groups).max(), n_channels, n_samples))
-        for group, label in enumerate(self.classes):
-            members = np.flatnonzero(self.groups == group)
-            data = trial_buffer[:members.size]
-            np.stack([trials[i].data for i in members], out=data)  # casts float32 exactly
-            means = data.mean(axis=2)
-            data -= means[:, :, None]
-            self.means[members] = means
-            self.channel_gram[members] = data @ data.transpose(0, 2, 1)
-            self.cross[members] = data @ structures[label][:, :n_samples].T
+        means = data.mean(axis=2)
+        data -= means[:, :, None]
+        self.means[order] = means
+        self.channel_gram[order] = data @ data.transpose(0, 2, 1)
+        start = 0
+        for label, stop in zip(self.classes, np.cumsum(np.bincount(self.groups))):
+            self.cross[order[start:stop]] = data[start:stop] @ structures[label][:, :n_samples].T
+            start = stop
         self._designs = {}
 
     def fit(self, indices=None):

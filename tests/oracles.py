@@ -1,9 +1,10 @@
 """Reference implementations the tests check the package against: the
-structure matrices built up front as a list, the design side of the fit from
-dense centred matrices, the per-subset SVD fit of the decoder, one window's
-scores from its own prefix, the likelihood ratio the boundary solver
-inverts, scores against the simulator's planted templates, and the
-per-window run of every stopping rule."""
+structure matrices built up front as a list, the fit's per-trial moments one
+class at a time, the design side of the fit from dense centred matrices,
+the per-subset SVD fit of the decoder, one window's scores from its own
+prefix, the likelihood ratio the boundary solver inverts, scores against
+the simulator's planted templates, and the per-window run of every
+stopping rule."""
 
 import math
 
@@ -83,6 +84,35 @@ def dense_design_moments(structures, classes, n_samples):
         design = design - means[-1][:, None]
         grams.append(design @ design.T)
     return np.stack(means), np.stack(grams)
+
+
+def class_loop_statistics(trials, structures):
+    """Reference per-trial moments of a TrialStatistics: one class at a time,
+    each class's trials cast into a float64 buffer that the classes share,
+    after a finiteness check of every trial in index order. A dict of the
+    trial-order means, channel_gram and cross, and the classes' design_means
+    from their dense matrices."""
+    labels = [t.label for t in trials]
+    for i, trial in enumerate(trials):
+        if not np.isfinite(trial.data).all():
+            raise ValueError(f"trial {i} (label {labels[i]}) contains non-finite values")
+    classes, groups = np.unique(labels, return_inverse=True)
+    n_channels, n_samples = trials[0].data.shape
+    means = np.empty((len(trials), n_channels))
+    channel_gram = np.empty((len(trials), n_channels, n_channels))
+    cross = np.empty((len(trials), n_channels, structures.shape[1]))
+    trial_buffer = np.empty((np.bincount(groups).max(), n_channels, n_samples))
+    for group, label in enumerate(classes):
+        members = np.flatnonzero(groups == group)
+        data = trial_buffer[:members.size]
+        np.stack([trials[i].data for i in members], out=data)
+        class_means = data.mean(axis=2)
+        data -= class_means[:, :, None]
+        means[members] = class_means
+        channel_gram[members] = data @ data.transpose(0, 2, 1)
+        cross[members] = data @ structures[label][:, :n_samples].T
+    return {"means": means, "channel_gram": channel_gram, "cross": cross,
+            "design_means": dense_design_moments(structures, classes, n_samples)[0]}
 
 
 def centred_design_m2(design_means, design_gram, counts, n_samples):

@@ -300,6 +300,14 @@ class TestBetaPolicy:
 
 
 class TestBetaCdf:
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -2.0)])
+    def test_shape_not_positive_is_named(self, a, b):
+        # A NaN shape once passed the checks and failed in the continued
+        # fraction with "cannot convert float NaN to integer".
+        with pytest.raises(ValueError) as err:
+            beta_cdf(0.5, a, b)
+        assert str(err.value) == f"shape parameters must be positive, got a={a!r}, b={b!r}"
+
     def test_uniform_identity(self):
         assert beta_cdf(0.3, 1.0, 1.0) == pytest.approx(0.3, abs=1e-12)
 

@@ -465,6 +465,35 @@ class TestCalibrate:
             infinite += np.count_nonzero(~finite)
         assert infinite > 0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("grid", [[12, 60, 126], [12, 39, 100]])
+    def test_one_pair_matches_per_trial_pairs(self, small_sim, dtype, grid):
+        # The estimate reads one (trials, t*) pair whose rows concatenate as
+        # one pair per trial does, so alpha, sigma and every boundary keep
+        # their bits.
+        cfg, sim, trials = small_sim
+        trials = [Trial(t.data.astype(dtype), t.label, t.fs) for t in trials]
+        model = fit_cca(trials, sim.structures)
+        t_star = grid[-1]
+        alpha, sigma = estimate_scaling_and_noise(
+            [(model.spatial_filter @ t.data[:, :t_star], model.templates[t.label, :t_star])
+             for t in trials])
+        windows = _gram_params(np.stack(list(_window_grams(model.templates, grid))), grid,
+                               alpha, sigma)
+        for zeta in (1e-8, 1e-2, 1.0, 1e2, 1e16):
+            stopping = calibrate(model, trials, grid, zeta)
+            assert np.float64(stopping.alpha).tobytes() == np.float64(alpha).tobytes()
+            assert np.float64(stopping.sigma).tobytes() == np.float64(sigma).tobytes()
+            eta = [decision_boundary(p, alpha, zeta, len(model.templates)) for p in windows]
+            assert stopping.eta.tobytes() == np.array(eta).tobytes()
+        # A trial that is not finite over t* is still named by index and label.
+        data = trials[7].data.copy()
+        data[0, t_star - 1] = np.nan
+        trials[7] = Trial(data, trials[7].label, trials[7].fs)
+        with pytest.raises(ValueError) as err:
+            calibrate(model, trials, grid)
+        assert str(err.value) == f"trial 7 (label {trials[7].label}) contains non-finite values"
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_trial_is_named(self, small_sim, value):
         # Such a trial once gave alpha = sigma = NaN and every boundary -inf,
@@ -512,6 +541,8 @@ class TestCalibrate:
         model = fit_cca(trials, sim.structures)
         with pytest.raises(ValueError, match="empty"):
             calibrate(model, trials, [])
+        with pytest.raises(ValueError, match="need at least one calibration trial"):
+            calibrate(model, [], [12, 60])
         with pytest.raises(ValueError, match="increasing"):
             calibrate(model, trials, [12, 12])
         with pytest.raises(ValueError, match="templates"):

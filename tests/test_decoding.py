@@ -27,6 +27,7 @@ from dynastop.evaluation import ExperimentConfig, evaluate_store, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
 from oracles import (
     centred_design_m2,
+    class_loop_statistics,
     dense_design_moments,
     prefix_scores,
     solve_cca,
@@ -222,30 +223,6 @@ def stacked_statistics(trials, structures):
         design_means.append(design.mean(axis=1))
         members = groups == group
         cross[members] = data[members] @ design.T
-    return {"means": means, "channel_gram": channel_gram, "cross": cross,
-            "design_means": np.stack(design_means)}
-
-
-def class_loop_statistics(trials, structures):
-    """Reference statistics: one class at a time, each class's trials and
-    uncentred design in arrays of their own."""
-    labels = [t.label for t in trials]
-    classes, groups = np.unique(labels, return_inverse=True)
-    n_channels, n_samples = trials[0].data.shape
-    means = np.empty((len(trials), n_channels))
-    channel_gram = np.empty((len(trials), n_channels, n_channels))
-    cross = np.empty((len(trials), n_channels, structures[classes[0]].shape[0]))
-    design_means = []
-    for group, label in enumerate(classes):
-        members = np.flatnonzero(groups == group)
-        data = np.stack([np.asarray(trials[i].data, dtype=float) for i in members])
-        class_means = data.mean(axis=2)
-        data -= class_means[:, :, None]
-        means[members] = class_means
-        channel_gram[members] = data @ data.transpose(0, 2, 1)
-        design = np.asarray(structures[label], dtype=float)[:, :n_samples]
-        design_means.append(design.mean(axis=1))
-        cross[members] = data @ design.T
     return {"means": means, "channel_gram": channel_gram, "cross": cross,
             "design_means": np.stack(design_means)}
 
@@ -527,22 +504,40 @@ class TestTrialStatistics:
             TrialStatistics(trials[:3] + [bad] + trials[4:], sim.structures)
 
     def test_statistics_match_class_loop_bytes(self, small_sim, paper_sim, rng):
-        # The class buffers are reused, so each class's products must see
-        # the operands, and give the bytes, of arrays made for that class.
-        _, sim, trials = paper_sim
-        bad = Trial(trials[3].data.copy(), trials[3].label, trials[3].fs)
-        bad.data[2, 7] = np.nan
+        # One class-sorted stack for all the trials must give each trial the
+        # bytes of the per-class loop, whatever the class sizes, the trial
+        # order and the trials' precision.
         unequal = TestDesignCache.unequal_shuffled(small_sim[2], rng)
         assert np.unique(np.bincount([t.label for t in unequal])).size > 1
-        for trial_set, structures in ((small_sim[2], small_sim[1].structures),
-                                      (unequal, small_sim[1].structures)):
+        shuffled = [paper_sim[2][i] for i in rng.permutation(len(paper_sim[2]))]
+        for (trial_set, structures), dtype in itertools.product(
+                ((small_sim[2], small_sim[1].structures), (unequal, small_sim[1].structures),
+                 (shuffled, paper_sim[1].structures)), (np.float64, np.float32)):
+            trial_set = [Trial(t.data.astype(dtype), t.label, t.fs) for t in trial_set]
             stats = TrialStatistics(trial_set, structures)
             for name, value in class_loop_statistics(trial_set, structures).items():
                 got = getattr(stats, name)
                 assert (got.dtype, got.shape) == (value.dtype, value.shape), name
                 assert got.tobytes() == value.tobytes(), name
-        with pytest.raises(ValueError, match="trial 3 .* contains non-finite values"):
-            TrialStatistics(trials[:3] + [bad] + trials[4:], sim.structures)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_first_non_finite_trial_by_index(self, small_sim, dtype):
+        # Reversed, the trials run from the highest label to the lowest, so
+        # the class-sorted stack meets the last bad trial first; the error
+        # still names the one with the lowest index, as the loop oracle does.
+        _, sim, trials = small_sim
+        trials = [Trial(t.data.astype(dtype), t.label, t.fs) for t in reversed(trials)]
+        low, high = 2, len(trials) - 3
+        assert trials[low].label > trials[high].label
+        for i, value in ((low, np.nan), (high, np.inf)):
+            data = trials[i].data.copy()
+            data[1, 7] = value
+            trials[i] = Trial(data, trials[i].label, trials[i].fs)
+        message = f"trial {low} (label {trials[low].label}) contains non-finite values"
+        for build in (TrialStatistics, class_loop_statistics):
+            with pytest.raises(ValueError) as err:
+                build(trials, sim.structures)
+            assert str(err.value) == message
 
     def test_fold_fits_match_dense_oracle(self, paper_sim):
         _, sim, trials = paper_sim

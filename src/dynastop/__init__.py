@@ -10,8 +10,6 @@ __version__ = "0.1.0"
 
 from .baselines import (
     DecodingCurve,
-    FixedLengthPolicy,
-    MarginPolicy,
     apply_policy,
     beta_cdf,
     decoding_curve,

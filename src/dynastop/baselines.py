@@ -1,7 +1,9 @@
-"""Comparison stopping strategies behind one policy interface: fixed trial
-length, three static selectors driven by a cross-validated decoding curve, the
-score-margin rule, and the Beta-distribution outlier rule; plus the JSON codec
-of the calibrated bds model.
+"""Comparison stopping strategies and what each is calibrated from: the
+cross-validated decoding curve that the three static selectors pick one
+window from, the score-margin thresholds, and the Beta-distribution outlier
+rule, which runs trace by trace; plus the cross-validation folds and the
+JSON codec of the calibrated bds model. The harness in evaluation.py turns
+each into stop windows.
 """
 
 import math
@@ -11,54 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .bayes_stop import StopOutcome, StoppingModel, WindowParams, _first
+from .bayes_stop import StopOutcome, StoppingModel, WindowParams
 from .decoding import score_traces
 
 
 def apply_policy(policy, trace):
-    """Run a per-trace policy (a BetaPolicy) over one (n_windows, n_classes)
-    score trace to its StopOutcome; forced is True when only the final window
-    produced it."""
+    """Run a per-window rule (a BetaPolicy: any object with fires(scores))
+    over one (n_windows, n_classes) score trace to its StopOutcome; forced is
+    True when only the final window produced it."""
     trace = np.asarray(trace, dtype=float)
-    stop = policy.first_stop(trace)
+    stop = next((w for w, scores in enumerate(trace) if policy.fires(scores)), None)
     forced = stop is None
     if forced:
         stop = trace.shape[0] - 1
     return StopOutcome(stop, int(np.argmax(trace[stop])), forced)
 
 
-class FixedLengthPolicy:
-    """Always stop at one predeclared window with the best-scoring class."""
-
-    def __init__(self, stop_window):
-        self.stop_window = int(stop_window)
-
-    def first_stops(self, traces):
-        stop = max(self.stop_window, 0) if self.stop_window < traces.shape[1] else -1
-        return np.full(traces.shape[0], stop)
-
-
 def _top_two_gap(traces):
     """Best minus second-best score along the last axis."""
     top_two = np.partition(traces, traces.shape[-1] - 2, axis=-1)[..., -2:]
     return top_two[..., 1] - top_two[..., 0]
-
-
-class MarginPolicy:
-    """Stop once the margin between the two best scores reaches the window's
-    learned threshold."""
-
-    def __init__(self, thresholds):
-        self.thresholds = np.asarray(thresholds, dtype=float)
-
-    def first_stops(self, traces):
-        return self.gap_stops(_top_two_gap(traces))
-
-    def gap_stops(self, gaps):
-        """first_stops of the traces whose :func:`_top_two_gap` is `gaps`,
-        shape (n_trials, n_windows): a sweep takes the gaps once for all its
-        policies."""
-        return _first(gaps >= self.thresholds[: gaps.shape[1]])
 
 
 # Mapped scores are kept this far inside (0, 1), where the Beta CDF is defined.
@@ -79,7 +53,8 @@ class BetaPolicy:
     filled as windows are first met; without a table every window is
     computed and nothing is kept. Windows are tested one at a time, because
     the rule usually fires at the first, and first_stops runs apply_policy on
-    each trace.
+    each trace: a batch of every window's probability with the same bits was
+    slower at paper length.
     """
 
     def __init__(self, target_accuracy, table=None):
@@ -89,9 +64,6 @@ class BetaPolicy:
     def first_stops(self, traces):
         outcomes = [apply_policy(self, trace) for trace in traces]
         return np.array([-1 if o.forced else o.stopped_at for o in outcomes], dtype=int)
-
-    def first_stop(self, trace):
-        return next((w for w, s in enumerate(trace) if self.fires(s)), None)
 
     def fires(self, scores):
         """Whether the rule fires on one window's scores."""
@@ -346,7 +318,9 @@ def fit_margin(traces, labels, theta):
 
     Returns
     -------
-    policy: MarginPolicy
+    thresholds: np.ndarray
+        One per window; a trial stops at the first window whose top-two gap
+        reaches it.
     """
     return MarginCandidates(traces, labels).table(theta)
 
@@ -354,7 +328,7 @@ def fit_margin(traces, labels, theta):
 class MarginCandidates:
     """The candidate margin thresholds of a set of training traces, sorted
     once per window, with the training accuracy each would give; every
-    targeted accuracy reads its :func:`fit_margin` policy from them."""
+    targeted accuracy reads its :func:`fit_margin` thresholds from them."""
 
     def __init__(self, traces, labels):
         traces = np.asarray(traces, dtype=float)
@@ -376,12 +350,11 @@ class MarginCandidates:
         self.first[1:] = self.margins[1:] != self.margins[:-1]
 
     def table(self, theta):
-        """The :func:`fit_margin` policy for targeted accuracy theta."""
+        """The :func:`fit_margin` thresholds for targeted accuracy theta."""
         reached = self.first & (self.accuracy >= theta)
         k = np.argmax(reached, axis=0)
         windows = np.arange(self.margins.shape[1])
-        thresholds = np.where(reached.any(axis=0), self.margins[k, windows], np.inf)
-        return MarginPolicy(thresholds)
+        return np.where(reached.any(axis=0), self.margins[k, windows], np.inf)
 
 
 # The WindowParams fields a "bds" envelope carries per window, next to its eta.

@@ -45,11 +45,6 @@ class StopOutcome:
     forced: bool
 
 
-def _first(fired):
-    """Index of the first True flag along the last axis, -1 where there is none."""
-    return np.where(fired.any(axis=-1), np.argmax(fired, axis=-1), -1)
-
-
 @dataclass
 class StoppingModel:
     """Calibrated stopping model: score scaling, noise level, per-window
@@ -57,7 +52,6 @@ class StoppingModel:
 
     As a policy it stops at the first window where any score exceeds the
     window's boundary; the best-scoring class is then accepted too.
-    first_stops gives each trial's first firing window, -1 where none fires.
     """
 
     alpha: float
@@ -79,9 +73,6 @@ class StoppingModel:
             [decision_boundary(p, self.alpha, zeta, self.n_classes) for p in self.windows]
         )
         return replace(self, zeta=float(zeta), eta=eta)
-
-    def first_stops(self, traces):
-        return _first((traces > self.eta[: traces.shape[1], None]).any(axis=2))
 
 
 def estimate_scaling_and_noise(pairs):

@@ -11,7 +11,6 @@ import numpy as np
 from . import metrics
 from .baselines import (
     BetaPolicy,
-    FixedLengthPolicy,
     MarginCandidates,
     _top_two_gap,
     curve_folds,
@@ -118,8 +117,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "hyperparams", tuple(self.hyperparams))
         check_method(self.method, self.similarity, self.hyperparams)
-        if self.folds < 2:
-            raise ConfigError("folds", f"folds must be >= 2, got {self.folds!r}")
+        # A bool is an int below 2.
+        if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
+            raise ConfigError("folds", f"folds must be an integer >= 2, got {self.folds!r}")
         _check_grid(self.grid_ms, self.t_star_s)
         if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0):
             raise ConfigError(
@@ -139,33 +139,54 @@ class ExperimentConfig:
         return window_grid(self.grid_ms, self.t_star_s, fs)
 
 
-def _fold_rule(config, fit, trials, train_idx, model, grid):
-    """The fold's policy per hyperparameter of config's method, as a callable.
-    The product a method's sweep shares (the stopping calibration, the margin
-    candidates, the decoding curve, whose inner decoders `fit` gives from
-    index sets into `trials`, or the table of Beta outlier probabilities) is
-    made here, once per fold; the Beta table fills as the fold's policies
-    first meet each held-out window."""
+def _first_stops(rule, levels, traces):
+    """First firing window of each row of `levels` in each (n_windows,
+    n_classes) trace, shape (len(levels), n_trials), -1 where none fires. A
+    "bds" row holds each window's eta, which some score must exceed; a
+    "margin" row each window's threshold, which the top-two gap must reach;
+    a "fixed" row is the one window where every trace stops."""
+    levels = np.asarray(levels)
+    if rule == "fixed":
+        return np.repeat(levels[:, None], traces.shape[0], axis=1)
+    if rule == "bds":
+        # fmax skips a NaN score, as run_trial's test does, so a window fires
+        # exactly when any score exceeds eta.
+        fired = np.fmax.reduce(traces, axis=2) > levels[:, None]
+    else:
+        fired = _top_two_gap(traces) >= levels[:, None]
+    return np.where(fired.any(axis=2), np.argmax(fired, axis=2), -1)
+
+
+def _fold_stops(config, hyperparams, fit, trials, train_idx, model, grid, traces):
+    """:func:`_first_stops` of each hyperparameter on one fold's held-out
+    traces. What they share is made once: the stopping calibration, the
+    margin candidates, the decoding curve (its inner decoders `fit` gives
+    from index sets into `trials`), or the table of Beta outlier
+    probabilities, filled as the per-trace Beta runs first meet a window."""
     train = [trials[i] for i in train_idx]
-    if config.method == "bds":
-        return calibrate(model, train, grid, zeta=1.0).with_cost_ratio
-    if config.method == "margin":
-        traces = score_traces(model, train, grid, config.similarity)
-        return MarginCandidates(traces, [t.label for t in train]).table
     if config.method == "beta":
         table = {}
-        return lambda h: BetaPolicy(h, table)
+        return np.stack([BetaPolicy(h, table).first_stops(traces) for h in hyperparams])
+    if config.method == "bds":
+        base = calibrate(model, train, grid, zeta=1.0)
+        return _first_stops("bds", [base.with_cost_ratio(h).eta for h in hyperparams], traces)
+    if config.method == "margin":
+        candidates = MarginCandidates(score_traces(model, train, grid, config.similarity),
+                                      [t.label for t in train])
+        return _first_stops("margin", [candidates.table(h) for h in hyperparams], traces)
     if config.method == "fixed":
         seconds = grid / train[0].fs
-        return lambda h: FixedLengthPolicy(int(np.argmin(np.abs(seconds - h))))
+        return _first_stops("fixed", [np.argmin(np.abs(seconds - h)) for h in hyperparams],
+                            traces)
     curve = decoding_curve(
         lambda inner_sets: fit([train_idx[i] for i in inner_sets]),
         train, grid, model.templates.shape[0], similarity=config.similarity,
     )
     if config.method == "static_targeted_accuracy":
-        return lambda theta: FixedLengthPolicy(static_targeted_accuracy(curve, theta))
+        return _first_stops("fixed", [static_targeted_accuracy(curve, h) for h in hyperparams],
+                            traces)
     select = static_max_accuracy if config.method == "static_max_accuracy" else static_max_itr
-    return lambda _: FixedLengthPolicy(select(curve))
+    return _first_stops("fixed", [select(curve)] * len(hyperparams), traces)
 
 
 def _static_fits(stats, labels, n_folds):
@@ -225,13 +246,8 @@ def evaluate_store(trials, structures, config, subject="s01"):
     for fold, train_idx, model, traces in held_out_traces(
         fit, trials, config.folds, grid, config.similarity
     ):
-        rule = _fold_rule(config, fit, trials, train_idx, model, grid)
-        if config.method == "margin":
-            # Every θ compares one held-out top-two gap with its own thresholds.
-            gaps = _top_two_gap(traces)
-            fold_stops.append(np.stack([rule(h).gap_stops(gaps) for h in hyperparams]))
-        else:
-            fold_stops.append(np.stack([rule(h).first_stops(traces) for h in hyperparams]))
+        fold_stops.append(_fold_stops(config, hyperparams, fit, trials, train_idx, model,
+                                      grid, traces))
         fold_correct.append(np.argmax(traces, axis=2) == labels[fold, None])
 
     # One column per trial in fold order; a trial no rule stopped is forced

@@ -40,7 +40,6 @@ class StoreMeta:
     n_classes: int
     labels: list
     codebook: str | None = None
-    byte_order: str = "little"
 
 
 def write_store(path, trials, n_classes, codebook=None):
@@ -207,7 +206,6 @@ def read_store(path):
         n_classes=_require(manifest, "n_classes", int, lambda v: v > 0, "> 0"),
         labels=_require(manifest, "labels", list),
         codebook=manifest.get("codebook"),
-        byte_order=byte_order,
     )
     if not isinstance(meta.codebook, (str, type(None))):
         raise StoreError(f"manifest field 'codebook' has type {type(meta.codebook).__name__}")

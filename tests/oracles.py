@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from dynastop.baselines import FixedLengthPolicy, MarginPolicy
-from dynastop.bayes_stop import StopOutcome, StoppingModel
+from dynastop.baselines import _outlier_probability
+from dynastop.bayes_stop import StopOutcome
 from dynastop.decoding import RIDGE, DecoderModel, predict_templates
 from dynastop.metrics import DecisionCounts
 from dynastop.simulate import resolve_config
@@ -239,36 +239,38 @@ def oracle_scores(cfg, trials, window_samples, resolved=None):
     return out
 
 
-def window_decide(policy, scores, window_index):
-    """Reference per-window rule: the label a policy emits at one window, or
-    None to wait."""
-    if isinstance(policy, FixedLengthPolicy):
-        return int(np.argmax(scores)) if window_index >= policy.stop_window else None
-    if isinstance(policy, StoppingModel):
-        accepted = np.flatnonzero(scores > policy.eta[window_index])
+def window_decide(rule, levels, scores, window_index):
+    """Reference per-window rule: the label a rule emits at one window, or
+    None to wait. levels holds the rule's per-window levels: the boundaries
+    eta of "bds" and the margin thresholds of "margin"; for "fixed" it is
+    the stop window and for "beta" the target accuracy."""
+    if rule == "fixed":
+        return int(np.argmax(scores)) if window_index >= levels else None
+    if rule == "bds":
+        accepted = np.flatnonzero(scores > levels[window_index])
         return int(accepted[np.argmax(scores[accepted])]) if accepted.size else None
-    if isinstance(policy, MarginPolicy):
+    if rule == "margin":
         top_two = np.partition(scores, scores.size - 2)[-2:]
-        if top_two[1] - top_two[0] >= policy.thresholds[window_index]:
+        if top_two[1] - top_two[0] >= levels[window_index]:
             return int(np.argmax(scores))
         return None
-    return int(np.argmax(scores)) if policy.fires(scores) else None
+    return int(np.argmax(scores)) if _outlier_probability(scores) >= levels else None
 
 
-def apply_policy_loop(policy, trace):
+def apply_policy_loop(rule, levels, trace):
     """Reference run of any stopping rule over one trace: the per-window rule
     run window by window, forced to the last window when it never fires."""
     trace = np.asarray(trace, dtype=float)
     for w in range(trace.shape[0]):
-        label = window_decide(policy, trace[w], w)
+        label = window_decide(rule, levels, trace[w], w)
         if label is not None:
             return StopOutcome(w, int(label), False)
     return StopOutcome(trace.shape[0] - 1, int(np.argmax(trace[-1])), True)
 
 
-def first_stops_loop(policy, traces):
-    """Reference first_stops: each trial's window-loop stop, -1 when forced."""
-    outcomes = [apply_policy_loop(policy, trace) for trace in traces]
+def first_stops_loop(rule, levels, traces):
+    """Reference first stops: each trial's window-loop stop, -1 when forced."""
+    outcomes = [apply_policy_loop(rule, levels, trace) for trace in traces]
     return [-1 if o.forced else o.stopped_at for o in outcomes]
 
 

@@ -347,8 +347,8 @@ def test_criterion_10_baseline_selectors():
     traces = np.zeros((4, 1, 2))
     traces[:, 0, 0] = margins
     labels = np.array([1, 0, 0, 0])  # first trial misclassified
-    table = fit_margin(traces, labels, theta=0.99)
-    assert table.thresholds[0] == pytest.approx(0.2)
+    thresholds = fit_margin(traces, labels, theta=0.99)
+    assert thresholds[0] == pytest.approx(0.2)
     report(10, "static selectors and margin threshold match hand enumeration")
 
 

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from dynastop.baselines import (
     BetaPolicy,
     DecodingCurve,
-    FixedLengthPolicy,
     MarginCandidates,
-    MarginPolicy,
     apply_policy,
     beta_cdf,
     decoding_curve,
@@ -26,8 +24,8 @@ from dynastop.baselines import (
 )
 from dynastop.baselines import _outlier_probability
 from dynastop.bayes_stop import StopOutcome, StoppingModel, WindowParams, calibrate, run_trial
-from dynastop.decoding import TrialStatistics, fit_cca, score_traces
-from dynastop.evaluation import window_grid
+from dynastop.decoding import DecoderModel, Trial, TrialStatistics, fit_cca, score_traces
+from dynastop.evaluation import _first_stops, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
 from oracles import apply_policy_loop, first_stops_loop, stratified_folds_loop
 
@@ -89,28 +87,37 @@ def integer_traces(draw, max_trials=1, max_windows=6, max_classes=5):
 class TestFirstCrossingOracle:
     @settings(max_examples=300, deadline=None)
     @given(case=integer_traces(max_trials=6),
-           kind=st.sampled_from(["fixed", "boundary", "margin"]), data=st.data())
-    def test_matches_window_loop(self, case, kind, data):
+           rule=st.sampled_from(["fixed", "bds", "margin"]), data=st.data())
+    def test_matches_window_loop(self, case, rule, data):
         traces, _, rng = case
         n_windows = traces.shape[1]
-        if kind == "fixed":
-            policy = FixedLengthPolicy(data.draw(st.integers(-2, n_windows + 2)))
+        # One to three hyperparameters, each row stopping as its loop does.
+        if rule == "fixed":
+            rows = data.draw(st.lists(st.integers(0, n_windows - 1), min_size=1, max_size=3))
         else:
-            levels = data.draw(st.lists(LEVELS, min_size=n_windows, max_size=n_windows))
-            policy = (boundary_model if kind == "boundary" else MarginPolicy)(levels)
-        assert policy.first_stops(traces).tolist() == first_stops_loop(policy, traces)
+            rows = data.draw(st.lists(st.lists(LEVELS, min_size=n_windows, max_size=n_windows),
+                                      min_size=1, max_size=3))
+        stops = _first_stops(rule, rows, traces)
+        assert stops.tolist() == [first_stops_loop(rule, np.asarray(levels), traces)
+                                  for levels in rows]
 
     def test_random_traces_match_window_loop(self, rng):
         for _ in range(200):
             traces = np.clip(rng.standard_normal((3, 8, 6)).round(1) / 3.0, -1.0, 1.0)
             levels = np.where(rng.random(8) < 0.2, rng.choice([-np.inf, np.inf], 8),
                               rng.standard_normal(8).round(1) / 3.0)
-            beta = BetaPolicy(rng.choice([0.5, 0.9, 0.999]))
-            for policy in (boundary_model(levels), MarginPolicy(np.abs(levels)),
-                           FixedLengthPolicy(rng.integers(-1, 10)), beta):
-                assert policy.first_stops(traces).tolist() == first_stops_loop(policy, traces)
+            theta = rng.choice([0.5, 0.9, 0.999])
+            window = rng.integers(0, 8)
+            for rule, level, stops in (
+                ("bds", levels, _first_stops("bds", [levels], traces)[0]),
+                ("margin", np.abs(levels), _first_stops("margin", [np.abs(levels)], traces)[0]),
+                ("fixed", window, _first_stops("fixed", [window], traces)[0]),
+                ("beta", theta, BetaPolicy(theta).first_stops(traces)),
+            ):
+                assert stops.tolist() == first_stops_loop(rule, level, traces)
             for trace in traces:
-                assert apply_policy(beta, trace) == apply_policy_loop(beta, trace)
+                assert (apply_policy(BetaPolicy(theta), trace)
+                        == apply_policy_loop("beta", theta, trace))
 
 
 class TestFitMarginOracle:
@@ -123,8 +130,8 @@ class TestFitMarginOracle:
         # Accuracies k/n land exactly on a theta of that form as well.
         for value in (theta, 2 / 3, 0.5):
             expected = fit_margin_loop(traces, labels, value)
-            np.testing.assert_array_equal(fit_margin(traces, labels, value).thresholds, expected)
-            np.testing.assert_array_equal(shared.table(value).thresholds, expected)
+            np.testing.assert_array_equal(fit_margin(traces, labels, value), expected)
+            np.testing.assert_array_equal(shared.table(value), expected)
 
     def test_continuous_traces_match_candidate_loop(self, rng):
         traces = rng.standard_normal((144, 42, 36))
@@ -133,8 +140,8 @@ class TestFitMarginOracle:
         shared = MarginCandidates(traces, labels)
         for theta in (0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
             expected = fit_margin_loop(traces, labels, theta)
-            np.testing.assert_array_equal(fit_margin(traces, labels, theta).thresholds, expected)
-            np.testing.assert_array_equal(shared.table(theta).thresholds, expected)
+            np.testing.assert_array_equal(fit_margin(traces, labels, theta), expected)
+            np.testing.assert_array_equal(shared.table(theta), expected)
 
 
 # Correlation scores on which the Beta rule waits (the rest has no spread)
@@ -157,13 +164,12 @@ class TestFixedLengthPolicy:
     def test_first_and_last_window(self, rng):
         traces = rng.standard_normal((2, 4, 3))
         for window in (0, 3):
-            policy = FixedLengthPolicy(window)
-            assert policy.first_stops(traces).tolist() == [window] * 2
-            assert first_stops_loop(policy, traces) == [window] * 2
+            assert _first_stops("fixed", [window], traces).tolist() == [[window] * 2]
+            assert first_stops_loop("fixed", window, traces) == [window] * 2
 
     def test_constant_stopping_time(self, rng):
-        stops = FixedLengthPolicy(1).first_stops(rng.standard_normal((10, 4, 3)))
-        assert set(stops.tolist()) == {1}
+        stops = _first_stops("fixed", [1, 2], rng.standard_normal((10, 4, 3)))
+        assert stops.tolist() == [[1] * 10, [2] * 10]
 
 
 class TestBoundaryPolicy:
@@ -173,37 +179,53 @@ class TestBoundaryPolicy:
         grid = window_grid(100, 1.05, cfg.fs)
         stopping = calibrate(model, trials[:20], grid, zeta=1.0)
         traces = score_traces(model, trials[20:], grid, "inner")
-        assert stopping.first_stops(traces).tolist() == first_stops_loop(stopping, traces)
+        stops = _first_stops("bds", [stopping.eta], traces)[0]
+        assert stops.tolist() == first_stops_loop("bds", stopping.eta, traces)
         for trial, trace in zip(trials[20:], traces):
-            assert run_trial(stopping, model, trial) == apply_policy_loop(stopping, trace)
+            assert run_trial(stopping, model, trial) == apply_policy_loop("bds", stopping.eta,
+                                                                          trace)
+
+    @pytest.mark.parametrize("eta, stop", [([5.0, 2.5, 2.5], 2), ([-np.inf, 9.0, 9.0], 0),
+                                           ([9.0, 9.0, 9.0], -1)])
+    def test_nan_score_fires_only_when_another_class_exceeds_eta(self, eta, stop):
+        # Class 0 scores NaN at every window; class 1 scores 1, 2, 3 and
+        # class 2 scores 0, so only they can exceed eta.
+        model = DecoderModel(spatial_filter=np.ones(1), response=np.zeros(2),
+                             templates=np.array([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0],
+                                                 [0.0, 0.0, 0.0]]),
+                             fs=10.0, canonical_correlation=1.0)
+        trace = np.array([[np.nan, 1.0, 0.0], [np.nan, 2.0, 0.0], [np.nan, 3.0, 0.0]])
+        assert _first_stops("bds", [eta], trace[None]).tolist() == [[stop]]
+        assert first_stops_loop("bds", np.asarray(eta), trace[None]) == [stop]
+        outcome = run_trial(boundary_model(eta), model, Trial(np.ones((1, 3)), None, 10.0))
+        assert (outcome.stopped_at, outcome.forced) == (2 if stop < 0 else stop, stop < 0)
 
 
 class TestMarginPolicy:
     def test_infinite_thresholds_force_last(self, rng):
         traces = rng.standard_normal((3, 4, 3))
-        assert MarginPolicy([math.inf] * 4).first_stops(traces).tolist() == [-1] * 3
+        assert _first_stops("margin", [[math.inf] * 4], traces).tolist() == [[-1] * 3]
 
     def test_zero_thresholds_stop_first(self, rng):
         traces = rng.standard_normal((3, 4, 3))
-        assert MarginPolicy([0.0] * 4).first_stops(traces).tolist() == [0] * 3
+        assert _first_stops("margin", [[0.0] * 4], traces).tolist() == [[0] * 3]
 
     def test_scripted_crossing(self):
         trace = np.array(
             [[0.5, 0.4, 0.1], [0.6, 0.4, 0.1], [0.9, 0.4, 0.1], [1.5, 0.4, 0.1]]
         )
-        policy = MarginPolicy([0.4, 0.4, 0.4, 0.4])
+        thresholds = [0.4, 0.4, 0.4, 0.4]
         # margin 0.5 >= 0.4 first met at window 2
-        assert policy.first_stops(trace[None]).tolist() == [2]
-        assert apply_policy_loop(policy, trace) == StopOutcome(2, 0, False)
+        assert _first_stops("margin", [thresholds], trace[None]).tolist() == [[2]]
+        assert apply_policy_loop("margin", thresholds, trace) == StopOutcome(2, 0, False)
 
     def test_stopping_time_monotone_in_thresholds(self, rng):
         traces = rng.standard_normal((20, 6, 4))
         loose = np.abs(rng.standard_normal(6))
         tight = loose + np.abs(rng.standard_normal(6))
         # A trial that never stops (-1) stops after every window that does.
-        early, late = (np.where(s < 0, 6, s) for s in
-                       (MarginPolicy(loose).first_stops(traces),
-                        MarginPolicy(tight).first_stops(traces)))
+        stops = _first_stops("margin", [loose, tight], traces)
+        early, late = np.where(stops < 0, 6, stops)
         assert np.all(early <= late)
 
 
@@ -222,26 +244,26 @@ class TestFitMargin:
         traces, labels = self.traces_with_margins(
             [0.1, 0.2, 0.3, 0.4], [False, True, True, True]
         )
-        table = fit_margin(traces, labels, theta=0.99)
-        assert table.thresholds[0] == pytest.approx(0.2)
+        thresholds = fit_margin(traces, labels, theta=0.99)
+        assert thresholds[0] == pytest.approx(0.2)
 
     def test_all_correct_gives_minimum_margin(self):
         traces, labels = self.traces_with_margins([0.3, 0.1, 0.7], [True, True, True])
-        table = fit_margin(traces, labels, theta=0.99)
-        assert table.thresholds[0] == pytest.approx(0.1)
+        thresholds = fit_margin(traces, labels, theta=0.99)
+        assert thresholds[0] == pytest.approx(0.1)
 
     def test_unreachable_target_gives_infinity(self):
         traces, labels = self.traces_with_margins([0.1, 0.2], [False, False])
-        table = fit_margin(traces, labels, theta=0.5)
-        assert table.thresholds[0] == math.inf
+        thresholds = fit_margin(traces, labels, theta=0.5)
+        assert thresholds[0] == math.inf
 
     def test_theta_zero_gives_minimum_observed(self, rng):
         traces = rng.standard_normal((12, 3, 4))
         labels = rng.integers(0, 4, 12)
-        table = fit_margin(traces, labels, theta=0.0)
+        thresholds = fit_margin(traces, labels, theta=0.0)
         top_two = np.sort(traces, axis=2)[:, :, -2:]
         margins = top_two[:, :, 1] - top_two[:, :, 0]
-        np.testing.assert_allclose(table.thresholds, margins.min(axis=0))
+        np.testing.assert_allclose(thresholds, margins.min(axis=0))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
@@ -561,7 +583,8 @@ class TestPolicySerialization:
         assert back.zeta == stopping.zeta
         # The model read back is the bds policy itself.
         traces = score_traces(model, trials, [12, 126], "inner")
-        np.testing.assert_array_equal(back.first_stops(traces), stopping.first_stops(traces))
+        np.testing.assert_array_equal(_first_stops("bds", [back.eta], traces),
+                                      _first_stops("bds", [stopping.eta], traces))
 
     def test_unknown_kind_rejected(self):
         # bds is the one kind a model is written as.

@@ -22,7 +22,7 @@ from dynastop.bayes_stop import (
     window_params,
 )
 from dynastop.decoding import DecoderModel, Trial, fit_cca, score_traces
-from dynastop.evaluation import window_grid
+from dynastop.evaluation import _first_stops, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
 from oracles import log_likelihood_ratio, prefix_scores
 
@@ -658,7 +658,7 @@ class TestRunTrialOracle:
         assert outcome == window_run_trial(stopping, model, trial)
         trace = np.array([prefix_scores(model, trial, w, "inner") for w in grid])
         first = -1 if outcome.forced else outcome.stopped_at
-        assert stopping.first_stops(trace[None]).tolist() == [first]
+        assert _first_stops("bds", [stopping.eta], trace[None]).tolist() == [[first]]
 
     def test_paper_length_session_matches_window_loop(self):
         cfg = SimConfig(n_classes=36, n_channels=8, trial_seconds=4.2, sigma=3.0, seed=23)
@@ -674,17 +674,17 @@ class TestRunTrialOracle:
                     stopping, model, trial)
 
     def test_small_sim_matches_model_first_stops(self, small_sim):
-        # The online controller and the model's batched rule stop every trial
-        # at the same window and emit the argmax there.
+        # The online controller and the harness's batched bds rule stop
+        # every trial at the same window and emit the argmax there.
         cfg, sim, trials = small_sim
         model = fit_cca(trials[:20], sim.structures)
         grid = window_grid(100.0, cfg.trial_seconds, cfg.fs)
         traces = score_traces(model, trials, grid, "inner")
         base = calibrate(model, trials[:20], grid, zeta=1.0)
-        for zeta in (1e-4, 1e-2, 1.0, 1e2, 1e4):
-            stopping = base.with_cost_ratio(zeta)
-            first = stopping.first_stops(traces)
-            for trial, trace, stop in zip(trials, traces, first):
+        stoppings = [base.with_cost_ratio(zeta) for zeta in (1e-4, 1e-2, 1.0, 1e2, 1e4)]
+        first = _first_stops("bds", [stopping.eta for stopping in stoppings], traces)
+        for stopping, stops in zip(stoppings, first):
+            for trial, trace, stop in zip(trials, traces, stops):
                 want = StopOutcome(grid.size - 1 if stop < 0 else int(stop),
                                    int(np.argmax(trace[stop])), bool(stop < 0))
                 assert run_trial(stopping, model, trial) == want

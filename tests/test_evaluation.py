@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from dynastop import baselines, evaluation, metrics
-from dynastop.baselines import BetaPolicy, MarginPolicy, stratified_folds
+from dynastop.baselines import (
+    decoding_curve,
+    fit_margin,
+    static_max_accuracy,
+    static_max_itr,
+    static_targeted_accuracy,
+    stratified_folds,
+)
+from dynastop.bayes_stop import calibrate
 from dynastop.decoding import (
     TrialStatistics,
     _inverse_sqrt,
@@ -15,13 +23,37 @@ from dynastop.decoding import (
 from dynastop.evaluation import (
     ConfigError,
     ExperimentConfig,
-    _fold_rule,
     check_method,
     evaluate_store,
     window_grid,
 )
 from dynastop.metrics import count_decisions
 from oracles import apply_policy_loop, pooled
+
+
+def fold_rules_loop(config, hyperparams, stats, trials, train_idx, model, grid):
+    """Reference rules of one fold: each hyperparameter's rule kind and
+    levels for apply_policy_loop, from the fold's training split alone: the
+    boundaries of a calibration at each cost ratio, fit_margin's thresholds,
+    the window nearest a fixed length, or a static selector's window."""
+    train = [trials[i] for i in train_idx]
+    if config.method == "beta":
+        return {h: ("beta", h) for h in hyperparams}
+    if config.method == "bds":
+        return {h: ("bds", calibrate(model, train, grid, zeta=h).eta) for h in hyperparams}
+    if config.method == "margin":
+        traces = score_traces(model, train, grid, config.similarity)
+        return {h: ("margin", fit_margin(traces, [t.label for t in train], h))
+                for h in hyperparams}
+    if config.method == "fixed":
+        seconds = grid / train[0].fs
+        return {h: ("fixed", int(np.argmin(np.abs(seconds - h)))) for h in hyperparams}
+    curve = decoding_curve(lambda sets: stats.fit_many([train_idx[s] for s in sets]),
+                           train, grid, model.templates.shape[0], config.similarity)
+    select = {"static_targeted_accuracy": static_targeted_accuracy,
+              "static_max_accuracy": lambda c, _: static_max_accuracy(c),
+              "static_max_itr": lambda c, _: static_max_itr(c)}[config.method]
+    return {h: ("fixed", select(curve, h)) for h in hyperparams}
 
 
 def evaluate_store_loop(trials, structures, config, subject="s01"):
@@ -45,17 +77,13 @@ def evaluate_store_loop(trials, structures, config, subject="s01"):
         mask[fold] = False
         train_idx = np.flatnonzero(mask)
         model = stats.fit(train_idx)
-        if config.method == "beta":
-            # Each θ computes every window afresh, sharing no table.
-            policy_by_h = {h: BetaPolicy(h) for h in hyperparams}
-        else:
-            rule = _fold_rule(config, stats.fit_many, trials, train_idx, model, grid)
-            policy_by_h = {h: rule(h) for h in hyperparams}
+        # The oracle's beta rule computes every window afresh, sharing no table.
+        rules = fold_rules_loop(config, hyperparams, stats, trials, train_idx, model, grid)
         traces = score_traces(model, [trials[i] for i in fold], grid, config.similarity)
         argmax_correct = np.argmax(traces, axis=2) == labels[fold, None]
         for trace, label, correct in zip(traces, labels[fold], argmax_correct):
             for h in hyperparams:
-                outcome = apply_policy_loop(policy_by_h[h], trace)
+                outcome = apply_policy_loop(*rules[h], trace)
                 hits[h].append(outcome.label == label)
                 stop_seconds[h].append(grid[outcome.stopped_at] / fs)
                 counts[h].append(count_decisions(outcome, correct))
@@ -120,6 +148,11 @@ class TestExperimentConfig:
         # Each rejected setting raises ConfigError naming its field.
         for settings, field in [
             ({"folds": 1}, "folds"),
+            # Not a bare TypeError from the fold split, naming no field.
+            ({"folds": 3.0}, "folds"),
+            ({"folds": 2.5}, "folds"),
+            ({"folds": "5"}, "folds"),
+            ({"folds": True}, "folds"),
             ({"grid_ms": 0}, "grid_ms"),
             ({"grid_ms": float("nan")}, "grid_ms"),
             ({"t_star_s": 0.0}, "t_star_s"),
@@ -135,6 +168,9 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig(**{"method": "bds", "hyperparams": [1.0], **settings})
             assert err.value.field == field, settings
+
+    def test_accepts_numpy_integer_folds(self):
+        assert ExperimentConfig(method="fixed", hyperparams=[0.3], folds=np.int64(3)).folds == 3
 
     def test_frozen_with_hyperparams_as_tuple(self):
         config = ExperimentConfig(method="fixed", hyperparams=[0.5, 0.2])
@@ -282,7 +318,7 @@ class TestEvaluateStore:
         labels = np.array([t.label for t in trials])
         folds = stratified_folds(labels, 5)
         grid = window_grid(100, 1.05, cfg.fs)
-        policy = MarginPolicy(np.full(grid.size, 2.0))
+        thresholds = np.full(grid.size, 2.0)
         counts = []
         expected_positive_windows = 0
         for fold in folds:
@@ -292,7 +328,7 @@ class TestEvaluateStore:
             for idx in fold:
                 trace = score_trace(model, trials[idx], grid, "inner")
                 correct = np.argmax(trace, axis=1) == trials[idx].label
-                outcome = apply_policy_loop(policy, trace)
+                outcome = apply_policy_loop("margin", thresholds, trace)
                 counts.append(count_decisions(outcome, correct))
                 expected_positive_windows += int(
                     correct[: outcome.stopped_at + 1].sum()

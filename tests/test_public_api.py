@@ -11,9 +11,8 @@ import dynastop
 # when this list does.
 PUBLIC_API = {
     # baselines
-    "DecodingCurve", "FixedLengthPolicy", "MarginPolicy", "apply_policy", "beta_cdf",
-    "decoding_curve", "deserialize_policy", "serialize_policy", "static_max_accuracy",
-    "static_max_itr",
+    "DecodingCurve", "apply_policy", "beta_cdf", "decoding_curve", "deserialize_policy",
+    "serialize_policy", "static_max_accuracy", "static_max_itr",
     # bayes_stop
     "StopOutcome", "StoppingModel", "WindowParams", "calibrate", "decision_boundary",
     "estimate_scaling_and_noise", "run_trial",

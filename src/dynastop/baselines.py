@@ -1,9 +1,10 @@
 """Comparison stopping strategies and what each is calibrated from: the
 cross-validated decoding curve that the three static selectors pick one
 window from, the score-margin thresholds, and the Beta-distribution outlier
-rule, which runs trace by trace; plus the cross-validation folds and the
-JSON codec of the calibrated bds model. The harness in evaluation.py turns
-each into stop windows.
+rule, whose strictest target runs once per trace to fill the outlier
+probabilities every target is compared with; plus the cross-validation
+folds and the JSON codec of the calibrated bds model. The harness in
+evaluation.py turns each into stop windows.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .bayes_stop import StopOutcome, StoppingModel, WindowParams
+from .bayes_stop import StopOutcome, StoppingModel, WindowParams, _best_class
 from .decoding import score_traces
 
 
@@ -26,7 +27,7 @@ def apply_policy(policy, trace):
     forced = stop is None
     if forced:
         stop = trace.shape[0] - 1
-    return StopOutcome(stop, int(np.argmax(trace[stop])), forced)
+    return StopOutcome(stop, _best_class(trace[stop]), forced)
 
 
 def _top_two_gap(traces):
@@ -48,31 +49,19 @@ class BetaPolicy:
     CDF at the mapped maximum, the window's outlier probability, reaches the
     target accuracy. Only meaningful for bounded (correlation) scores.
 
-    The outlier probability does not depend on the target, so the policies
-    of a sweep may share one dict `table` from a window's score bytes to it,
-    filled as windows are first met; without a table every window is
-    computed and nothing is kept. Windows are tested one at a time, because
-    the rule usually fires at the first, and first_stops runs apply_policy on
-    each trace: a batch of every window's probability with the same bits was
-    slower at paper length.
+    fires keeps each probability it computes, in order, in `probabilities`:
+    the harness runs only the strictest target through apply_policy, once
+    per trace, and compares every target with what that run kept.
     """
 
-    def __init__(self, target_accuracy, table=None):
+    def __init__(self, target_accuracy):
         self.target_accuracy = float(target_accuracy)
-        self.table = table
-
-    def first_stops(self, traces):
-        outcomes = [apply_policy(self, trace) for trace in traces]
-        return np.array([-1 if o.forced else o.stopped_at for o in outcomes], dtype=int)
+        self.probabilities = []
 
     def fires(self, scores):
         """Whether the rule fires on one window's scores."""
-        if self.table is None:
-            return _outlier_probability(scores) >= self.target_accuracy
-        key = np.asarray(scores, dtype=float).tobytes()
-        if (probability := self.table.get(key)) is None:
-            probability = self.table[key] = _outlier_probability(scores)
-        return probability >= self.target_accuracy
+        self.probabilities.append(_outlier_probability(scores))
+        return self.probabilities[-1] >= self.target_accuracy
 
 
 def _outlier_probability(scores):

@@ -35,14 +35,25 @@ class StopOutcome:
     """Result of running the controller on one trial.
 
     stopped_at is the grid index of the single stop decision; every earlier
-    window continued. label is the best-scoring class at the stop. forced
-    marks a stop that happened only because the maximum trial length was
-    reached.
+    window continued. label is the best-scoring class at the stop
+    (:func:`_best_class`). forced marks a stop that happened only because
+    the maximum trial length was reached.
     """
 
     stopped_at: int
     label: int
     forced: bool
+
+
+def _best_class(scores):
+    """Index of the best score, passing over a NaN score as the firing tests
+    do (np.argmax would pick it); 0 when every score is NaN."""
+    best = int(np.argmax(scores))
+    if math.isnan(scores[best]):
+        # Not np.nanargmax, which ties a NaN with a -inf score and may pick it.
+        numbers = np.flatnonzero(~np.isnan(scores))
+        best = int(numbers[np.argmax(scores[numbers])]) if numbers.size else 0
+    return best
 
 
 @dataclass
@@ -340,11 +351,11 @@ def run_trial(stopping, model, trial):
     At each grid window the per-class inner-product scores are compared with
     the window's boundary; the first window where any score exceeds it stops
     the trial. Reaching the last window without a crossing forces the stop
-    there. Either way the trial emits its best-scoring class: a score above
-    the boundary puts the maximum above it too. The scores are running sums:
-    each window adds the templates' products with the segment filtered since
-    the previous window, so a trial that stops at window k costs k segment
-    products.
+    there. Either way the trial emits its best-scoring class, passing over a
+    NaN score: a score above the boundary puts the maximum above it too. The
+    scores are running sums: each window adds the templates' products with
+    the segment filtered since the previous window, so a trial that stops at
+    window k costs k segment products.
     """
     if trial.data.shape[1] < stopping.t_star:
         raise ValueError("trial shorter than the maximum trial length")
@@ -362,5 +373,5 @@ def run_trial(stopping, model, trial):
         # fmax skips a NaN score, so this fires exactly when any score exceeds eta.
         fired = np.fmax.reduce(scores) > eta[idx]
         if fired or idx == last:
-            return StopOutcome(idx, int(np.argmax(scores)), not fired)
+            return StopOutcome(idx, _best_class(scores), not fired)
     raise AssertionError("unreachable: grid is never empty")

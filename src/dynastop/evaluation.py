@@ -13,6 +13,7 @@ from .baselines import (
     BetaPolicy,
     MarginCandidates,
     _top_two_gap,
+    apply_policy,
     curve_folds,
     decoding_curve,
     fold_splits,
@@ -44,12 +45,22 @@ class ConfigError(ValueError):
         self.field = field
 
 
+def _is_real(value):
+    """Whether value is a real number; a bool, an int subclass, is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _finite(value):
+    """Whether value is a finite real number."""
+    return _is_real(value) and math.isfinite(value)
+
+
 def _check_grid(grid_ms, t_star_s):
     """The rules of a decision grid that hold whatever the sampling rate;
     t_star_s None stands for the whole trial."""
-    if not (math.isfinite(grid_ms) and grid_ms > 0):
+    if not (_finite(grid_ms) and grid_ms > 0):
         raise ConfigError("grid_ms", f"grid step must be finite and > 0 ms, got {grid_ms!r}")
-    if t_star_s is not None and not (math.isfinite(t_star_s) and t_star_s > 0):
+    if t_star_s is not None and not (_finite(t_star_s) and t_star_s > 0):
         raise ConfigError("t_star_s", f"t_star must be finite and > 0 s, got {t_star_s!r}")
 
 
@@ -79,7 +90,7 @@ def window_grid(grid_ms, t_star_s, fs):
 
 def check_method(method, similarity, hyperparams):
     """Validate a method/similarity/hyperparameter combination; every
-    hyperparameter must be finite and lie in the method's domain."""
+    hyperparameter must be a finite real number in the method's domain."""
     if method not in METHODS:
         raise ConfigError("method",
                           f"unknown method {method!r}; expected one of {', '.join(METHODS)}")
@@ -94,6 +105,8 @@ def check_method(method, similarity, hyperparams):
     if not METHODS[method] and hyperparams:
         raise ConfigError("hyperparams", f"method {method!r} takes no hyperparameter")
     for h in hyperparams:
+        if not _is_real(h):
+            raise ConfigError("hyperparams", f"{method} needs real numbers, got {h!r}")
         domain, inside = METHODS[method]
         if not (math.isfinite(h) and inside(h)):
             raise ConfigError("hyperparams",
@@ -121,7 +134,7 @@ class ExperimentConfig:
         if not isinstance(self.folds, (int, np.integer)) or self.folds < 2:
             raise ConfigError("folds", f"folds must be an integer >= 2, got {self.folds!r}")
         _check_grid(self.grid_ms, self.t_star_s)
-        if not (math.isfinite(self.overhead_s) and self.overhead_s >= 0):
+        if not (_finite(self.overhead_s) and self.overhead_s >= 0):
             raise ConfigError(
                 "overhead_s", f"overhead_s must be finite and >= 0, got {self.overhead_s!r}"
             )
@@ -144,7 +157,8 @@ def _first_stops(rule, levels, traces):
     n_classes) trace, shape (len(levels), n_trials), -1 where none fires. A
     "bds" row holds each window's eta, which some score must exceed; a
     "margin" row each window's threshold, which the top-two gap must reach;
-    a "fixed" row is the one window where every trace stops."""
+    a "fixed" row is the one window where every trace stops; a "beta" level
+    one θ, which (n_trials, n_windows) outlier probabilities must reach."""
     levels = np.asarray(levels)
     if rule == "fixed":
         return np.repeat(levels[:, None], traces.shape[0], axis=1)
@@ -152,6 +166,8 @@ def _first_stops(rule, levels, traces):
         # fmax skips a NaN score, as run_trial's test does, so a window fires
         # exactly when any score exceeds eta.
         fired = np.fmax.reduce(traces, axis=2) > levels[:, None]
+    elif rule == "beta":
+        fired = traces >= levels[:, None, None]
     else:
         fired = _top_two_gap(traces) >= levels[:, None]
     return np.where(fired.any(axis=2), np.argmax(fired, axis=2), -1)
@@ -161,12 +177,16 @@ def _fold_stops(config, hyperparams, fit, trials, train_idx, model, grid, traces
     """:func:`_first_stops` of each hyperparameter on one fold's held-out
     traces. What they share is made once: the stopping calibration, the
     margin candidates, the decoding curve (its inner decoders `fit` gives
-    from index sets into `trials`), or the table of Beta outlier
-    probabilities, filled as the per-trace Beta runs first meet a window."""
+    from index sets into `trials`), or the Beta outlier probabilities."""
     train = [trials[i] for i in train_idx]
     if config.method == "beta":
-        table = {}
-        return np.stack([BetaPolicy(h, table).first_stops(traces) for h in hyperparams])
+        # A lower θ fires no later than the strictest, whose one run per trace
+        # computes every probability any θ reads; past its stop they are -inf.
+        probabilities = np.full(traces.shape[:2], -np.inf)
+        for row, trace in zip(probabilities, traces):
+            apply_policy(policy := BetaPolicy(max(hyperparams)), trace)
+            row[:len(policy.probabilities)] = policy.probabilities
+        return _first_stops("beta", hyperparams, probabilities)
     if config.method == "bds":
         base = calibrate(model, train, grid, zeta=1.0)
         return _first_stops("bds", [base.with_cost_ratio(h).eta for h in hyperparams], traces)

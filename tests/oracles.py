@@ -257,6 +257,13 @@ def window_decide(rule, levels, scores, window_index):
     return int(np.argmax(scores)) if _outlier_probability(scores) >= levels else None
 
 
+def best_class_loop(scores):
+    """Reference emitted class: the first best score that is not NaN, class
+    0 when every score is NaN."""
+    numbers = [k for k in range(len(scores)) if not math.isnan(scores[k])]
+    return max(numbers, key=lambda k: scores[k], default=0)
+
+
 def apply_policy_loop(rule, levels, trace):
     """Reference run of any stopping rule over one trace: the per-window rule
     run window by window, forced to the last window when it never fires."""
@@ -265,7 +272,7 @@ def apply_policy_loop(rule, levels, trace):
         label = window_decide(rule, levels, trace[w], w)
         if label is not None:
             return StopOutcome(w, int(label), False)
-    return StopOutcome(trace.shape[0] - 1, int(np.argmax(trace[-1])), True)
+    return StopOutcome(trace.shape[0] - 1, best_class_loop(trace[-1]), True)
 
 
 def first_stops_loop(rule, levels, traces):

@@ -23,11 +23,18 @@ from dynastop.baselines import (
     stratified_folds,
 )
 from dynastop.baselines import _outlier_probability
-from dynastop.bayes_stop import StopOutcome, StoppingModel, WindowParams, calibrate, run_trial
+from dynastop.bayes_stop import (
+    StopOutcome,
+    StoppingModel,
+    WindowParams,
+    _best_class,
+    calibrate,
+    run_trial,
+)
 from dynastop.decoding import DecoderModel, Trial, TrialStatistics, fit_cca, score_traces
-from dynastop.evaluation import _first_stops, window_grid
+from dynastop.evaluation import ExperimentConfig, _first_stops, _fold_stops, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
-from oracles import apply_policy_loop, first_stops_loop, stratified_folds_loop
+from oracles import apply_policy_loop, best_class_loop, first_stops_loop, stratified_folds_loop
 
 
 def simpson_beta_cdf(x, a, b, n=20001):
@@ -106,15 +113,19 @@ class TestFirstCrossingOracle:
             traces = np.clip(rng.standard_normal((3, 8, 6)).round(1) / 3.0, -1.0, 1.0)
             levels = np.where(rng.random(8) < 0.2, rng.choice([-np.inf, np.inf], 8),
                               rng.standard_normal(8).round(1) / 3.0)
-            theta = rng.choice([0.5, 0.9, 0.999])
+            # Four draws of three values: a duplicate θ every time, often unsorted.
+            thetas = rng.choice([0.5, 0.9, 0.999], 4).tolist()
+            theta = thetas[0]
             window = rng.integers(0, 8)
             for rule, level, stops in (
                 ("bds", levels, _first_stops("bds", [levels], traces)[0]),
                 ("margin", np.abs(levels), _first_stops("margin", [np.abs(levels)], traces)[0]),
                 ("fixed", window, _first_stops("fixed", [window], traces)[0]),
-                ("beta", theta, BetaPolicy(theta).first_stops(traces)),
             ):
                 assert stops.tolist() == first_stops_loop(rule, level, traces)
+            config = ExperimentConfig(method="beta", similarity="correlation", hyperparams=thetas)
+            stops = _fold_stops(config, thetas, None, [], [], None, None, traces)
+            assert stops.tolist() == [first_stops_loop("beta", h, traces) for h in thetas]
             for trace in traces:
                 assert (apply_policy(BetaPolicy(theta), trace)
                         == apply_policy_loop("beta", theta, trace))
@@ -185,20 +196,41 @@ class TestBoundaryPolicy:
             assert run_trial(stopping, model, trial) == apply_policy_loop("bds", stopping.eta,
                                                                           trace)
 
-    @pytest.mark.parametrize("eta, stop", [([5.0, 2.5, 2.5], 2), ([-np.inf, 9.0, 9.0], 0),
-                                           ([9.0, 9.0, 9.0], -1)])
-    def test_nan_score_fires_only_when_another_class_exceeds_eta(self, eta, stop):
-        # Class 0 scores NaN at every window; class 1 scores 1, 2, 3 and
-        # class 2 scores 0, so only they can exceed eta.
-        model = DecoderModel(spatial_filter=np.ones(1), response=np.zeros(2),
+    # Class 0 scores NaN at every window; class 1 scores 1, 2, 3 and class 2
+    # scores 0, so only they can exceed eta.
+    NAN_MODEL = DecoderModel(spatial_filter=np.ones(1), response=np.zeros(2),
                              templates=np.array([[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0],
                                                  [0.0, 0.0, 0.0]]),
                              fs=10.0, canonical_correlation=1.0)
-        trace = np.array([[np.nan, 1.0, 0.0], [np.nan, 2.0, 0.0], [np.nan, 3.0, 0.0]])
+    NAN_TRACE = np.array([[np.nan, 1.0, 0.0], [np.nan, 2.0, 0.0], [np.nan, 3.0, 0.0]])
+    NAN_CASES = [([5.0, 2.5, 2.5], 2), ([-np.inf, 9.0, 9.0], 0), ([9.0, 9.0, 9.0], -1)]
+
+    @pytest.mark.parametrize("eta, stop", NAN_CASES)
+    def test_nan_score_fires_only_when_another_class_exceeds_eta(self, eta, stop):
+        trace = self.NAN_TRACE
         assert _first_stops("bds", [eta], trace[None]).tolist() == [[stop]]
         assert first_stops_loop("bds", np.asarray(eta), trace[None]) == [stop]
-        outcome = run_trial(boundary_model(eta), model, Trial(np.ones((1, 3)), None, 10.0))
+        outcome = run_trial(boundary_model(eta), self.NAN_MODEL,
+                            Trial(np.ones((1, 3)), None, 10.0))
         assert (outcome.stopped_at, outcome.forced) == (2 if stop < 0 else stop, stop < 0)
+
+    @pytest.mark.parametrize("eta, stop", NAN_CASES)
+    def test_nan_score_is_never_the_emitted_class(self, eta, stop):
+        # Class 1 crossed, or leads at the forced stop; np.argmax would emit
+        # the NaN class 0.
+        outcome = run_trial(boundary_model(eta), self.NAN_MODEL,
+                            Trial(np.ones((1, 3)), None, 10.0))
+        assert outcome.label == 1
+        assert outcome == apply_policy_loop("bds", np.asarray(eta), self.NAN_TRACE)
+        # A NaN leaves no Beta fit, so the Beta rule runs to a forced stop.
+        assert apply_policy(BetaPolicy(0.5), self.NAN_TRACE) == StopOutcome(2, 1, True)
+
+    def test_best_class_passes_over_nan(self, rng):
+        assert _best_class(np.array([np.nan, -np.inf, np.nan])) == 1
+        assert _best_class(np.array([np.nan, np.nan])) == 0
+        for _ in range(300):
+            scores = rng.choice([np.nan, -np.inf, -1.0, 0.0, 1.0, np.inf], rng.integers(1, 6))
+            assert _best_class(scores) == best_class_loop(scores)
 
 
 class TestMarginPolicy:

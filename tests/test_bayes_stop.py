@@ -24,7 +24,7 @@ from dynastop.bayes_stop import (
 from dynastop.decoding import DecoderModel, Trial, fit_cca, score_traces
 from dynastop.evaluation import _first_stops, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
-from oracles import log_likelihood_ratio, prefix_scores
+from oracles import best_class_loop, log_likelihood_ratio, prefix_scores
 
 
 def window_run_trial(stopping, model, trial):
@@ -39,7 +39,7 @@ def window_run_trial(stopping, model, trial):
             label = int(accepted[np.argmax(scores[accepted])])
             return StopOutcome(idx, label, False)
         if idx == last:
-            return StopOutcome(idx, int(np.argmax(scores)), True)
+            return StopOutcome(idx, best_class_loop(scores), True)
     raise AssertionError("unreachable: grid is never empty")
 
 

@@ -164,6 +164,18 @@ class TestExperimentConfig:
             ({"hyperparams": []}, "hyperparams"),
             ({"overhead_s": -1.0}, "overhead_s"),
             ({"overhead_s": float("nan")}, "overhead_s"),
+            # Not a bare TypeError naming no field, and a bool is not a number.
+            ({"hyperparams": ["1"]}, "hyperparams"),
+            ({"hyperparams": [True]}, "hyperparams"),
+            ({"hyperparams": [1.0, np.bool_(True)]}, "hyperparams"),
+            ({"hyperparams": [None]}, "hyperparams"),
+            ({"grid_ms": "100"}, "grid_ms"),
+            ({"grid_ms": True}, "grid_ms"),
+            ({"t_star_s": "1"}, "t_star_s"),
+            ({"t_star_s": True}, "t_star_s"),
+            ({"overhead_s": "0"}, "overhead_s"),
+            ({"overhead_s": False}, "overhead_s"),
+            ({"overhead_s": None}, "overhead_s"),
         ]:
             with pytest.raises(ConfigError) as err:
                 ExperimentConfig(**{"method": "bds", "hyperparams": [1.0], **settings})
@@ -171,6 +183,11 @@ class TestExperimentConfig:
 
     def test_accepts_numpy_integer_folds(self):
         assert ExperimentConfig(method="fixed", hyperparams=[0.3], folds=np.int64(3)).folds == 3
+
+    def test_accepts_numpy_and_int_reals(self):
+        config = ExperimentConfig(method="fixed", hyperparams=[np.float32(0.5), 1],
+                                  grid_ms=np.int64(50), t_star_s=np.float64(0.5), overhead_s=0)
+        assert config.hyperparams == (0.5, 1)
 
     def test_frozen_with_hyperparams_as_tuple(self):
         config = ExperimentConfig(method="fixed", hyperparams=[0.5, 0.2])
@@ -431,21 +448,22 @@ class TestEvaluateStore:
         assert counts[0] == counts[1] > 0
 
     def test_beta_sweep_runs_each_trace_through_apply_policy(self, small_sim, monkeypatch):
-        # Per-trace runs of the whole grid are what a traced pass counts.
+        # One run of the strictest θ over the whole grid per held-out trace,
+        # whatever the θ list: what a traced pass counts.
         cfg, sim, trials = small_sim
-        original = baselines.apply_policy
-        spans = []
+        original = evaluation.apply_policy
+        runs = []
 
         def counting(policy, trace):
-            spans.append(len(trace))
+            runs.append((policy.target_accuracy, len(trace)))
             return original(policy, trace)
 
-        monkeypatch.setattr(baselines, "apply_policy", counting)
+        monkeypatch.setattr(evaluation, "apply_policy", counting)
         config = ExperimentConfig(method="beta", similarity="correlation",
-                                  hyperparams=[0.5, 0.9, 0.5, 0.99], folds=5, t_star_s=0.55)
+                                  hyperparams=[0.5, 0.99, 0.5, 0.9], folds=5, t_star_s=0.55)
         evaluate_store(trials, sim.structures, config)
         grid = config.decision_grid(cfg.fs, trials[0].data.shape[1])
-        assert spans == [grid.size] * (len(trials) * 3)
+        assert runs == [(0.99, grid.size)] * len(trials)
 
     def test_static_sweep_builds_one_curve_per_fold(self, small_sim, monkeypatch):
         # Five outer fits, and five inner fits for each fold's decoding curve,

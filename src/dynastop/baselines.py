@@ -68,13 +68,18 @@ def _outlier_probability(scores):
     """The Beta CDF at one window's mapped top score under the fit to the
     rest; -inf where no Beta fits the rest, or only one with a + b past
     :func:`beta_cdf`'s range (a mapped sd of the rest below about 0.003)."""
-    mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, _BETA_EPSILON, 1.0 - _BETA_EPSILON)
+    # np.clip, .mean() and .var() by hand: the same element-wise operations
+    # and pairwise sums, without numpy's Python-level wrappers.
+    mapped = (np.asarray(scores) + 1.0) / 2.0
+    np.maximum(mapped, _BETA_EPSILON, out=mapped)
+    np.minimum(mapped, 1.0 - _BETA_EPSILON, out=mapped)
     top = mapped.max()
     rest = mapped[mapped < top]
     if rest.size < 2:
         return -math.inf
-    mean = rest.mean()
-    var = rest.var()
+    mean = np.add.reduce(rest) / rest.size
+    d = rest - mean
+    var = np.add.reduce(d * d) / rest.size
     if var <= 0.0 or var >= mean * (1.0 - mean):
         return -math.inf
     common = mean * (1.0 - mean) / var - 1.0

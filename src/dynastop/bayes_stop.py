@@ -48,7 +48,7 @@ class StopOutcome:
 def _best_class(scores):
     """Index of the best score, passing over a NaN score as the firing tests
     do (np.argmax would pick it); 0 when every score is NaN."""
-    best = int(np.argmax(scores))
+    best = int(scores.argmax())
     if math.isnan(scores[best]):
         # Not np.nanargmax, which ties a NaN with a -inf score and may pick it.
         numbers = np.flatnonzero(~np.isnan(scores))
@@ -352,26 +352,45 @@ def run_trial(stopping, model, trial):
     the window's boundary; the first window where any score exceeds it stops
     the trial. Reaching the last window without a crossing forces the stop
     there. Either way the trial emits its best-scoring class, passing over a
-    NaN score: a score above the boundary puts the maximum above it too. The
-    scores are running sums: each window adds the templates' products with
-    the segment filtered since the previous window, so a trial that stops at
-    window k costs k segment products.
+    NaN score: a score above the boundary puts the maximum above it too.
+
+    The work is one filter product per trial, then one template-segment
+    product per window. The filter product takes the trial's first t*
+    samples, as :func:`dynastop.decoding.score_traces` filters a trial, so
+    both read the same filtered samples on any grid; a filtered sample
+    depends on its own column of the trial alone, so the decision at a
+    window still reads no sample past it. The scores are running sums: each
+    window adds the template segment's product with the filtered segment
+    since the previous window, so a trial that stops at window k costs one
+    filter product and k segment products. The segment products are gemv,
+    where score_traces takes a gemm, so the scores may differ from the
+    harness's in the last bits.
+
+    Raises ValueError when the trial or the decoder's templates are shorter
+    than t*, or when the stopping model was calibrated for another number of
+    classes than the decoder has templates.
     """
-    if trial.data.shape[1] < stopping.t_star:
+    grid = stopping.grid.tolist()
+    t_star = grid[-1]
+    templates = model.templates
+    if trial.data.shape[1] < t_star:
         raise ValueError("trial shorter than the maximum trial length")
-    if model.templates.shape[1] < stopping.t_star:
+    if templates.shape[1] < t_star:
         raise ValueError("model templates shorter than the maximum trial length")
-    # One float64 copy of float32 data (a view of float64), not one per window.
-    data = np.asarray(trial.data[:, :stopping.t_star], dtype=float)
+    if stopping.n_classes != templates.shape[0]:
+        raise ValueError(f"stopping model of {stopping.n_classes} classes does not fit a "
+                         f"decoder of {templates.shape[0]} templates")
+    signal = model.spatial_filter @ trial.data[:, :t_star]
     eta = stopping.eta.tolist()
-    last = stopping.grid.size - 1
-    scores = np.zeros(model.templates.shape[0])
+    top = np.fmax.reduce
+    last = len(grid) - 1
+    scores = np.zeros(templates.shape[0])
     start = 0
-    for idx, w in enumerate(stopping.grid.tolist()):
-        scores += model.templates[:, start:w] @ (model.spatial_filter @ data[:, start:w])
+    for idx, w in enumerate(grid):
+        scores += templates[:, start:w] @ signal[start:w]
         start = w
         # fmax skips a NaN score, so this fires exactly when any score exceeds eta.
-        fired = np.fmax.reduce(scores) > eta[idx]
+        fired = top(scores) > eta[idx]
         if fired or idx == last:
             return StopOutcome(idx, _best_class(scores), not fired)
     raise AssertionError("unreachable: grid is never empty")

@@ -3,14 +3,15 @@ structure matrices built up front as a list, the fit's per-trial moments one
 class at a time, the design side of the fit from dense centred matrices,
 the per-subset SVD fit of the decoder, one window's scores from its own
 prefix, the likelihood ratio the boundary solver inverts, scores against
-the simulator's planted templates, and the per-window run of every
-stopping rule."""
+the simulator's planted templates, the Beta outlier probability through
+numpy's clip, mean and var, and the per-window run of every stopping
+rule."""
 
 import math
 
 import numpy as np
 
-from dynastop.baselines import _outlier_probability
+from dynastop.baselines import _BETA_EPSILON, _MAX_SHAPES, beta_cdf
 from dynastop.bayes_stop import StopOutcome
 from dynastop.decoding import RIDGE, DecoderModel, predict_templates
 from dynastop.metrics import DecisionCounts
@@ -254,7 +255,28 @@ def window_decide(rule, levels, scores, window_index):
         if top_two[1] - top_two[0] >= levels[window_index]:
             return int(np.argmax(scores))
         return None
-    return int(np.argmax(scores)) if _outlier_probability(scores) >= levels else None
+    return int(np.argmax(scores)) if outlier_probability(scores) >= levels else None
+
+
+def outlier_probability(scores):
+    """Reference Beta outlier probability of one window's scores: the Beta
+    CDF at the mapped top score under the moment fit to the rest, through
+    np.clip, ndarray.mean and ndarray.var; -inf where no Beta fits."""
+    mapped = np.clip((np.asarray(scores) + 1.0) / 2.0, _BETA_EPSILON, 1.0 - _BETA_EPSILON)
+    top = mapped.max()
+    rest = mapped[mapped < top]
+    if rest.size < 2:
+        return -math.inf
+    mean = rest.mean()
+    var = rest.var()
+    if var <= 0.0 or var >= mean * (1.0 - mean):
+        return -math.inf
+    common = mean * (1.0 - mean) / var - 1.0
+    a = mean * common
+    b = (1.0 - mean) * common
+    if a <= 0.0 or b <= 0.0 or a + b > _MAX_SHAPES:
+        return -math.inf
+    return beta_cdf(top, a, b)
 
 
 def best_class_loop(scores):

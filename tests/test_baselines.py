@@ -34,7 +34,13 @@ from dynastop.bayes_stop import (
 from dynastop.decoding import DecoderModel, Trial, TrialStatistics, fit_cca, score_traces
 from dynastop.evaluation import ExperimentConfig, _first_stops, _fold_stops, window_grid
 from dynastop.simulate import SimConfig, make_dataset, resolve_config
-from oracles import apply_policy_loop, best_class_loop, first_stops_loop, stratified_folds_loop
+from oracles import (
+    apply_policy_loop,
+    best_class_loop,
+    first_stops_loop,
+    outlier_probability,
+    stratified_folds_loop,
+)
 
 
 def simpson_beta_cdf(x, a, b, n=20001):
@@ -50,9 +56,10 @@ def simpson_beta_cdf(x, a, b, n=20001):
 
 
 def boundary_model(eta):
-    """A StoppingModel that runs the given boundaries, one window per sample."""
+    """A three-class StoppingModel that runs the given boundaries, one window
+    per sample."""
     grid = np.arange(1, len(eta) + 1)
-    return StoppingModel(alpha=1.0, sigma=1.0, zeta=1.0, n_classes=2, grid=grid,
+    return StoppingModel(alpha=1.0, sigma=1.0, zeta=1.0, n_classes=3, grid=grid,
                          windows=[WindowParams(1.0, 0.0, 1.0, 1.0, int(w)) for w in grid],
                          eta=np.asarray(eta, dtype=float))
 
@@ -351,6 +358,25 @@ class TestBetaPolicy:
         trace = np.clip(rng.normal(0, 0.05, (3, 8)), -1, 1)
         out = apply_policy(BetaPolicy(0.999999), trace)
         assert out.forced and out.stopped_at == 2
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        spread=st.sampled_from([0.0, 1e-7, 1e-3, 0.1, 0.6, 2.0]),
+        specials=st.lists(st.sampled_from([math.nan, -1.0, 1.0, -1.5, 1.5, math.inf, -math.inf]),
+                          max_size=3),
+        ties=st.integers(0, 2),
+    )
+    def test_outlier_probability_matches_numpy_reference(self, seed, n, spread, specials, ties):
+        # Spread 0 makes a constant row and 2.0 puts most scores outside
+        # [-1, 1]; ties repeat the top score, and 1.0 and 1.5 tie once mapped.
+        rng = np.random.default_rng(seed)
+        scores = rng.uniform(-0.3, 0.5) + spread * rng.standard_normal(n)
+        scores = np.concatenate([scores, specials, np.repeat(scores.max(), ties)])
+        rng.shuffle(scores)
+        got = _outlier_probability(scores)
+        assert np.float64(got).tobytes() == np.float64(outlier_probability(scores)).tobytes()
 
 
 class TestBetaCdf:

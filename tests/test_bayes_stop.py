@@ -602,6 +602,13 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="shorter"):
             run_trial(stopping, model, Trial(np.zeros((1, 4)), None, 8.0))
 
+    def test_other_class_count_rejected(self):
+        # A model calibrated for three classes would run a two-template
+        # decoder against boundaries of the wrong class count.
+        stopping, model = self.scripted_stopping([0.0] * 4)
+        with pytest.raises(ValueError, match="model of 3 classes .* decoder of 2 templates"):
+            run_trial(replace(stopping, n_classes=3), model, Trial(np.zeros((1, 8)), None, 8.0))
+
     def test_accepted_tie_prefers_highest_score(self):
         stopping, model = self.scripted_stopping([0.5, math.inf, math.inf, math.inf])
         data = 0.8 * model.templates[0] + 0.7 * model.templates[1]
@@ -672,6 +679,44 @@ class TestRunTrialOracle:
             for trial in trials[36:]:
                 assert run_trial(stopping, model, trial) == window_run_trial(
                     stopping, model, trial)
+
+    # A fitted decoder with its trials per sampling rate, shared by the examples.
+    SESSIONS = {}
+
+    @classmethod
+    def session(cls, fs):
+        if fs not in cls.SESSIONS:
+            cfg = SimConfig(n_classes=6, n_channels=3, fs=fs, sigma=2.0, seed=int(fs))
+            sim = resolve_config(cfg)
+            trials = make_dataset(cfg, 4, resolved=sim)
+            cls.SESSIONS[fs] = cfg, trials, fit_cca(trials[:12], sim.structures)
+        return cls.SESSIONS[fs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fs=st.sampled_from([120.0, 128.0, 250.0]),
+        grid_ms=st.sampled_from([7.0, 30.0, 100.0, 250.0]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        log_zeta=st.integers(-4, 4),
+    )
+    def test_any_grid_matches_harness_first_stops(self, fs, grid_ms, dtype, log_zeta):
+        # Segments of one sample (7 ms at 120 and 128 Hz), of a length that
+        # is not a multiple of 4 (128 Hz at 100 ms, 30 ms) and longer than
+        # one harness gemm (250 Hz at 250 ms).
+        cfg, trials, model = self.session(fs)
+        trials = [Trial(t.data.astype(dtype), t.label, t.fs) for t in trials]
+        grid = window_grid(grid_ms, cfg.trial_seconds, fs)
+        stopping = calibrate(model, trials[:12], grid, zeta=10.0 ** log_zeta)
+        traces = score_traces(model, trials, grid, "inner")
+        for trial, trace, stop in zip(trials, traces, _first_stops("bds", [stopping.eta], traces)[0]):
+            outcome = run_trial(stopping, model, trial)
+            assert (outcome.stopped_at, outcome.forced) == (
+                grid.size - 1 if stop < 0 else int(stop), bool(stop < 0))
+            # Classes whose templates agree over a window tie in the harness's
+            # gemm, while gemv sums its tail rows in another order and may rank
+            # one of them first by a last bit: the label is a harness best class.
+            want = best_class_loop(trace[stop])
+            assert outcome.label == want or trace[stop, outcome.label] == trace[stop, want]
 
     def test_small_sim_matches_model_first_stops(self, small_sim):
         # The online controller and the harness's batched bds rule stop

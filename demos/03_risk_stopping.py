@@ -25,10 +25,10 @@ print(f"calibration: alpha={stopping.alpha:.4f} sigma={stopping.sigma:.4f} "
 # The two Gaussian score distributions drift apart as the window grows; the
 # equal-cost boundary tracks their intersection region.
 print("\n window |  target mean +- sd   | non-target mean +- sd |  boundary")
-for params, eta in zip(stopping.windows, stopping.eta):
+for window, params, eta in zip(stopping.grid, stopping.windows, stopping.eta):
     mu1 = stopping.alpha * params.b1
     mu0 = stopping.alpha * params.b0
-    print(f"  {params.window_samples / cfg.fs:4.2f} s | {mu1:8.2f} +- {params.s1:6.2f} "
+    print(f"  {window / cfg.fs:4.2f} s | {mu1:8.2f} +- {params.s1:6.2f} "
           f"| {mu0:8.2f} +- {params.s0:6.2f}  | {eta:9.2f}")
 
 # Stopping behaviour across cost ratios: expensive false positives push the

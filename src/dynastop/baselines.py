@@ -423,7 +423,7 @@ def deserialize_policy(envelope):
         **{k: _read(envelope.get(k), k, float) for k in ("alpha", "sigma", "zeta")},
         n_classes=_read(envelope.get("n_classes"), "n_classes", int),
         grid=np.asarray(grid, dtype=int),
-        windows=[WindowParams(**{k: _read(e.get(k), k, float) for k in _WINDOW_FIELDS},
-                              window_samples=w) for e, w in zip(entries, grid)],
+        windows=[WindowParams(**{k: _read(e.get(k), k, float) for k in _WINDOW_FIELDS})
+                 for e in entries],
         eta=np.array([_read(e.get("eta"), "eta", float) for e in entries]),
     )

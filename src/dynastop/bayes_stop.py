@@ -27,7 +27,6 @@ class WindowParams:
     b0: float
     s1: float
     s0: float
-    window_samples: int
 
 
 @dataclass
@@ -158,10 +157,10 @@ def window_params(templates, alpha, sigma):
     if templates.shape[1] < 1:
         raise ValueError("window must span at least one sample")
     gram = templates @ templates.T
-    return _gram_params(gram[None], [templates.shape[1]], alpha, sigma)[0]
+    return _gram_params(gram[None], alpha, sigma)[0]
 
 
-def _gram_params(grams, windows, alpha, sigma):
+def _gram_params(grams, alpha, sigma):
     """:func:`window_params` of every window from its template Gram matrix,
     grams of shape (n_windows, n_classes, n_classes). Each term is one numpy
     reduction over the last axis of a C-contiguous array for all windows,
@@ -182,12 +181,11 @@ def _gram_params(grams, windows, alpha, sigma):
     spread0 = np.sum((alpha * off - (alpha * b0)[:, None]) ** 2, axis=1) / n_off
 
     params = []
-    for k, window in enumerate(windows):
+    for k in range(len(grams)):
         floor = 1e-12 * max(1.0, abs(alpha) * float(b1[k]))
         s1 = max(math.sqrt(noise_var[k] + spread1[k]), floor)
         s0 = max(math.sqrt(noise_var[k] + spread0[k]), floor)
-        params.append(WindowParams(b1=float(b1[k]), b0=float(b0[k]), s1=s1, s0=s0,
-                                   window_samples=int(window)))
+        params.append(WindowParams(b1=float(b1[k]), b0=float(b0[k]), s1=s1, s0=s0))
     return params
 
 
@@ -279,10 +277,11 @@ def calibrate(model, trials, grid, zeta=1.0):
         Fitted decoder whose templates cover the last grid window.
     trials: list of Trial
         Labeled training trials, each label the index of a model template,
-        at least as long as the last grid window and finite over it. A label
-        outside the templates, and then a NaN or an infinity, raises
-        ValueError naming the first such trial by its index and label; the
-        labels are checked before any trial is filtered.
+        at least as long as the last grid window, sampled at the decoder's
+        rate and finite over it. A label outside the templates or another
+        rate, and then a NaN or an infinity, raises ValueError naming the
+        first such trial by its index; the labels and rates are checked
+        before any trial is filtered.
     grid: sequence of int
         Decision window lengths in samples, strictly increasing; the last
         entry is the maximum trial length.
@@ -313,6 +312,9 @@ def calibrate(model, trials, grid, zeta=1.0):
                              f"model's {n_classes} templates")
         if trial.data.shape[1] < t_star:
             raise ValueError("calibration trial shorter than the last grid window")
+        if trial.fs != model.fs:
+            raise ValueError(f"trial {i} is sampled at {trial.fs:g} Hz, "
+                             f"the decoder at {model.fs:g} Hz")
     # One (trials, t*) pair whose rows concatenate as the per-trial pairs
     # would. A NaN or an infinity in a trial makes the estimate raise; the
     # invalid operations of its filtering need no warning of their own.
@@ -332,7 +334,7 @@ def calibrate(model, trials, grid, zeta=1.0):
         raise
 
     grams = np.stack(list(_window_grams(model.templates, grid)))
-    windows = _gram_params(grams, grid, alpha, sigma)
+    windows = _gram_params(grams, alpha, sigma)
     eta = [decision_boundary(params, alpha, zeta, n_classes) for params in windows]
     return StoppingModel(
         alpha=alpha,
@@ -367,8 +369,9 @@ def run_trial(stopping, model, trial):
     harness's in the last bits.
 
     Raises ValueError when the trial or the decoder's templates are shorter
-    than t*, or when the stopping model was calibrated for another number of
-    classes than the decoder has templates.
+    than t*, when the stopping model was calibrated for another number of
+    classes than the decoder has templates, or when the trial is sampled at
+    another rate than the decoder was fitted at.
     """
     grid = stopping.grid.tolist()
     t_star = grid[-1]
@@ -380,6 +383,9 @@ def run_trial(stopping, model, trial):
     if stopping.n_classes != templates.shape[0]:
         raise ValueError(f"stopping model of {stopping.n_classes} classes does not fit a "
                          f"decoder of {templates.shape[0]} templates")
+    if trial.fs != model.fs:
+        raise ValueError(f"trial (label {trial.label}) is sampled at {trial.fs:g} Hz, "
+                         f"the decoder at {model.fs:g} Hz")
     signal = model.spatial_filter @ trial.data[:, :t_star]
     eta = stopping.eta.tolist()
     top = np.fmax.reduce

@@ -225,20 +225,22 @@ class LagProducts:
     ends: np.ndarray
 
     def gram(self, weights):
-        """The weighted Gram sum_c weights[c] S_c S_c^T, shape (2R, 2R): the
+        """The weighted Gram sum_c weights[v, c] S_c S_c^T of each row v of
+        a (n_vectors, n_codes) weight matrix, shape (n_vectors, 2R, 2R): the
         weighted zero-lag rows and columns, then each later row from the one
-        before it by the recurrence, with the weighted products of the last
-        columns (one matrix product). Exact for integer weights while the
+        before it by one recurrence for all the rows, with the weighted
+        products of the last columns. Exact for integer weights while the
         entries stay below 2^53."""
         heads = np.tensordot(weights, self.heads, axes=1)
-        lags = heads.shape[2]
-        ends = (self.ends.T @ (weights[:, None] * self.ends)).reshape(2, lags, 2, lags)
-        gram = np.empty((2, lags, 2, lags))
-        gram[:, 0] = heads
-        gram[:, :, :, 0] = heads.transpose(1, 2, 0)
+        n, lags = len(weights), heads.shape[-1]
+        ends = (self.ends.T @ (weights[:, :, None] * self.ends)).reshape(n, 2, lags, 2, lags)
+        gram = np.empty((n, 2, lags, 2, lags))
+        gram[:, :, 0] = heads
+        gram[..., 0] = heads.transpose(0, 2, 3, 1)
         for i in range(1, lags):
-            np.subtract(gram[:, i - 1, :, :-1], ends[:, i - 1, :, :-1], out=gram[:, i, :, 1:])
-        return gram.reshape(2 * lags, 2 * lags)
+            np.subtract(gram[:, :, i - 1, :, :-1], ends[:, :, i - 1, :, :-1],
+                        out=gram[:, :, i, :, 1:])
+        return gram.reshape(n, 2 * lags, 2 * lags)
 
 
 class StructureMatrices(Sequence):

@@ -65,9 +65,11 @@ def _inverse_sqrt(covs, name):
     return (evecs / np.sqrt(evals)[..., None, :]) @ np.swapaxes(evecs, -1, -2)
 
 
-def _regularised(cov):
-    """A covariance plus RIDGE times its mean diagonal on the diagonal."""
-    return cov + RIDGE * np.mean(np.diag(cov)) * np.eye(cov.shape[0])
+def _regularised(covs):
+    """Each covariance of a (..., n, n) stack plus RIDGE times its mean
+    diagonal on its diagonal."""
+    ridge = RIDGE * np.diagonal(covs, axis1=-2, axis2=-1).mean(axis=-1)
+    return covs + ridge[..., None, None] * np.eye(covs.shape[-1])
 
 
 def predict_templates(response, structures):
@@ -122,13 +124,14 @@ class TrialStatistics:
     on its contiguous slice of the stack, each scattered back to trial order.
 
     The design side of a fit depends only on the subset's class counts, so
-    subsets with equal counts share it. It comes from the onset trains
+    it is computed once per :meth:`fit_many` call for each distinct count
+    vector. It comes from the onset trains
     (:meth:`StructureMatrices.lag_products`), not from the matrices: the
-    classes' row sums and zero-lag Gram rows, taken once here, and per
-    count vector the weighted Gram by its lag recurrence, less the
-    weighted row sums' outer product over the sample count. Every step
-    before that last division is on integers, so the design covariance is
-    exact to the last bit.
+    classes' row sums and zero-lag Gram rows, taken once here, and per call
+    the weighted Grams of all the count vectors by one lag recurrence, less
+    each vector's weighted row sums' outer product over its sample count.
+    Every step before that last division is on integers, so the design
+    covariance is exact to the last bit.
 
     Parameters
     ----------
@@ -200,7 +203,6 @@ class TrialStatistics:
         for label, stop in zip(self.classes, np.cumsum(np.bincount(self.groups))):
             self.cross[order[start:stop]] = data[start:stop] @ structures[label][:, :n_samples].T
             start = stop
-        self._designs = {}
 
     def fit(self, indices=None):
         """Fit the decoder on the trials at `indices` (default: all of them),
@@ -219,11 +221,15 @@ class TrialStatistics:
         eigenvector u, and the response is C_dd^-1 C_dx w / rho for that
         filter w. The channel whitenings and the eigenproblems of all the
         subsets are one stacked eigendecomposition each. C_dd depends only
-        on the class counts, so C_dd^-1 C_dx comes from one solve per count
-        vector, the right-hand sides of its subsets side by side. The
-        templates of all the models then come from one product per class,
-        the stacked responses times that class's structure matrix, so each
-        structure matrix is read once for every model. The models'
+        on the class counts, so it comes once for each distinct count vector,
+        all from one lag recurrence: the counts-weighted Gram less u u^T /
+        (N n) for the weighted row sums u, N trials and n samples a trial.
+        Its ridge makes it positive definite unless no design row varies,
+        which raises ValueError. C_dd^-1 C_dx is one solve per count vector,
+        the right-hand sides of its subsets side by side in subset order.
+        The templates of all the models then come from one product per
+        class, the stacked responses times that class's structure matrix,
+        so each structure matrix is read once for every model. The models'
         responses, like their templates, are rows of one shared array.
 
         Returns
@@ -231,30 +237,40 @@ class TrialStatistics:
         models: list of DecoderModel
             One per index set, in order.
         """
-        subsets = [self._members(indices) for indices in index_sets]
-        if not subsets:
+        members = [self._members(indices) for indices in index_sets]
+        if not members:
             return []
-        covs_xx, covs_xd, by_counts = [], [], {}
-        for k, indices in enumerate(subsets):
-            groups = self.groups[indices]
-            counts = np.bincount(groups, minlength=len(self.design_means))
-            spread, cov_dd = self._design(counts)
-            by_counts.setdefault(counts.tobytes(), (cov_dd, []))[1].append(k)
+        vectors, which = np.unique(np.stack([counts for _, counts in members]), axis=0,
+                                   return_inverse=True)
+        weights = vectors.astype(float)
+        totals = weights.sum(axis=1)[:, None, None] * self.n_samples
+        sums = weights @ self._lags.sums
+        m2_dd = self._lags.gram(weights) - sums[:, :, None] * sums[:, None, :] / totals
+        covs_dd = _regularised(m2_dd / (totals - 1))
+        if not np.all(np.trace(covs_dd, axis1=1, axis2=2) > 0.0):
+            raise ValueError("design covariance is rank deficient after regularization "
+                             "(no design row varies)")
+        spreads = [self.design_means - w @ self.design_means / w.sum() for w in weights]
+
+        covs_xx, covs_xd = [], []
+        for (indices, _), vector in zip(members, which):
             n = indices.size * self.n_samples
             mean_x = self.means[indices]
             mean_x = mean_x - mean_x.mean(axis=0)
             m2_xx = self.channel_gram[indices].sum(axis=0) + self.n_samples * (mean_x.T @ mean_x)
-            m2_xd = self.cross[indices].sum(axis=0) + self.n_samples * (mean_x.T @ spread[groups])
-            covs_xx.append(_regularised(m2_xx / (n - 1)))
+            m2_xd = (self.cross[indices].sum(axis=0)
+                     + self.n_samples * (mean_x.T @ spreads[vector][self.groups[indices]]))
+            covs_xx.append(m2_xx / (n - 1))
             covs_xd.append(m2_xd / (n - 1))
-        isq_x = _inverse_sqrt(np.stack(covs_xx), "channel")
+        isq_x = _inverse_sqrt(_regularised(np.stack(covs_xx)), "channel")
         cov_xd = np.stack(covs_xd)
         n_rows = cov_xd.shape[2]
-        projected = np.empty((len(subsets), n_rows, cov_xd.shape[1]))  # C_dd^-1 C_dx
-        for cov_dd, members in by_counts.values():
-            rhs = cov_xd[members].transpose(2, 0, 1).reshape(n_rows, -1)
-            solution = np.linalg.solve(cov_dd, rhs).reshape(n_rows, len(members), -1)
-            projected[members] = solution.transpose(1, 0, 2)
+        projected = np.empty((len(members), n_rows, cov_xd.shape[1]))  # C_dd^-1 C_dx
+        for vector, cov_dd in enumerate(covs_dd):
+            group = np.flatnonzero(which == vector)
+            rhs = cov_xd[group].transpose(2, 0, 1).reshape(n_rows, -1)
+            solution = np.linalg.solve(cov_dd, rhs).reshape(n_rows, group.size, -1)
+            projected[group] = solution.transpose(1, 0, 2)
         evals, evecs = np.linalg.eigh(isq_x @ (cov_xd @ projected) @ isq_x)
         if not np.all(evals[:, -1] > 0.0):
             raise ValueError("the trials do not correlate with their design")
@@ -281,39 +297,18 @@ class TrialStatistics:
 
     def _members(self, indices):
         """The trial indices of one subset (None: all the trials) as an
-        integer array, checked for two trials and two labels. Its data need
-        no check: the constructor rejected every trial that is not finite."""
+        integer array, and the subset's class counts, checked for two trials
+        and two labels. Its data need no check: the constructor rejected
+        every trial that is not finite."""
         if indices is None:
             indices = np.arange(self.groups.size)
         indices = np.asarray(indices, dtype=int)
         if indices.size < 2:
             raise ValueError("need at least two training trials")
-        if np.unique(self.groups[indices]).size < 2:
+        counts = np.bincount(self.groups[indices], minlength=self.classes.size)
+        if np.count_nonzero(counts) < 2:
             raise ValueError("need at least two distinct labels")
-        return indices
-
-    def _design(self, counts):
-        """Class design means less the subset's grand mean, and the
-        ridge-regularised design covariance: functions of the class counts
-        alone, so computed once per count vector and shared by every fit
-        with those counts. The second moment is the counts-weighted Gram of
-        the classes' matrices less u u^T / (N n), for the weighted row sums
-        u, N trials and n samples a trial; only that division rounds. The
-        ridge makes the covariance positive definite unless no design row
-        varies, which raises ValueError."""
-        key = counts.tobytes()
-        if key not in self._designs:
-            weights = counts.astype(float)
-            total = weights.sum() * self.n_samples
-            spread = self.design_means - weights @ self.design_means / weights.sum()
-            sums = weights @ self._lags.sums
-            m2_dd = self._lags.gram(weights) - np.outer(sums, sums) / total
-            cov_dd = _regularised(m2_dd / (total - 1))
-            if not np.trace(cov_dd) > 0.0:
-                raise ValueError("design covariance is rank deficient after regularization "
-                                 "(no design row varies)")
-            self._designs[key] = spread, cov_dd
-        return self._designs[key]
+        return indices, counts
 
 
 def fit_cca(trials, structures):
@@ -391,6 +386,7 @@ def score_traces(model, trials, grid, similarity="inner"):
     Parameters
     ----------
     trials: sequence of Trial
+        Sampled at the decoder's rate; ValueError names the first that is not.
     grid: sequence of int
         Decision window lengths in samples, strictly increasing.
     similarity: str
@@ -418,6 +414,9 @@ def score_traces(model, trials, grid, similarity="inner"):
     templates = model.templates[:, :longest]
     x = np.empty((len(trials), longest))
     for i, trial in enumerate(trials):
+        if trial.fs != model.fs:
+            raise ValueError(f"trial {i} is sampled at {trial.fs:g} Hz, "
+                             f"the decoder at {model.fs:g} Hz")
         x[i] = model.spatial_filter @ trial.data[:, :longest]
     if similarity == "inner":
         return _window_products(x, templates, grid)

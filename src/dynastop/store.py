@@ -266,7 +266,8 @@ def write_results_csv(path, rows, append=False):
     use their shortest round-trip decimal form. With append=True an existing
     file keeps its header and gains the new rows, and an empty one gets the
     header; a file whose first row is not CSV_COLUMNS raises StoreError naming
-    it and is left as it was.
+    it and is left as it was. A last row without its line terminator gets
+    one, so the first new row starts a line of its own.
     """
     ordered = sorted(
         rows,
@@ -289,10 +290,16 @@ def write_results_csv(path, rows, append=False):
             raise StoreError(f"{path}: header {','.join(header)!r} is not the results "
                              "header, so no rows were appended")
         fresh = header is None
+        if not fresh:
+            with open(path, "rb") as fh:
+                fh.seek(-1, os.SEEK_END)
+                unterminated = fh.read(1) not in b"\r\n"
     mode = "w" if fresh else "a"
     with open(path, mode, newline="") as fh:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(CSV_COLUMNS)
+        elif unterminated:
+            fh.write(writer.dialect.lineterminator)
         for row in ordered:
             writer.writerow([_format_cell(getattr(row, col)) for col in CSV_COLUMNS])

@@ -1,6 +1,7 @@
 """Reference implementations the tests check the package against: the
 structure matrices built up front as a list, the fit's per-trial moments one
-class at a time, the design side of the fit from dense centred matrices,
+class at a time, the design side of the fit from dense centred matrices
+and one class-count vector at a time from the onset trains,
 the per-subset SVD fit of the decoder, one window's scores from its own
 prefix, the likelihood ratio the boundary solver inverts, scores against
 the simulator's planted templates, the Beta outlier probability through
@@ -124,6 +125,38 @@ def centred_design_m2(design_means, design_gram, counts, n_samples):
     spread = design_means - weights @ design_means / weights.sum()
     return (np.tensordot(weights, design_gram, axes=1)
             + n_samples * (spread.T @ (weights[:, None] * spread)))
+
+
+def lag_gram(lags, weights):
+    """Reference :meth:`LagProducts.gram` of one weight vector, shape (2R,
+    2R): the lag recurrence run for that vector alone."""
+    heads = np.tensordot(weights, lags.heads, axes=1)
+    n_lags = heads.shape[2]
+    ends = (lags.ends.T @ (weights[:, None] * lags.ends)).reshape(2, n_lags, 2, n_lags)
+    gram = np.empty((2, n_lags, 2, n_lags))
+    gram[:, 0] = heads
+    gram[:, :, :, 0] = heads.transpose(1, 2, 0)
+    for i in range(1, n_lags):
+        np.subtract(gram[:, i - 1, :, :-1], ends[:, i - 1, :, :-1], out=gram[:, i, :, 1:])
+    return gram.reshape(2 * n_lags, 2 * n_lags)
+
+
+def count_design(stats, counts):
+    """Reference design side of a TrialStatistics fit for one class-count
+    vector, taken one vector at a time: the class design means less the
+    subset's grand mean, and the ridge-regularised design covariance, the
+    :func:`lag_gram` less u u^T / (N n) for the weighted row sums u, N
+    trials and n samples a trial. ValueError when no design row varies."""
+    weights = np.asarray(counts, dtype=float)
+    total = weights.sum() * stats.n_samples
+    spread = stats.design_means - weights @ stats.design_means / weights.sum()
+    sums = weights @ stats._lags.sums
+    cov_dd = (lag_gram(stats._lags, weights) - np.outer(sums, sums) / total) / (total - 1)
+    cov_dd = cov_dd + RIDGE * np.mean(np.diag(cov_dd)) * np.eye(cov_dd.shape[0])
+    if not np.trace(cov_dd) > 0.0:
+        raise ValueError("design covariance is rank deficient after regularization "
+                         "(no design row varies)")
+    return spread, cov_dd
 
 
 def svd_fit(stats, indices=None):

@@ -118,7 +118,7 @@ def test_criterion_01_boundary_oracle():
         alpha = rng.uniform(0.1, 4)
         zeta = 10 ** rng.uniform(-8, 8)
         n = int(rng.integers(2, 40))
-        params = WindowParams(b1=b1, b0=b0, s1=s1, s0=s0, window_samples=10)
+        params = WindowParams(b1=b1, b0=b0, s1=s1, s0=s0)
         eta = decision_boundary(params, alpha, zeta, n)
         if not math.isfinite(eta):
             continue
@@ -139,7 +139,7 @@ def test_criterion_02_analytic_midpoint():
         b1 = b0 + rng.uniform(0.05, 3)
         s = rng.uniform(0.05, 3)
         alpha = rng.uniform(0.1, 4)
-        params = WindowParams(b1=b1, b0=b0, s1=s, s0=s, window_samples=4)
+        params = WindowParams(b1=b1, b0=b0, s1=s, s0=s)
         eta = decision_boundary(params, alpha, 1.0, 2)
         gap = abs(eta - alpha * (b0 + b1) / 2)
         worst = max(worst, gap)
@@ -157,7 +157,7 @@ def test_criterion_03_llr_identity():
         s1 = rng.uniform(0.05, 3)
         alpha = rng.uniform(0.1, 4)
         f = rng.normal(0, 5)
-        params = WindowParams(b1=b1, b0=b0, s1=s1, s0=s0, window_samples=4)
+        params = WindowParams(b1=b1, b0=b0, s1=s1, s0=s0)
         direct = log_normal_pdf(f, alpha * b1, s1) - log_normal_pdf(f, alpha * b0, s0)
         gap = abs(log_likelihood_ratio(f, params, alpha) - direct)
         worst = max(worst, gap)

@@ -60,7 +60,7 @@ def boundary_model(eta):
     per sample."""
     grid = np.arange(1, len(eta) + 1)
     return StoppingModel(alpha=1.0, sigma=1.0, zeta=1.0, n_classes=3, grid=grid,
-                         windows=[WindowParams(1.0, 0.0, 1.0, 1.0, int(w)) for w in grid],
+                         windows=[WindowParams(1.0, 0.0, 1.0, 1.0)] * len(grid),
                          eta=np.asarray(eta, dtype=float))
 
 

@@ -100,7 +100,7 @@ def random_params(rng, separated=True):
     b1 = b0 + rng.uniform(0.05, 3) if separated else rng.uniform(-2, 2)
     s0 = rng.uniform(0.05, 3)
     s1 = rng.uniform(0.05, 3)
-    return WindowParams(b1=b1, b0=b0, s1=s1, s0=s0, window_samples=10)
+    return WindowParams(b1=b1, b0=b0, s1=s1, s0=s0)
 
 
 class TestScalingAndNoise:
@@ -217,14 +217,14 @@ class TestLogLikelihoodRatio:
     def test_symmetric_case_value(self):
         # b0 = -b1, equal stds: the ratio at the target mean is 2 a^2 b1^2 / s^2.
         b1, s, alpha = 0.8, 0.4, 1.9
-        p = WindowParams(b1=b1, b0=-b1, s1=s, s0=s, window_samples=4)
+        p = WindowParams(b1=b1, b0=-b1, s1=s, s0=s)
         expected = 2 * alpha**2 * b1**2 / s**2
         assert log_likelihood_ratio(alpha * b1, p, alpha) == pytest.approx(expected)
 
     def test_midpoint_is_zero_for_equal_stds(self, rng):
         for _ in range(50):
             p = random_params(rng)
-            p = WindowParams(b1=p.b1, b0=p.b0, s1=p.s1, s0=p.s1, window_samples=4)
+            p = WindowParams(b1=p.b1, b0=p.b0, s1=p.s1, s0=p.s1)
             alpha = rng.uniform(0.1, 3)
             mid = alpha * (p.b0 + p.b1) / 2
             assert log_likelihood_ratio(mid, p, alpha) == pytest.approx(0.0, abs=1e-12)
@@ -239,7 +239,7 @@ class TestLogLikelihoodRatio:
 
 class TestDecisionBoundary:
     def test_equal_variance_midpoint(self):
-        p = WindowParams(b1=1.3, b0=0.2, s1=0.7, s0=0.7, window_samples=5)
+        p = WindowParams(b1=1.3, b0=0.2, s1=0.7, s0=0.7)
         eta = decision_boundary(p, alpha=1.7, zeta=1.0, n_classes=2)
         assert eta == pytest.approx(1.7 * (1.3 + 0.2) / 2, abs=1e-12)
 
@@ -278,22 +278,22 @@ class TestDecisionBoundary:
             s0 = s1 / rng.uniform(0.95, 1.05)
             b1 = rng.uniform(0.5, 3.0)
             b0 = b1 - rng.uniform(0.2, 2.5) * s1 / alpha
-            p = WindowParams(b1=b1, b0=b0, s1=s1, s0=s0, window_samples=10)
+            p = WindowParams(b1=b1, b0=b0, s1=s1, s0=s0)
             eta = decision_boundary(p, alpha, 1e10, 36)
             assert eta > alpha * p.b1 + 6 * p.s1
 
     def test_degenerate_sentinels(self):
-        flat = WindowParams(b1=0.5, b0=0.5, s1=0.3, s0=0.3, window_samples=2)
+        flat = WindowParams(b1=0.5, b0=0.5, s1=0.3, s0=0.3)
         # Equal distributions: the ratio is identically zero.
         assert decision_boundary(flat, 1.0, 2.0, 2) == math.inf
         assert decision_boundary(flat, 1.0, 0.5, 2) == -math.inf
 
     def test_no_real_crossing_sentinels(self):
         # s1 > s0 keeps the ratio above any negative threshold everywhere.
-        wide = WindowParams(b1=1.0, b0=0.9, s1=1.0, s0=0.2, window_samples=2)
+        wide = WindowParams(b1=1.0, b0=0.9, s1=1.0, s0=0.2)
         assert decision_boundary(wide, 1.0, 1e-12, 2) == -math.inf
         # s1 < s0 keeps it below a huge threshold everywhere.
-        narrow = WindowParams(b1=1.0, b0=0.9, s1=0.2, s0=1.0, window_samples=2)
+        narrow = WindowParams(b1=1.0, b0=0.9, s1=0.2, s0=1.0)
         assert decision_boundary(narrow, 1.0, 1e12, 2) == math.inf
 
     def test_matches_log_likelihood_ratio_polish(self, rng):
@@ -309,7 +309,7 @@ class TestDecisionBoundary:
         assert infinite > 0
 
     def test_input_validation(self):
-        p = WindowParams(b1=1.0, b0=0.0, s1=0.5, s0=0.5, window_samples=2)
+        p = WindowParams(b1=1.0, b0=0.0, s1=0.5, s0=0.5)
         with pytest.raises(ValueError):
             decision_boundary(p, 1.0, 0.0, 2)
         with pytest.raises(ValueError):
@@ -368,7 +368,7 @@ class TestDecisionBoundaryBisection:
     )
     def test_finite_boundary_is_the_bisected_crossing(self, b1, b0_share, s1, s0_ratio,
                                                        alpha, log10_zeta, n_classes):
-        p = WindowParams(b1=b1, b0=b0_share * b1, s1=s1, s0=s1 * s0_ratio, window_samples=4)
+        p = WindowParams(b1=b1, b0=b0_share * b1, s1=s1, s0=s1 * s0_ratio)
         zeta = 10.0 ** log10_zeta
         eta = decision_boundary(p, alpha, zeta, n_classes)
         assume(math.isfinite(eta))
@@ -438,8 +438,8 @@ class TestCalibrate:
         model = fit_cca(trials, sim.structures)
         grid = window_grid(grid_ms, cfg.trial_seconds, cfg.fs)
         stopping = calibrate(model, trials, grid, zeta=1.0)
-        alone = [_gram_params(gram[None], [w], stopping.alpha, stopping.sigma)[0]
-                 for w, gram in zip(grid, _window_grams(model.templates, grid))]
+        alone = [_gram_params(gram[None], stopping.alpha, stopping.sigma)[0]
+                 for gram in _window_grams(model.templates, grid)]
         assert stopping.windows == alone
 
     @pytest.mark.parametrize("grid_ms", [100.0, 30.0, 1.0])
@@ -454,8 +454,7 @@ class TestCalibrate:
             alpha, sigma, windows, eta = window_calibrate(model, trials, grid, zeta)
             assert stopping.alpha == alpha
             assert stopping.sigma == sigma
-            for got, want in zip(stopping.windows, windows):
-                assert got.window_samples == want.window_samples
+            for got, want in zip(stopping.windows, windows, strict=True):
                 for name in ("b0", "b1", "s0", "s1"):
                     assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-10)
             np.testing.assert_array_equal(np.isinf(stopping.eta), np.isinf(eta))
@@ -478,8 +477,7 @@ class TestCalibrate:
         alpha, sigma = estimate_scaling_and_noise(
             [(model.spatial_filter @ t.data[:, :t_star], model.templates[t.label, :t_star])
              for t in trials])
-        windows = _gram_params(np.stack(list(_window_grams(model.templates, grid))), grid,
-                               alpha, sigma)
+        windows = _gram_params(np.stack(list(_window_grams(model.templates, grid))), alpha, sigma)
         for zeta in (1e-8, 1e-2, 1.0, 1e2, 1e16):
             stopping = calibrate(model, trials, grid, zeta)
             assert np.float64(stopping.alpha).tobytes() == np.float64(alpha).tobytes()
@@ -559,9 +557,7 @@ class TestRunTrial:
             zeta=1.0,
             n_classes=2,
             grid=np.array([2, 4, 6, 8]),
-            windows=[
-                WindowParams(1.0, 0.0, 0.1, 0.1, w) for w in (2, 4, 6, 8)
-            ],
+            windows=[WindowParams(1.0, 0.0, 0.1, 0.1)] * 4,
             eta=np.asarray(eta_values, dtype=float),
         ), model
 
@@ -608,6 +604,28 @@ class TestRunTrial:
         stopping, model = self.scripted_stopping([0.0] * 4)
         with pytest.raises(ValueError, match="model of 3 classes .* decoder of 2 templates"):
             run_trial(replace(stopping, n_classes=3), model, Trial(np.zeros((1, 8)), None, 8.0))
+
+    def test_other_sampling_rate_rejected(self, small_sim):
+        # A decoder fitted at 120 Hz once ran the same samples labelled
+        # 250 Hz: run_trial stopped, score_traces scored, and calibrate
+        # estimated alpha over trials of both rates.
+        cfg, sim, trials = small_sim
+        model = fit_cca(trials, sim.structures)
+        grid = window_grid(100.0, cfg.trial_seconds, cfg.fs)
+        stopping = calibrate(model, trials, grid)
+        mixed = trials[:3] + [Trial(t.data, t.label, 250.0) for t in trials[3:]]
+        cases = [
+            (lambda: run_trial(stopping, model, mixed[3]),
+             f"trial (label {mixed[3].label}) is sampled at 250 Hz, the decoder at 120 Hz"),
+            (lambda: score_traces(model, mixed, grid), "trial 3 is sampled at 250 Hz, "
+             "the decoder at 120 Hz"),
+            (lambda: calibrate(model, mixed, grid), "trial 3 is sampled at 250 Hz, "
+             "the decoder at 120 Hz"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
 
     def test_accepted_tie_prefers_highest_score(self):
         stopping, model = self.scripted_stopping([0.5, math.inf, math.inf, math.inf])
@@ -657,7 +675,7 @@ class TestRunTrialOracle:
         grid = np.unique(grid)
         stopping = StoppingModel(
             alpha=1.0, sigma=1.0, zeta=1.0, n_classes=n_classes, grid=grid,
-            windows=[WindowParams(1.0, 0.0, 1.0, 1.0, int(w)) for w in grid],
+            windows=[WindowParams(1.0, 0.0, 1.0, 1.0)] * len(grid),
             eta=np.asarray(levels[: grid.size]),
         )
         trial = Trial(rng.integers(-2, 3, (2, n_samples + 2)).astype(float), None, 10.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dynastop.baselines import stratified_folds
 from dynastop.bayes_stop import calibrate, run_trial
-from dynastop.codes import StructureMatrices, modulate, structure_matrices
+from dynastop.codes import LagProducts, StructureMatrices, modulate, structure_matrices
 from dynastop.decoding import (
     RIDGE,
     DecoderModel,
@@ -28,7 +28,9 @@ from dynastop.simulate import SimConfig, make_dataset, resolve_config
 from oracles import (
     centred_design_m2,
     class_loop_statistics,
+    count_design,
     dense_design_moments,
+    lag_gram,
     prefix_scores,
     solve_cca,
     svd_fit,
@@ -458,7 +460,7 @@ class TestScores:
         cfg = SimConfig(n_classes=36, n_channels=1, sigma=1e-12, seed=3,
                         spatial_pattern=np.array([1.0]))
         sim = resolve_config(cfg)
-        model = toy_model(sim.templates)
+        model = toy_model(sim.templates, cfg.fs)
         for label in range(36):
             trial = Trial(sim.templates[label][None, :], label, cfg.fs)
             assert np.argmax(score(model, trial, sim.templates.shape[1])) == label
@@ -730,12 +732,13 @@ class TestDesignCache:
                                                    method, designs, channels):
         # Five trials of each of six classes over five folds: every outer
         # training split has the same counts, and the inner splits of one
-        # have five different count vectors. The design covariance is
-        # factored by one solve per count vector, and each fit's channel
-        # covariance is whitened as one matrix of a stack.
+        # have five different count vectors. The command's one fit_many call
+        # runs the lag recurrence once for all of them, factors the design
+        # covariance by one solve per count vector, and whitens each fit's
+        # channel covariance as one matrix of a stack.
         _, sim, trials = small_sim
-        names, solves = [], []
-        solve = np.linalg.solve
+        names, solves, grams = [], [], []
+        solve, gram = np.linalg.solve, LagProducts.gram
 
         def whitening(covs, name):
             names.extend([name] * len(covs))
@@ -745,25 +748,83 @@ class TestDesignCache:
             solves.append(a.shape)
             return solve(a, b)
 
+        def recurring(self, weights):
+            grams.append(weights.shape)
+            return gram(self, weights)
+
         monkeypatch.setattr("dynastop.decoding._inverse_sqrt", whitening)
         monkeypatch.setattr(np.linalg, "solve", solving)
+        monkeypatch.setattr(LagProducts, "gram", recurring)
         hyperparams = [0.5] if method == "fixed" else []
         config = ExperimentConfig(method=method, hyperparams=hyperparams, folds=5)
         evaluate_store(trials, sim.structures, config)
         assert solves == [(sim.structures.shape[1],) * 2] * designs
+        assert grams == [(designs, len(sim.structures))]
         assert names == ["channel"] * channels
 
+    def test_one_recurrence_per_call_and_one_solve_per_count_vector(self, small_sim,
+                                                                    monkeypatch, rng):
+        # Random subsets sharing a few count vectors: each call runs the
+        # recurrence once, on the distinct vectors, and solves once per
+        # vector, with the design covariance and the right-hand sides of its
+        # subsets in subset order to the bit of the per-vector oracle.
+        _, sim, trials = small_sim
+        stats = TrialStatistics(TestDesignCache.unequal_shuffled(trials, rng), sim.structures)
+        solves, grams = [], []
+        solve, gram = np.linalg.solve, LagProducts.gram
+
+        def solving(a, b):
+            solves.append((a, b))
+            return solve(a, b)
+
+        def recurring(self, weights):
+            grams.append(weights)
+            return gram(self, weights)
+
+        monkeypatch.setattr(np.linalg, "solve", solving)
+        monkeypatch.setattr(LagProducts, "gram", recurring)
+        for n_subsets in (1, 2, 7, 30):
+            solves.clear()
+            grams.clear()
+            subsets = TestBatchedSolve.draw_subsets(stats.groups, n_subsets, rng)
+            stats.fit_many(subsets)
+            counts = np.stack([np.bincount(stats.groups[s], minlength=stats.classes.size)
+                               for s in subsets])
+            vectors = np.unique(counts, axis=0)
+            assert len(grams) == 1
+            assert grams[0].tobytes() == vectors.astype(float).tobytes()
+            assert len(solves) == len(vectors)
+            for vector, (cov_dd, rhs) in zip(vectors, solves):
+                spread, expected = count_design(stats, vector)
+                assert cov_dd.tobytes() == expected.tobytes()
+                members = [s for s, c in zip(subsets, counts) if np.array_equal(c, vector)]
+                assert rhs.tobytes() == np.hstack(
+                    [cross_covariance(stats, s, spread).T for s in members]).tobytes()
+
     def test_zero_data_with_cached_design_is_rank_deficient(self, small_sim):
-        # The same classes twice, once with all-zero data: the zero copy's
-        # fit finds its design side cached and must still reject the data.
+        # The same classes twice, once with all-zero data: in one call the
+        # zero copy shares the real subset's count vector, so one design
+        # serves both, and the zero data must still be rejected. Nothing of
+        # the failed call is kept: the real subset alone fits as before.
         _, sim, trials = small_sim
         zeros = [Trial(np.zeros_like(t.data), t.label, t.fs) for t in trials]
         stats = TrialStatistics(trials + zeros, sim.structures)
         real = np.arange(len(trials))
-        stats.fit(real)
+        before = stats.fit(real)
         with pytest.raises(ValueError, match="channel covariance is rank deficient"):
-            stats.fit(real + len(trials))
-        assert len(stats._designs) == 1
+            stats.fit_many([real, real + len(trials)])
+        assert stats.fit(real).response.tobytes() == before.response.tobytes()
+
+
+def cross_covariance(stats, indices, spread):
+    """The channel-design cross-covariance C_xd of one subset, given the
+    spread of its class design means, as the fit takes it."""
+    n = indices.size * stats.n_samples
+    mean_x = stats.means[indices]
+    mean_x = mean_x - mean_x.mean(axis=0)
+    m2_xd = (stats.cross[indices].sum(axis=0)
+             + stats.n_samples * (mean_x.T @ spread[stats.groups[indices]]))
+    return m2_xd / (n - 1)
 
 
 class TestExactDesign:
@@ -778,14 +839,15 @@ class TestExactDesign:
         weights=st.lists(st.integers(0, 6), min_size=5, max_size=5),
     )
     @example(seed=0, n_codes=2, structure_samples=90, lag_share=1.0, length_share=0.0,
-             rate_hz=0.5, weights=[0, 3, 0, 0, 0])
+             rate_hz=0.5, weights=[1, 3, 0, 0, 0])
     def test_design_covariance_is_exact(self, seed, n_codes, structure_samples, lag_share,
                                         length_share, rate_hz, weights):
         # Random codes, response lengths up to the structures' length,
-        # trials up to that long, and class weights with zeros: the design
-        # covariance is the integer Gram and row sums of the dense matrices
-        # less one rounded division, to the bit, and within 1e-12 of the
-        # centred BLAS products.
+        # trials up to that long, six trials a class and subsets of random
+        # class counts with zeros: the design covariance a fit solves with is
+        # the integer Gram and row sums of the dense matrices less one
+        # rounded division, to the bit, and within 1e-12 of the centred BLAS
+        # products.
         rng = np.random.default_rng(seed)
         response_samples = 1 + int(lag_share * (structure_samples - 1))
         n_samples = 2 + int(length_share * (structure_samples - 2))
@@ -793,10 +855,11 @@ class TestExactDesign:
         structures = structure_matrices(modulate(bits), 1.0, rate_hz, structure_samples,
                                         response_samples)
         trials = [Trial(rng.standard_normal((2, n_samples)), label, 1.0)
-                  for label in range(n_codes)]
+                  for label in range(n_codes) for _ in range(6)]
         stats = TrialStatistics(trials, structures)
         counts = np.array(weights[:n_codes])
-        assume(counts.any())
+        assume(np.count_nonzero(counts) >= 2)
+        subset = np.concatenate([6 * label + np.arange(c) for label, c in enumerate(counts)])
 
         dense = np.stack([np.asarray(m)[:, :n_samples] for m in structures]).astype(np.int64)
         gram = np.tensordot(counts, dense @ dense.transpose(0, 2, 1), axes=1)
@@ -806,16 +869,63 @@ class TestExactDesign:
         expected += RIDGE * np.mean(np.diag(expected)) * np.eye(expected.shape[0])
         if not np.trace(expected) > 0.0:
             with pytest.raises(ValueError, match="no design row varies"):
-                stats._design(counts)
+                stats.fit(subset)
             return
-        spread, cov_dd = stats._design(counts)
+        solves = []
+        solve = np.linalg.solve
+
+        def solving(a, b):
+            solves.append((a, b))
+            return solve(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", solving)
+            stats.fit(subset)
+        (cov_dd, rhs), = solves
         assert cov_dd.tobytes() == expected.tobytes()
 
         means, centred = dense_design_moments(structures, stats.classes, n_samples)
-        assert spread.tobytes() == (means - counts @ means / counts.sum()).tobytes()
+        spread = means - counts @ means / counts.sum()
+        assert rhs.tobytes() == cross_covariance(stats, subset, spread).T.tobytes()
         reference = centred_design_m2(means, centred, counts, n_samples) / (total - 1)
         reference += RIDGE * np.mean(np.diag(reference)) * np.eye(reference.shape[0])
         assert np.abs(cov_dd - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_codes=st.integers(1, 5),
+        structure_samples=st.integers(1, 90),
+        lag_share=st.floats(0.0, 1.0),
+        length_share=st.floats(0.0, 1.0),
+        rows=st.lists(st.lists(st.integers(0, 6), min_size=5, max_size=5),
+                      min_size=1, max_size=6),
+        repeats=st.lists(st.integers(0, 5), max_size=3),
+    )
+    @example(seed=0, n_codes=1, structure_samples=1, lag_share=0.0, length_share=0.0,
+             rows=[[0] * 5], repeats=[])
+    def test_batched_gram_matches_per_vector_loop(self, seed, n_codes, structure_samples,
+                                                  lag_share, length_share, rows, repeats):
+        # Random count matrices with zero counts, zero rows, duplicate rows
+        # and a single row: the one recurrence for all the rows gives each
+        # row the bytes of the recurrence run for it alone, which are the
+        # dense matrices' integer Gram.
+        rng = np.random.default_rng(seed)
+        response_samples = 1 + int(lag_share * (structure_samples - 1))
+        n_samples = 1 + int(length_share * (structure_samples - 1))
+        bits = rng.integers(0, 2, (n_codes, int(rng.integers(1, 12)))).astype(np.uint8)
+        structures = structure_matrices(modulate(bits), 1.0, 1.0, structure_samples,
+                                        response_samples)
+        lags = structures.lag_products(n_samples)
+        counts = np.array(rows)[:, :n_codes]
+        counts = np.concatenate([counts, counts[[r % len(counts) for r in repeats]]])
+        batched = lags.gram(counts.astype(float))
+        dense = np.stack([np.asarray(m)[:, :n_samples] for m in structures]).astype(np.int64)
+        assert batched.shape == (len(counts),) + (structures.shape[1],) * 2
+        for row, got in zip(counts, batched):
+            alone = lag_gram(lags, row.astype(float))
+            assert got.tobytes() == alone.tobytes()
+            assert np.array_equal(got, np.tensordot(row, dense @ dense.transpose(0, 2, 1), 1))
 
 
 class TestFitMany:

@@ -460,6 +460,22 @@ class TestResultsCsv:
             records = list(csv.DictReader(fh))
         assert [r["subject"] for r in records] == ["s01", "s02"]
 
+    @pytest.mark.parametrize("terminator", [b"", b"\r\n", b"\n"])
+    def test_append_after_unterminated_last_row(self, tmp_path, terminator):
+        # A last row without its line terminator once had the first new row
+        # written onto it ("...,0.5s02,bds,..."). A header alone counts too.
+        path = tmp_path / "out.csv"
+        write_results_csv(path, [sample_row("s01")])
+        header, row = path.read_bytes().split(b"\r\n")[:2]
+        for content in (header + b"\r\n" + row + terminator, header + terminator):
+            path.write_bytes(content)
+            write_results_csv(path, [sample_row("s02", hyperparam=2.0)], append=True)
+            with open(path, newline="") as fh:
+                records = list(csv.DictReader(fh))
+            old = [("s01", "1.0")] if row in content else []
+            assert [(r["subject"], r["hyperparam"]) for r in records] == old + [("s02", "2.0")]
+            assert path.read_bytes().startswith(content)
+
     def test_append_to_empty_file_writes_header(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_bytes(b"")
